@@ -1,11 +1,13 @@
 """Simulator self-benchmark: ``repro bench``.
 
 Measures how fast the *simulator* runs (not the modelled device):
-wall-clock requests/sec for a fixed deterministic workload, plus a
-per-subsystem breakdown of where that wall time goes, from a
-``cProfile`` pass aggregated by ``repro.*`` subpackage.  The result is
-written to ``BENCH_<date>.json`` so successive PRs can diff simulator
-performance the way they diff figure outputs.
+wall-clock requests/sec for a fixed deterministic workload in each
+engine mode (serial, and the concurrent engine at qd16 on a 4x2
+fabric), plus per mode a per-subsystem breakdown of where that wall
+time goes, from a ``cProfile`` pass of that mode aggregated by
+``repro.*`` subpackage.  The result is written to ``BENCH_<date>.json``
+so successive PRs can diff simulator performance the way they diff
+figure outputs.
 
 ``BENCH_<date>.json`` holds *every* run of that day — a
 ``{"format": "repro-bench", "date": ..., "runs": [...]}`` document that
@@ -60,8 +62,9 @@ def _subsystem_of(filename: str) -> str:
     return f"repro.{parts[0].removesuffix('.py')}" if parts else "other"
 
 
-def _profile_shares(num_records: int) -> List[Dict[str, Any]]:
-    """One profiled serial replay, grouped into subsystem time shares.
+def _profile_shares(num_records: int, queue_depth: int, channels: int,
+                    planes: int) -> List[Dict[str, Any]]:
+    """One profiled replay of a mode, grouped into subsystem time shares.
 
     Shares are of *total* time (``tottime``: time inside the frame,
     excluding callees) so they sum to ~1.0 across subsystems instead of
@@ -70,7 +73,8 @@ def _profile_shares(num_records: int) -> List[Dict[str, Any]]:
     system, records = _fresh_system_and_records(num_records)
     profiler = cProfile.Profile()
     profiler.enable()
-    run_trace_concurrent(system, records)
+    run_trace_concurrent(system, records, queue_depth=queue_depth,
+                         channels=channels, planes=planes)
     profiler.disable()
     stats = pstats.Stats(profiler)
     totals: Dict[str, float] = {}
@@ -112,21 +116,17 @@ def run_bench(num_records: int = 40_000) -> Dict[str, Any]:
     ]
     results = []
     for mode in modes:
-        elapsed, requests = _timed_replay(num_records,
-                                          mode["queue_depth"],
-                                          mode["channels"], mode["planes"])
+        knobs = (mode["queue_depth"], mode["channels"], mode["planes"])
+        elapsed, requests = _timed_replay(num_records, *knobs)
         results.append({
             **mode,
             "wall_seconds": round(elapsed, 4),
             "requests": requests,
             "requests_per_sec": round(requests / elapsed, 1)
             if elapsed > 0 else 0.0,
+            "profile_shares": _profile_shares(num_records, *knobs),
         })
-    return {
-        "num_records": num_records,
-        "modes": results,
-        "profile_shares": _profile_shares(num_records),
-    }
+    return {"num_records": num_records, "modes": results}
 
 
 def _git_commit() -> Optional[str]:
@@ -198,9 +198,9 @@ def run_bench_command(args: argparse.Namespace) -> int:
         print(f"{mode['name']:<22} {mode['requests_per_sec']:>10.0f} "
               f"req/s  ({mode['wall_seconds']:.2f} s for "
               f"{mode['requests']} requests)")
-    print("profile shares (simulator wall time by subsystem)")
-    for entry in result["profile_shares"][:8]:
-        print(f"  {entry['subsystem']:<18} {entry['share']:>6.1%}")
+        print("  profile shares (simulator wall time by subsystem)")
+        for entry in mode["profile_shares"][:8]:
+            print(f"    {entry['subsystem']:<18} {entry['share']:>6.1%}")
     commit = result["git_commit"] or "unknown"
     print(f"benchmark JSON written to {out_path} "
           f"(run {len(document['runs'])} of {document['date']}, "

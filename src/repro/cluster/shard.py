@@ -53,24 +53,26 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, cast
 from ..core.hierarchy import build_flash_system, FlashBackedSystem, \
     PendingRequest
 from ..faults.injector import FaultConfig
-from ..flash.channels import ChannelConfig, NandScheduler
+from ..flash.channels import ChannelConfig
 from ..parallel import derive_seed
 from ..reliability import ReliabilityConfig
-from ..sim.events import Event, EventLoop, EventType
+from ..sim.concurrent import EventEngine
+from ..sim.events import Event, EventType
 from ..telemetry import LatencyHistogram, Telemetry, TraceSampler
 from .arrivals import Arrival
 
 __all__ = ["run_shard"]
 
 
-class _ShardEngine:
+class _ShardEngine(EventEngine):
     """One shard run's event-loop state (not reusable).
 
     Handlers take simulated time only from ``loop.now_us`` (simlint
     SIM010); ties resolve in posting order.  Arrivals chain: each ARRIVE
     handler posts the next arrival at its absolute instant, so the heap
     holds one future arrival at a time (the sync stream chains the same
-    way through SYNC events).
+    way through SYNC events).  Admission and dispatch are the concurrent
+    engine's (:class:`repro.sim.concurrent.EventEngine`).
     """
 
     def __init__(self, system: FlashBackedSystem,
@@ -82,7 +84,8 @@ class _ShardEngine:
                  rejoin_at_us: Optional[float] = None,
                  shard_id: int = 0,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.system = system
+        super().__init__(system, config)
+        self.system: FlashBackedSystem = system
         self.queue_depth = queue_depth
         self.shed_queue = shed_queue
         self.fail_at_us = fail_at_us
@@ -91,13 +94,9 @@ class _ShardEngine:
         self.rejoin_at_us = rejoin_at_us
         self.shard_id = shard_id
         self.telemetry = telemetry
-        self.loop = EventLoop()
-        self.scheduler = NandScheduler(config)
         self.response = LatencyHistogram("response_us")
         self.queue_delay = LatencyHistogram("queue_delay_us")
         self.service_latency = LatencyHistogram("service_latency_us")
-        self.sampler: Optional[TraceSampler] = None
-        self.position = 0
         self.wait: Deque[PendingRequest] = deque()
         self.slots = 0
         self.arrived = 0
@@ -113,32 +112,20 @@ class _ShardEngine:
         self.inflight_reads: List[Tuple[Arrival, int]] = []
         #: Simulated instant the shard left the cluster, if it did.
         self.retired_at_us: Optional[float] = None
-        self.channel_stalls = 0
-        self.gc_events = 0
-        self.scrub_events = 0
         self.sync_arrived = 0
         self.sync_completed = 0
         self.sync_lost = 0
         self.sync_skipped = 0
         self._source = iter(arrivals)
         self._sync_source = iter(sync_arrivals)
-        self._last_scrub_passes = self._scrub_passes()
         #: Per-time-bucket rows: [arrivals, completed, shed, lost,
         #: redirected, response_sum_us, response_max_us].
         self.buckets: Dict[int, List[float]] = {}
         loop = self.loop
         loop.register(EventType.ARRIVE, self._on_arrive)
-        loop.register(EventType.DISPATCH, self._on_dispatch)
-        loop.register(EventType.CHANNEL_BUSY, self._on_channel_busy)
         loop.register(EventType.COMPLETE, self._on_complete)
-        loop.register(EventType.GC, self._on_gc)
-        loop.register(EventType.SCRUB, self._on_scrub)
         loop.register(EventType.SYNC, self._on_sync)
         loop.register(EventType.REJOIN, self._on_rejoin)
-
-    def _scrub_passes(self) -> int:
-        scrubber = getattr(self.system, "scrubber", None)
-        return scrubber.stats.passes if scrubber is not None else 0
 
     def _bucket(self, time_us: float) -> List[float]:
         index = int(time_us // self.bucket_us)
@@ -161,8 +148,7 @@ class _ShardEngine:
 
     def _on_arrive(self, event: Event) -> None:
         arrival: Arrival = event.payload
-        loop = self.loop
-        now_us = loop.now_us
+        now_us = self.loop.now_us
         self.arrived += 1
         bucket = self._bucket(now_us)
         bucket[0] += 1
@@ -179,7 +165,7 @@ class _ShardEngine:
             self.shed += 1
             bucket[2] += 1
         else:
-            self._admit(arrival, now_us)
+            self._admit(arrival)
         self._post_next_arrival()
 
     def _on_sync(self, event: Event) -> None:
@@ -190,7 +176,7 @@ class _ShardEngine:
             # stream pages; the orchestrator's plan was optimistic.
             self.sync_skipped += 1
         else:
-            self._admit(arrival, self.loop.now_us, background=True)
+            self._admit(arrival, background=True)
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.sync_page(arrival[2], arrival[3])
@@ -201,34 +187,16 @@ class _ShardEngine:
         if telemetry is not None:
             telemetry.rejoin(self.shard_id, self.loop.now_us)
 
-    def _admit(self, arrival: Arrival, now_us: float,
-               background: bool = False) -> None:
+    def _admit(self, arrival: Arrival, background: bool = False) -> None:
         _, _, page, is_read = arrival
-        loop = self.loop
-        system = self.system
         # Functional execution at admission, in arrival order — the same
         # state/timing split as run_trace_concurrent, so cache contents
         # are a pure function of the admitted request sequence.
-        if is_read:
-            pending = system.submit_read(page)
-        else:
-            pending = system.submit_write(page)
-        pending.arrive_us = now_us
+        pending = self._submit(page, is_read)
         pending.context = (arrival, background)
-        self.position += 1
-        sampler = self.sampler
-        if sampler is not None and self.position >= sampler.next_at:
-            sampler.maybe_sample(self.position)
-        if pending.gc_us > 0:
-            loop.post(0.0, Event(EventType.GC, pending.gc_us))
-        scrub_passes = self._scrub_passes()
-        if scrub_passes > self._last_scrub_passes:
-            self._last_scrub_passes = scrub_passes
-            loop.post(0.0, Event(EventType.SCRUB, pending.page))
         if self.slots < self.queue_depth:
             self.slots += 1
-            loop.post(system.config.cpu_us_per_request,
-                      Event(EventType.DISPATCH, pending))
+            self._dispatch(pending)
         else:
             self.wait.append(pending)
         # Graceful degradation may have tripped while serving this very
@@ -236,33 +204,11 @@ class _ShardEngine:
         if (not background and self.retire_on_degraded
                 and self.retired_at_us is None
                 and self.system.flash.degraded):
-            self.retired_at_us = now_us
-
-    def _on_dispatch(self, event: Event) -> None:
-        pending: PendingRequest = event.payload
-        loop = self.loop
-        pending.dispatch_us = loop.now_us
-        ready_us = loop.now_us
-        wait_us = 0.0
-        scheduler = self.scheduler
-        for op in pending.ops:
-            placed = scheduler.schedule(ready_us, op.latency_us)
-            if placed.wait_us > 0:
-                loop.post_at(placed.start_us,
-                             Event(EventType.CHANNEL_BUSY,
-                                   (placed.channel, placed.wait_us)))
-                wait_us += placed.wait_us
-            ready_us = placed.end_us
-        finish_us = pending.dispatch_us + pending.service_us + wait_us
-        loop.post_at(finish_us, Event(EventType.COMPLETE, pending))
-
-    def _on_channel_busy(self, event: Event) -> None:
-        self.channel_stalls += 1
+            self.retired_at_us = self.loop.now_us
 
     def _on_complete(self, event: Event) -> None:
         pending: PendingRequest = event.payload
-        loop = self.loop
-        now_us = loop.now_us
+        now_us = self.loop.now_us
         pending.finish_us = now_us
         self.system.complete_request(pending)
         arrival, background = cast(Tuple[Arrival, bool], pending.context)
@@ -303,14 +249,7 @@ class _ShardEngine:
             # The freed slot picks up the oldest waiter; it pays the
             # same host CPU step an immediately-admitted request does.
             self.slots += 1
-            loop.post(self.system.config.cpu_us_per_request,
-                      Event(EventType.DISPATCH, self.wait.popleft()))
-
-    def _on_gc(self, event: Event) -> None:
-        self.gc_events += 1
-
-    def _on_scrub(self, event: Event) -> None:
-        self.scrub_events += 1
+            self._dispatch(self.wait.popleft())
 
     # -- driving -------------------------------------------------------------
 
@@ -321,9 +260,7 @@ class _ShardEngine:
                               Event(EventType.REJOIN, self.shard_id))
         self._post_next_arrival()
         self._post_next_sync()
-        loop_end_us = self.loop.run()
-        horizon_us = self.scheduler.horizon_us()
-        span_us = loop_end_us if loop_end_us >= horizon_us else horizon_us
+        span_us = self._run_loop()
         if self.fail_at_us is not None and self.retired_at_us is None:
             # A scripted kill happens whether or not any arrival landed
             # after it (the front-end routes around a dead shard).

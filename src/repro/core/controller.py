@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..ecc.latency import AcceleratorConfig, BCHLatencyModel
-from ..flash.device import DeviceOp, EraseFailure, FlashDevice, ProgramFailure
+from ..flash.device import EraseFailure, FlashDevice, ProgramFailure
 from ..flash.geometry import PageAddress
 from ..flash.timing import CellMode
 from .tables import (
@@ -296,42 +296,6 @@ class ProgrammableFlashController:
         if telemetry is not None:
             telemetry.flash_program(latency)
         return latency
-
-    # -- non-blocking entry points ------------------------------------------------
-
-    def submit_read(self, address: PageAddress
-                    ) -> tuple["ControllerReadResult", List[DeviceOp]]:
-        """Non-blocking form of :meth:`read` for the event engine.
-
-        Executes the read functionally (state changes, retries, and
-        reconfiguration triggers happen exactly as in :meth:`read`) and
-        additionally returns the NAND ops it issued, captured via the
-        device op sink, so the caller can schedule them on the
-        channel/plane fabric instead of blocking on the summed latency.
-        """
-        ops: List[DeviceOp] = []
-        with self.device.capture_ops(ops):
-            result = self.read(address)
-        return result, ops
-
-    def submit_program(self, address: PageAddress,
-                       lba: Optional[int] = None,
-                       data: Optional[bytes] = None
-                       ) -> tuple[float, List[DeviceOp]]:
-        """Non-blocking form of :meth:`program`; see :meth:`submit_read`.
-
-        A :class:`~repro.flash.device.ProgramFailure` propagates exactly
-        as from :meth:`program` — the captured ops up to the failure are
-        attached to the exception as ``pending_ops``.
-        """
-        ops: List[DeviceOp] = []
-        try:
-            with self.device.capture_ops(ops):
-                latency_us = self.program(address, lba=lba, data=data)
-        except ProgramFailure as failure:
-            failure.pending_ops = ops
-            raise
-        return latency_us, ops
 
     def _note_program_failure(self, address: PageAddress) -> None:
         """Pull a failing frame out of service; retire the block after K."""

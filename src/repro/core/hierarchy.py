@@ -31,7 +31,7 @@ from ..dram.model import DramModel
 from ..dram.page_cache import PrimaryDiskCache
 from ..disk.model import DiskModel
 from ..faults.injector import FaultConfig, FaultInjector
-from ..flash.device import DeviceOp, FlashDevice
+from ..flash.device import DeviceOp, FlashDevice, op_recorder
 from ..flash.geometry import FlashGeometry
 from ..flash.timing import CellMode
 from ..flash.wear import CellLifetimeModel
@@ -107,16 +107,16 @@ class RequestStats:
         return self.total_latency_us / self.requests if self.requests else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRequest:
     """One submitted-but-not-completed request (non-blocking API).
 
     ``submit_read``/``submit_write`` run the request's *functional* work
     immediately (cache state must mutate in trace order for determinism)
     and return this handle; the event engine owns the *timing*: it
-    stamps ``arrive_us``/``dispatch_us``/``finish_us`` while scheduling
-    ``ops`` on the channel/plane fabric, then closes the request with
-    :meth:`_SystemBase.complete_request`.
+    stamps ``arrive_us``/``dispatch_us`` while scheduling ``ops`` on the
+    channel/plane fabric and ``finish_us`` when the request completes,
+    then closes it with :meth:`_SystemBase.complete_request`.
     """
 
     page: int
@@ -231,8 +231,13 @@ class _SystemBase:
         background_before_us = self.background_us
         ops: List[DeviceOp] = []
         if device is not None:
-            with device.capture_ops(ops):
+            # FlashDevice.capture_ops, minus a context manager per request.
+            previous = device.op_sink
+            device.op_sink = op_recorder(ops, previous)
+            try:
                 service_us = self.read(page) if is_read else self.write(page)
+            finally:
+                device.op_sink = previous
         else:
             service_us = self.read(page) if is_read else self.write(page)
         return PendingRequest(

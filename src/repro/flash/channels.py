@@ -17,7 +17,7 @@ same resources in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 __all__ = ["ChannelConfig", "ScheduledOp", "NandScheduler"]
 
@@ -45,8 +45,7 @@ class ChannelConfig:
         return self.channels * self.planes
 
 
-@dataclass(frozen=True)
-class ScheduledOp:
+class ScheduledOp(NamedTuple):
     """Placement of one NAND op on the fabric."""
 
     channel: int

@@ -31,7 +31,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from ..faults.injector import FaultInjector
 from ..reliability.model import ReliabilityModel
@@ -57,6 +57,7 @@ __all__ = [
     "EraseResult",
     "FlashStats",
     "DeviceOp",
+    "op_recorder",
     "FlashDevice",
     "MLC_READ_SENSITIVITY",
 ]
@@ -73,6 +74,24 @@ class DeviceOp(NamedTuple):
     kind: str          # "read" | "program" | "erase"
     block: int
     latency_us: float
+
+
+OpSink = Callable[[str, int, float], None]
+
+
+def op_recorder(into: List[DeviceOp], previous: Optional[OpSink]) -> OpSink:
+    """An op sink appending every op to ``into``, then chaining to
+    ``previous`` (so an outer capture still sees an inner one's ops)."""
+    append = into.append
+    if previous is None:
+        def sink(kind: str, block: int, latency_us: float) -> None:
+            append(DeviceOp(kind, block, latency_us))
+    else:
+        def sink(kind: str, block: int, latency_us: float) -> None:
+            append(DeviceOp(kind, block, latency_us))
+            previous(kind, block, latency_us)
+    return sink
+
 
 #: Effective-damage multiplier for MLC reads: MLC sensing margins are ~10x
 #: tighter, which is exactly the Table 1 endurance ratio (100k/10k).
@@ -100,16 +119,10 @@ class ProgramFailure(FlashDeviceError):
     full program latency, recorded in :attr:`latency_us`.
     """
 
-    #: NAND ops captured before the failure; attached by
-    #: :meth:`repro.core.controller.FlashCacheController.submit_program`
-    #: so the event engine can still charge the fabric for the attempt.
-    pending_ops: "List[DeviceOp]"
-
     def __init__(self, address: PageAddress, latency_us: float):
         super().__init__(f"program failed at {address}")
         self.address = address
         self.latency_us = latency_us
-        self.pending_ops = []
 
 
 class EraseFailure(FlashDeviceError):
@@ -277,7 +290,7 @@ class FlashDevice:
         #: The concurrent engine attaches one to capture each request's
         #: op stream for channel/plane scheduling; ``None`` (the
         #: default) changes nothing.
-        self.op_sink = None
+        self.op_sink: Optional[OpSink] = None
         self._rng = Random(seed)
         self._erase_counts: List[int] = [0] * geometry.num_blocks
         # Frames are created lazily: large devices in metadata-only runs
@@ -290,21 +303,16 @@ class FlashDevice:
     def capture_ops(self, into: List[DeviceOp]) -> Iterator[List[DeviceOp]]:
         """Collect every NAND op issued inside the block into ``into``.
 
-        This is the device's submit-side hook: callers (controller and
-        hierarchy ``submit_*`` entry points) run the functional operation
-        under capture and hand the recorded op stream to the event
-        engine, which schedules it on channels/planes.  Nesting chains:
-        an outer capture still sees ops recorded by an inner one.
+        This is the device's submit-side hook: a caller runs the
+        functional operation under capture and hands the recorded op
+        stream to the event engine, which schedules it on
+        channels/planes (the hierarchy's per-request ``submit_*`` path
+        installs :func:`op_recorder` itself, without a context manager).
+        Nesting chains: an outer capture still sees ops recorded by an
+        inner one.
         """
         previous = self.op_sink
-        if previous is None:
-            def sink(kind: str, block: int, latency_us: float) -> None:
-                into.append(DeviceOp(kind, block, latency_us))
-        else:
-            def sink(kind: str, block: int, latency_us: float) -> None:
-                into.append(DeviceOp(kind, block, latency_us))
-                previous(kind, block, latency_us)
-        self.op_sink = sink
+        self.op_sink = op_recorder(into, previous)
         try:
             yield into
         finally:

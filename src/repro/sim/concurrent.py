@@ -16,20 +16,21 @@ Determinism and the compatibility path
 
 State and timing are deliberately split:
 
-* **functional work is serial in trace order.**  ARRIVE handlers pull
-  requests from the trace in order and execute them immediately through
-  the hierarchy's non-blocking ``submit_read``/``submit_write`` entry
-  points — so cache contents, wear, faults, and every counter are
+* **functional work is serial in trace order.**  Each freed window
+  slot pulls the next request from the trace and executes it at once
+  through the hierarchy's non-blocking ``submit_read``/``submit_write``
+  entry points — so cache contents, wear, faults, and every counter are
   *identical at any queue depth or channel count* (and identical to the
   serial engine).  Concurrency changes when work *finishes*, never what
   work happens;
 * **timing is replayed on the event loop.**  The captured op stream is
-  placed on the channel/plane fabric; any wait is charged to the
-  request's queue delay, and its completion time is
-  ``dispatch + service + waits``.  Background work the request
-  generated (GC, scrub) occupies the fabric — delaying *other*
-  requests — but is not charged to its own response time, matching the
-  paper's "all GCs are performed in the background".
+  placed on the channel/plane fabric at admission; any wait is charged
+  to the request's queue delay, and its COMPLETE event — the only
+  per-request event — fires at ``dispatch + service + waits``.
+  Background work the request generated (GC, scrub) occupies the
+  fabric — delaying *other* requests — but is not charged to its own
+  response time, matching the paper's "all GCs are performed in the
+  background".
 
 At ``queue_depth=1, channels=1, planes=1`` there is nothing to overlap,
 so the call routes to the serial engine unchanged — every fig1b..fig13
@@ -60,127 +61,128 @@ def _expand(records: Iterable[TraceRecord]) -> Iterator[Tuple[int, bool]]:
             yield page, record.is_read
 
 
-class _ConcurrentEngine:
-    """One trace's worth of event-loop state (not reusable)."""
+class EventEngine:
+    """Admission and dispatch shared by the closed-loop engine below and
+    the open-loop cluster shard engine (:mod:`repro.cluster.shard`).
+
+    Only COMPLETE is a per-request event.  A request is dispatched the
+    moment it takes a window slot: its op chain is placed on the fabric
+    with ``ready_us = now + cpu_us_per_request`` and its COMPLETE posted
+    at ``dispatch + service + waits`` (DESIGN.md section 14 has the
+    ordering argument).  Channel stalls and background GC/scrub work are
+    counted inline; they schedule nothing.
+    """
 
     def __init__(self, system: DramOnlySystem | FlashBackedSystem,
-                 records: Iterable[TraceRecord],
-                 queue_depth: int, config: ChannelConfig,
-                 telemetry: Optional[Telemetry]) -> None:
+                 config: ChannelConfig) -> None:
         self.system = system
-        self.source = _expand(records)
-        self.queue_depth = queue_depth
         self.loop = EventLoop()
         self.scheduler = NandScheduler(config)
-        self.queue_delay = LatencyHistogram("queue_delay_us")
-        self.service_latency = LatencyHistogram("service_latency_us")
-        self.telemetry = telemetry
         self.sampler: Optional[TraceSampler] = None
-        self.position = system.stats.requests
-        self.in_flight = 0
+        self.position = 0
         self.channel_stalls = 0
         self.gc_events = 0
         self.scrub_events = 0
-        self._exhausted = False
-        self._last_scrub_passes = self._scrub_passes()
-        loop = self.loop
-        loop.register(EventType.ARRIVE, self._on_arrive)
-        loop.register(EventType.DISPATCH, self._on_dispatch)
-        loop.register(EventType.CHANNEL_BUSY, self._on_channel_busy)
-        loop.register(EventType.COMPLETE, self._on_complete)
-        loop.register(EventType.GC, self._on_gc)
-        loop.register(EventType.SCRUB, self._on_scrub)
+        self._scrubber = getattr(system, "scrubber", None)
+        self._last_scrub_passes = (self._scrubber.stats.passes
+                                   if self._scrubber is not None else 0)
 
-    def _scrub_passes(self) -> int:
-        scrubber = getattr(self.system, "scrubber", None)
-        return scrubber.stats.passes if scrubber is not None else 0
-
-    # -- event handlers (time comes from self.loop.now_us; SIM010) -----------
-
-    def _on_arrive(self, event: Event) -> None:
-        """Admit the next trace request into a freed window slot."""
-        try:
-            page, is_read = next(self.source)
-        except StopIteration:
-            self._exhausted = True
-            return
-        loop = self.loop
+    def _submit(self, page: int, is_read: bool) -> PendingRequest:
+        """Run one request's functional work now, in admission order —
+        the determinism anchor (see the module docstring)."""
         system = self.system
-        # Functional execution happens at admission, in trace order —
-        # the determinism anchor (see the module docstring).
         if is_read:
             pending = system.submit_read(page)
         else:
             pending = system.submit_write(page)
-        pending.arrive_us = loop.now_us
-        self.in_flight += 1
+        pending.arrive_us = self.loop.now_us
         self.position += 1
         sampler = self.sampler
         if sampler is not None and self.position >= sampler.next_at:
             sampler.maybe_sample(self.position)
         if pending.gc_us > 0:
-            loop.post(0.0, Event(EventType.GC, pending.gc_us))
-        scrub_passes = self._scrub_passes()
-        if scrub_passes > self._last_scrub_passes:
-            self._last_scrub_passes = scrub_passes
-            loop.post(0.0, Event(EventType.SCRUB, pending.page))
-        # Host CPU/network time precedes storage dispatch (the same
-        # per-request constant the serial wall clock charges).
-        loop.post(system.config.cpu_us_per_request,
-                  Event(EventType.DISPATCH, pending))
+            self.gc_events += 1
+        scrubber = self._scrubber
+        if (scrubber is not None
+                and scrubber.stats.passes > self._last_scrub_passes):
+            self._last_scrub_passes = scrubber.stats.passes
+            self.scrub_events += 1
+        return pending
 
-    def _on_dispatch(self, event: Event) -> None:
-        """Place the request's op stream on the channel/plane fabric."""
-        pending: PendingRequest = event.payload
+    def _dispatch(self, pending: PendingRequest) -> None:
+        """Place the request's op stream on the fabric; post COMPLETE."""
         loop = self.loop
-        pending.dispatch_us = loop.now_us
-        ready_us = loop.now_us
+        # Host CPU/network time precedes storage dispatch (the same
+        # per-system constant the serial wall clock charges).
+        dispatch_us = loop.now_us + self.system.config.cpu_us_per_request
+        pending.dispatch_us = dispatch_us
+        ready_us = dispatch_us
         wait_us = 0.0
-        scheduler = self.scheduler
+        schedule = self.scheduler.schedule
         for op in pending.ops:
-            placed = scheduler.schedule(ready_us, op.latency_us)
+            placed = schedule(ready_us, op.latency_us)
             if placed.wait_us > 0:
-                loop.post_at(placed.start_us,
-                             Event(EventType.CHANNEL_BUSY,
-                                   (placed.channel, placed.wait_us)))
+                self.channel_stalls += 1
                 wait_us += placed.wait_us
             ready_us = placed.end_us
         # Response = service as charged by the serial model, plus every
         # wait the op chain suffered.  Background op *latency* (GC,
         # scrub rewrites) occupies the fabric but is excluded from
         # service, so it delays neighbours rather than this request.
-        finish_us = pending.dispatch_us + pending.service_us + wait_us
-        loop.post_at(finish_us, Event(EventType.COMPLETE, pending))
+        loop.post_at(dispatch_us + pending.service_us + wait_us,
+                     Event(EventType.COMPLETE, pending))
 
-    def _on_channel_busy(self, event: Event) -> None:
-        self.channel_stalls += 1
+    def _run_loop(self) -> float:
+        """Drain the loop; returns the makespan (us), which covers the
+        fabric's last op even when no event sits at its time."""
+        loop_end_us = self.loop.run()
+        horizon_us = self.scheduler.horizon_us()
+        return loop_end_us if loop_end_us >= horizon_us else horizon_us
+
+
+class _ConcurrentEngine(EventEngine):
+    """One trace's worth of closed-loop event-loop state (not reusable)."""
+
+    def __init__(self, system: DramOnlySystem | FlashBackedSystem,
+                 records: Iterable[TraceRecord],
+                 queue_depth: int, config: ChannelConfig) -> None:
+        super().__init__(system, config)
+        self.source = _expand(records)
+        self.queue_depth = queue_depth
+        self.queue_delay = LatencyHistogram("queue_delay_us")
+        self.service_latency = LatencyHistogram("service_latency_us")
+        self.position = system.stats.requests
+        self._exhausted = False
+        self.loop.register(EventType.COMPLETE, self._on_complete)
+
+    def _admit_next(self) -> None:
+        """Admit the next trace request into a free window slot."""
+        try:
+            page, is_read = next(self.source)
+        except StopIteration:
+            self._exhausted = True
+            return
+        self._dispatch(self._submit(page, is_read))
+
+    # -- event handlers (time comes from self.loop.now_us; SIM010) -----------
 
     def _on_complete(self, event: Event) -> None:
         pending: PendingRequest = event.payload
-        loop = self.loop
-        pending.finish_us = loop.now_us
+        pending.finish_us = self.loop.now_us
         self.system.complete_request(pending)
         self.queue_delay.observe(pending.queue_delay_us)
         self.service_latency.observe(pending.service_us)
-        self.in_flight -= 1
         if not self._exhausted:
-            loop.post(0.0, Event(EventType.ARRIVE, None))
-
-    def _on_gc(self, event: Event) -> None:
-        self.gc_events += 1
-
-    def _on_scrub(self, event: Event) -> None:
-        self.scrub_events += 1
+            # The freed slot admits the next request at this instant.
+            self._admit_next()
 
     # -- driving ---------------------------------------------------------------
 
     def run(self) -> float:
-        """Prime the window, drain the loop; returns the makespan (us)."""
+        """Fill the window, drain the loop; returns the makespan (us)."""
         for _ in range(self.queue_depth):
-            self.loop.post(0.0, Event(EventType.ARRIVE, None))
-        loop_end_us = self.loop.run()
-        horizon_us = self.scheduler.horizon_us()
-        return loop_end_us if loop_end_us >= horizon_us else horizon_us
+            self._admit_next()
+        return self._run_loop()
 
 
 def run_trace_concurrent(system: DramOnlySystem | FlashBackedSystem,
@@ -211,8 +213,7 @@ def run_trace_concurrent(system: DramOnlySystem | FlashBackedSystem,
     if queue_depth == 1 and config.resources == 1:
         return run_trace(system, records, drain=drain,
                          telemetry=telemetry, server=server)
-    engine = _ConcurrentEngine(system, records, queue_depth, config,
-                               telemetry)
+    engine = _ConcurrentEngine(system, records, queue_depth, config)
     if telemetry is not None:
         telemetry.attach(system)
         engine.sampler = TraceSampler(telemetry, system,

@@ -10,16 +10,14 @@ Nothing here reads the wall clock (simlint SIM001) and nothing here may
 advance device clocks behind the loop's back (simlint SIM010): handlers
 receive the event and take the current time from ``loop.now_us``.
 
-Event types are the fixed vocabulary of the concurrent engine
-(:mod:`repro.sim.concurrent`):
+Events exist only for things that happen at a simulated instant the
+handler needs (DESIGN.md section 14); everything else — NAND op
+placement, channel stalls, GC and scrub accounting — is done inline by
+the engine when the request is admitted.  The vocabulary:
 
-* ``ARRIVE``   — a request enters the outstanding-request window;
-* ``DISPATCH`` — a request leaves the host queue and starts service;
-* ``CHANNEL_BUSY`` — an op found its NAND channel/plane occupied and
-  had to stall (payload carries the channel and the wait);
+* ``ARRIVE``   — an open-loop request reaches a cluster shard at its
+  planned instant (:mod:`repro.cluster.shard`);
 * ``COMPLETE`` — a request finished; its window slot frees;
-* ``GC``       — background garbage-collection work was generated;
-* ``SCRUB``    — background retention-scrub work was generated;
 * ``REJOIN``   — a repaired cluster shard re-entered the ring
   (:mod:`repro.cluster.shard`, repair/re-admission);
 * ``SYNC``     — one anti-entropy catch-up op (a sync write on the
@@ -28,29 +26,23 @@ Event types are the fixed vocabulary of the concurrent engine
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from enum import IntEnum
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = ["EventType", "Event", "EventLoop"]
 
 
-class EventType(Enum):
-    """The concurrent engine's event vocabulary."""
+class EventType(IntEnum):
+    """The event vocabulary; the int value indexes the loop's tables."""
 
-    ARRIVE = "arrive"
-    DISPATCH = "dispatch"
-    CHANNEL_BUSY = "channel_busy"
-    COMPLETE = "complete"
-    GC = "gc"
-    SCRUB = "scrub"
-    REJOIN = "rejoin"
-    SYNC = "sync"
+    ARRIVE = 0
+    COMPLETE = 1
+    REJOIN = 2
+    SYNC = 3
 
 
-@dataclass
-class Event:
+class Event(NamedTuple):
     """One typed occurrence at one simulated instant."""
 
     type: EventType
@@ -79,9 +71,9 @@ class EventLoop:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._now_us = 0.0
-        self._handlers: Dict[EventType, Handler] = {}
-        #: Events dispatched so far, by type (observability/testing).
-        self.dispatched: Dict[EventType, int] = {}
+        # Indexed by EventType value: a list lookup per event, no hashing.
+        self._handlers: List[Optional[Handler]] = [None] * len(EventType)
+        self._counts: List[int] = [0] * len(EventType)
 
     @property
     def now_us(self) -> float:
@@ -93,10 +85,17 @@ class EventLoop:
         """Number of events still queued."""
         return len(self._heap)
 
+    @property
+    def dispatched(self) -> Dict[EventType, int]:
+        """Events dispatched so far, by type (observability/testing)."""
+        return {kind: count for kind, count in zip(EventType, self._counts)
+                if count}
+
     def register(self, event_type: EventType, handler: Handler) -> None:
         """Bind ``handler`` to ``event_type`` (one handler per type)."""
-        if event_type in self._handlers:
-            raise ValueError(f"handler already registered for {event_type}")
+        if self._handlers[event_type] is not None:
+            raise ValueError(
+                f"handler already registered for {event_type.name}")
         self._handlers[event_type] = handler
 
     def post(self, delay_us: float, event: Event) -> None:
@@ -110,21 +109,20 @@ class EventLoop:
         if time_us < self._now_us:
             raise ValueError(
                 f"cannot post into the past ({time_us} < {self._now_us})")
-        heapq.heappush(self._heap, (time_us, self._seq, event))
+        heappush(self._heap, (time_us, self._seq, event))
         self._seq += 1
 
     def step(self) -> Optional[Event]:
         """Pop and dispatch one event; ``None`` when the queue is empty."""
         if not self._heap:
             return None
-        time_us, _, event = heapq.heappop(self._heap)
+        time_us, _, event = heappop(self._heap)
         self._now_us = time_us
-        self.dispatched[event.type] = self.dispatched.get(event.type, 0) + 1
-        try:
-            handler = self._handlers[event.type]
-        except KeyError:
-            raise KeyError(f"no handler registered for {event.type}") \
-                from None
+        kind = event.type
+        self._counts[kind] += 1
+        handler = self._handlers[kind]
+        if handler is None:
+            raise KeyError(f"no handler registered for {kind.name}")
         handler(event)
         return event
 

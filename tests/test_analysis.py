@@ -1402,7 +1402,7 @@ class TestCliAndMeta:
         proc = subprocess.run(
             [sys.executable, "-m", "mypy", "-p", "repro.core",
              "-p", "repro.parallel", "-p", "repro.cluster",
-             "-m", "repro.sim.events"],
+             "-m", "repro.sim.events", "-m", "repro.sim.concurrent"],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -74,6 +74,18 @@ class TestRunBenchCommand:
         assert {"serial", "concurrent_qd16_ch4"} == \
             {mode["name"] for mode in run["modes"]}
 
+    def test_every_mode_is_profiled(self, tmp_path):
+        out = tmp_path / "bench.json"
+        assert run_bench_command(_args(out)) == 0
+        run = json.loads(out.read_text())["runs"][0]
+        shares = {mode["name"]: {entry["subsystem"]
+                                 for entry in mode["profile_shares"]}
+                  for mode in run["modes"]}
+        # The concurrent mode really runs the event engine: its profile
+        # shows time in repro.sim (the serial route would not).
+        assert "repro.sim" in shares["concurrent_qd16_ch4"]
+        assert "repro.core" in shares["serial"]
+
     def test_same_day_rerun_appends_not_clobbers(self, tmp_path):
         out = tmp_path / "bench.json"
         run_bench_command(_args(out))

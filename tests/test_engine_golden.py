@@ -1,0 +1,80 @@
+"""Golden output digests for the event-driven engines.
+
+Each test runs one small, fully seeded scenario and pins the SHA-256 of
+its whole output document, so any change to event ordering, op
+placement, or accounting shows here as a digest mismatch:
+
+* the closed-loop concurrent engine (``run_trace_concurrent`` at qd16
+  on a 4x2 fabric) on a GC-heavy, aged, scrubbed cache — the path where
+  background GC/scrub work and channel stalls all occur;
+* the open-loop shard engine through ``run_cluster`` at R=2 with a
+  kill, a survivor cascade and a rejoin with catch-up sync.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict
+from typing import Any
+
+from repro.cluster.cluster import ClusterScenario, run_cluster
+from repro.core.hierarchy import build_flash_system
+from repro.reliability import ReliabilityConfig, ScrubConfig
+from repro.sim.concurrent import run_trace_concurrent
+from repro.telemetry import LatencyHistogram, metrics
+from repro.workloads.macro import build_workload
+
+# The report carries whole histograms, whose running totals are summed
+# by numpy when it is installed and by a plain loop otherwise; the two
+# sums differ in the last bits, so each backend has its own digest.
+CONCURRENT_DIGEST = {
+    True: "85ff3c3cd7c808bbf8e7b3e5875a76a3b88f92746565140084ad4ee4c7afc4f1",
+    False: "31b15a2de7e93ae232b33e3106e6440adb32d427493c435f3902f9cf405346f6",
+}
+CLUSTER_DIGEST = (
+    "23af3d59ebf7dc9285b1d1640abdddace58256d35f29cee5884201bf16e128c6")
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, LatencyHistogram):
+        return value.__getstate__()
+    raise TypeError(f"cannot digest {type(value).__name__}")
+
+
+def _digest(document: Any) -> str:
+    text = json.dumps(document, sort_keys=True, default=_plain)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_concurrent_engine_gc_scrub_golden():
+    # financial1 over a footprint of twice the flash: GC on most writes;
+    # a short scrub interval gives a pass at every write-back flush.
+    records = build_workload("financial1", num_records=6000, seed=7,
+                             footprint_pages=2048)
+    system = build_flash_system(
+        dram_bytes=256 << 10, flash_bytes=2 << 20,
+        reliability_config=ReliabilityConfig.uniform(1e-5, seed=7),
+        scrub_config=ScrubConfig(interval_us=1e4, min_age_us=2e4))
+    report = run_trace_concurrent(system, records, queue_depth=16,
+                                  channels=4, planes=2)
+    queueing = report.queueing
+    assert queueing is not None
+    assert queueing.gc_events > 0
+    assert queueing.scrub_events > 0
+    assert queueing.channel_stalls > 0
+    with_numpy = metrics._np is not None
+    assert _digest(asdict(report)) == CONCURRENT_DIGEST[with_numpy]
+
+
+def test_cluster_kill_cascade_rejoin_golden():
+    scenario = ClusterScenario(
+        shards=4, replicas=2, pattern="diurnal", rate_rps=6000.0,
+        duration_s=0.4, queue_depth=4, shed_queue=8, footprint_pages=4096,
+        kill_shard=1, kill_at_us=0.12e6, cascade=((2, 0.24e6),),
+        rejoin_at_us=0.32e6, seed=5)
+    result = run_cluster(scenario, workers=1)
+    assert result.shed > 0
+    assert result.redirected > 0
+    assert result.sync_completed > 0
+    assert _digest(result.as_dict()) == CLUSTER_DIGEST

@@ -65,13 +65,13 @@ class TestEventLoop:
 
     def test_duplicate_registration_rejected(self):
         loop = EventLoop()
-        loop.register(EventType.GC, lambda e: None)
+        loop.register(EventType.REJOIN, lambda e: None)
         with pytest.raises(ValueError):
-            loop.register(EventType.GC, lambda e: None)
+            loop.register(EventType.REJOIN, lambda e: None)
 
     def test_unhandled_event_type_raises(self):
         loop = EventLoop()
-        loop.post(0.0, Event(EventType.SCRUB, None))
+        loop.post(0.0, Event(EventType.SYNC, None))
         with pytest.raises(KeyError):
             loop.run()
 
