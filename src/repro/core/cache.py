@@ -240,6 +240,7 @@ class _RegionState:
         # victims' valid pages into it across runs, and each emptied victim
         # becomes an allocatable free block.
         self.reserve_block: Optional[int] = None
+        # The reserve's free pages during a GC pass; empty between passes.
         self.reserve_free: Deque[PageAddress] = deque()
 
     def total_invalid(self) -> int:
@@ -297,8 +298,6 @@ class FlashDiskCache:
         # One erased block per region is held back as the GC reserve.
         for region in self._regions():
             region.reserve_block = region.free_blocks.popleft()
-            region.reserve_free = deque(
-                self.controller.pages_of_block(region.reserve_block))
             region.valid.setdefault(region.reserve_block, set())
             region.invalid.setdefault(region.reserve_block, 0)
         # The controller tells us whenever a block retires so capacity
@@ -853,14 +852,17 @@ class FlashDiskCache:
                         "GC reserve block died and no free block can "
                         "replace it")
                 return False
-        region.reserve_free = deque(self.controller.pages_of_block(reserve))
+        # The reserve is erased at every pass start, so its whole layout
+        # is free; the page queue is built only once a victim fits.
+        reserve_pages = self.controller.pages_of_block(reserve)
         allowance = self._gc_move_allowance()
-        max_moves = len(region.reserve_free)
+        max_moves = len(reserve_pages)
         if allowance is not None:
             max_moves = min(max_moves, allowance)
         victim = self._most_invalid_block(region, max_valid=max_moves)
         if victim is None:
             return False
+        region.reserve_free = deque(reserve_pages)
         if allowance is not None:
             self._gc_credit -= len(region.valid.get(victim, set()))
         self.stats.gc_runs += 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..ecc.latency import AcceleratorConfig, BCHLatencyModel
 from ..flash.device import EraseFailure, FlashDevice, ProgramFailure
@@ -183,14 +183,19 @@ class ProgrammableFlashController:
         #: Invoked with the block index whenever a block retires, so the
         #: cache layer can pull it from service and shrink its capacity.
         self.retire_listener: Optional[Callable[[int], None]] = None
-        # Pending density changes keyed by (block, frame), applied at erase.
-        self._pending_modes: Dict[tuple[int, int], CellMode] = {}
+        # Pending density changes per block ({frame: mode}), applied at
+        # that block's next successful erase.
+        self._pending_modes: Dict[int, Dict[int, CellMode]] = {}
         # Frames with program-status failures: permanently out of service.
         self._bad_frames: Set[tuple[int, int]] = set()
-        # Per-block page-capacity memo; capacity only moves when a frame
-        # goes bad or an erase applies a pended density change, so those
-        # paths invalidate and everyone else reads the memo.
+        # Per-block shape memos: the page count and the page layout.  A
+        # block's shape only moves when a frame goes bad, an erase applies
+        # a pended density change or the block retires; those paths call
+        # _forget_block_shape and everyone else reads the memos.  The
+        # capacity memo stays count-only so pricing every block (as the
+        # cache does at start-up) builds no layouts.
         self._block_capacity: Dict[int, int] = {}
+        self._block_layout: Dict[int, Tuple[PageAddress, ...]] = {}
         self._program_fail_counts: Dict[int, int] = {}
         self._decode_cache: Dict[int, float] = {}
         self._encode_cache: Dict[int, float] = {}
@@ -303,7 +308,7 @@ class ProgrammableFlashController:
         key = (address.block, address.frame)
         if key not in self._bad_frames:
             self._bad_frames.add(key)
-            self._block_capacity.pop(address.block, None)
+            self._forget_block_shape(address.block)
             self.stats.frames_marked_bad += 1
             # The frame's pages leave the address space.  Only *invalid*
             # entries drop immediately: valid ones keep their LBA
@@ -328,56 +333,51 @@ class ProgrammableFlashController:
         (the firmware convention) and is re-raised so the cache layer can
         drop the block from its capacity.
         """
-        new_modes = {
-            frame: mode
-            for (blk, frame), mode in list(self._pending_modes.items())
-            if blk == block
-        }
-        if new_modes:
-            # The applied density switch changes the block's page count.
-            self._block_capacity.pop(block, None)
+        new_modes = self._pending_modes.get(block)
         # Capture the *pre-erase* page layout: an MLC->SLC switch halves
         # the address space and the vanished subpage-1 entries must drop.
         stale_pages = self.pages_of_block(block)
+        if new_modes:
+            # The applied density switch reshapes the block.
+            self._forget_block_shape(block)
         try:
-            result = self.device.erase_block(block,
-                                             new_modes=new_modes or None)
+            result = self.device.erase_block(block, new_modes=new_modes)
         except EraseFailure:
             self.stats.erases += 1
             self.stats.erase_faults += 1
             self._retire_block(block)
             raise
-        for frame in new_modes:
-            del self._pending_modes[(block, frame)]
+        if new_modes:
+            del self._pending_modes[block]
         fbst_entry = self.fbst.entry(block)
         fbst_entry.erase_count = result.erase_count
-        geometry = self.device.geometry
+        modes = self.device.block_frame_modes(block)
+        live_subpages = {mode: self.device.geometry.pages_per_frame(mode)
+                         for mode in CellMode}
+        initial_strength = self.config.initial_ecc_strength
+        fpst = self.fpst
         # ECC strength and density mode describe the *physical* page's wear
         # state, so they persist across the erase; contents-related fields
         # (validity, LBA, hotness) reset.
-        fbst_entry.total_ecc = 0
-        fbst_entry.total_slc_pages = 0
-        for frame in range(geometry.frames_per_block):
-            mode = self.device.frame_mode(block, frame)
-            if mode is CellMode.SLC:
-                fbst_entry.total_slc_pages += 1
-            live_subpages = geometry.pages_per_frame(mode)
-            for address in (a for a in stale_pages if a.frame == frame):
-                if address.subpage >= live_subpages:
-                    self.fpst.drop(address)
-                    continue
-                entry = self.fpst.get(address)
-                if entry is None:
-                    continue
-                entry.valid = False
-                entry.lba = None
-                entry.access_count = 0
-                entry.mode = mode
-                # The wear signal is strength *added* over the lifetime
-                # default, matching the incremental accounting done when a
-                # reconfiguration happens between erases.
-                fbst_entry.total_ecc += max(
-                    entry.ecc_strength - self.config.initial_ecc_strength, 0)
+        total_ecc = 0
+        for address in stale_pages:
+            mode = modes[address.frame]
+            if address.subpage >= live_subpages[mode]:
+                fpst.drop(address)
+                continue
+            entry = fpst.get(address)
+            if entry is None:
+                continue
+            entry.valid = False
+            entry.lba = None
+            entry.access_count = 0
+            entry.mode = mode
+            # The wear signal is strength *added* over the lifetime
+            # default, matching the incremental accounting done when a
+            # reconfiguration happens between erases.
+            total_ecc += max(entry.ecc_strength - initial_strength, 0)
+        fbst_entry.total_ecc = total_ecc
+        fbst_entry.total_slc_pages = modes.count(CellMode.SLC)
         self.stats.erases += 1
         return result.latency_us
 
@@ -512,7 +512,12 @@ class ProgrammableFlashController:
         return (1.0 - self.fgst.miss_rate) / total_pages
 
     def _pend_density_change(self, address: PageAddress) -> None:
-        self._pending_modes[(address.block, address.frame)] = CellMode.SLC
+        self._pending_modes.setdefault(
+            address.block, {})[address.frame] = CellMode.SLC
+
+    def has_pending_density_change(self, block: int, frame: int) -> bool:
+        """True while a density change for the frame awaits an erase."""
+        return frame in self._pending_modes.get(block, ())
 
     def request_slc(self, address: PageAddress) -> None:
         """Externally pend an MLC->SLC switch (hot-page promotion path)."""
@@ -522,7 +527,7 @@ class ProgrammableFlashController:
         entry = self.fbst.entry(block)
         if not entry.retired:
             entry.retired = True
-            self._block_capacity.pop(block, None)
+            self._forget_block_shape(block)
             self.stats.blocks_retired += 1
             if self.telemetry is not None:
                 self.telemetry.retire(block)
@@ -533,22 +538,33 @@ class ProgrammableFlashController:
                           mode: Optional[CellMode]) -> None:
         self.fbst.entry(block).total_ecc += ecc_delta
 
+    def _forget_block_shape(self, block: int) -> None:
+        """Drop the block's capacity and layout memos after a reshape."""
+        self._block_capacity.pop(block, None)
+        self._block_layout.pop(block, None)
+
     # -- queries used by the cache layer ---------------------------------------
 
-    def pages_of_block(self, block: int) -> List[PageAddress]:
-        """All page addresses the block offers under current frame modes.
+    def pages_of_block(self, block: int) -> Tuple[PageAddress, ...]:
+        """All page addresses the block offers under current frame modes,
+        in (frame, subpage) order.
 
         Frames marked bad by program failures are excluded — their pages
-        have left the address space.
+        have left the address space.  The layout is memoised until the
+        block is reshaped, so repeated calls return the same tuple.
         """
-        geometry = self.device.geometry
-        pages: List[PageAddress] = []
-        for frame, mode in enumerate(self.device.block_frame_modes(block)):
-            if (block, frame) in self._bad_frames:
-                continue
-            for subpage in range(geometry.pages_per_frame(mode)):
-                pages.append(PageAddress(block, frame, subpage))
-        return pages
+        layout = self._block_layout.get(block)
+        if layout is None:
+            pages_per_frame = self.device.geometry.pages_per_frame
+            bad_frames = self._bad_frames
+            layout = tuple(
+                PageAddress(block, frame, subpage)
+                for frame, mode in enumerate(
+                    self.device.block_frame_modes(block))
+                if (block, frame) not in bad_frames
+                for subpage in range(pages_per_frame(mode)))
+            self._block_layout[block] = layout
+        return layout
 
     def block_capacity_pages(self, block: int) -> int:
         """Logical pages the block offers, net of bad frames."""

@@ -300,7 +300,7 @@ class LifetimeSimulator:
                     first_choices.get(result.reconfig.value, 0) + 1
             if result.reconfig is not None or not result.recovered:
                 # A pended density change needs its erase to take effect.
-                if (block, frame) in self.controller._pending_modes:
+                if self.controller.has_pending_density_change(block, frame):
                     self.controller.erase(block)
                     self._restore_block_entries(block)
             if self.controller.is_retired(block):
@@ -695,7 +695,8 @@ class RegimeSimulator:
                         first_choices[result.reconfig.value] = \
                             first_choices.get(result.reconfig.value, 0) + 1
                     if result.reconfig is not None or not result.recovered:
-                        if (block, frame) in controller._pending_modes:
+                        if controller.has_pending_density_change(
+                                block, frame):
                             controller.erase(block)
                             self._restore_block_entries(block)
                     if controller.is_retired(block):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.cache import FlashDiskCache
 from repro.core.controller import (
     ControllerConfig,
     FixedEccController,
@@ -109,6 +110,42 @@ class TestDensityChangeAtErase:
         controller.request_slc(PageAddress(0, 0, 0))
         controller.erase(0)
         assert len(controller.pages_of_block(0)) == 7
+
+
+class TestLayoutMemo:
+    def test_repeated_calls_return_the_same_tuple(self):
+        controller = make_controller()
+        layout = controller.pages_of_block(1)
+        assert isinstance(layout, tuple)
+        assert layout == tuple(PageAddress(1, frame, subpage)
+                               for frame in range(4) for subpage in (0, 1))
+        assert controller.pages_of_block(1) is layout
+
+    def test_density_switch_reshapes_memoised_layout(self):
+        controller = make_controller()
+        before = controller.pages_of_block(0)
+        controller.request_slc(PageAddress(0, 1, 0))
+        assert controller.has_pending_density_change(0, 1)
+        assert not controller.has_pending_density_change(0, 0)
+        # Pended but not yet erased: the layout keeps its shape.
+        assert controller.pages_of_block(0) is before
+        controller.erase(0)
+        after = controller.pages_of_block(0)
+        assert after == tuple(a for a in before if a != PageAddress(0, 1, 1))
+        assert controller.block_capacity_pages(0) == len(after)
+        assert not controller.has_pending_density_change(0, 1)
+
+    def test_cache_builds_layouts_only_for_blocks_it_opens(self):
+        # Pricing every block at start-up must stay count-only: a layout
+        # exists only once something opens, erases or refreshes a block.
+        device = FlashDevice(geometry=FlashGeometry(num_blocks=1024),
+                             initial_mode=CellMode.MLC, seed=3)
+        controller = ProgrammableFlashController(device)
+        cache = FlashDiskCache(controller)
+        assert cache.total_pages() == 1024 * 128
+        assert controller._block_layout == {}
+        cache.insert_clean(7)
+        assert set(controller._block_layout) == {cache._read.open_block}
 
 
 class TestFaultResponse:

@@ -8,7 +8,10 @@ placement, or accounting shows here as a digest mismatch:
   on a 4x2 fabric) on a GC-heavy, aged, scrubbed cache — the path where
   background GC/scrub work and channel stalls all occur;
 * the open-loop shard engine through ``run_cluster`` at R=2 with a
-  kill, a survivor cascade and a rejoin with catch-up sync.
+  kill, a survivor cascade and a rejoin with catch-up sync;
+* the serial path under injected program/erase faults and read disturb,
+  where frames go bad, blocks retire and an erase fails mid-run — the
+  paths that reshape a block's page layout.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Any
 
 from repro.cluster.cluster import ClusterScenario, run_cluster
 from repro.core.hierarchy import build_flash_system
+from repro.faults import FaultConfig
 from repro.reliability import ReliabilityConfig, ScrubConfig
 from repro.sim.concurrent import run_trace_concurrent
 from repro.telemetry import LatencyHistogram, metrics
@@ -34,6 +38,12 @@ CONCURRENT_DIGEST = {
 }
 CLUSTER_DIGEST = (
     "23af3d59ebf7dc9285b1d1640abdddace58256d35f29cee5884201bf16e128c6")
+# The serial report holds no histogram, so both backends agree today;
+# the pin stays per backend so a histogram added later cannot slip by.
+FAULT_DIGEST = {
+    True: "221d6654bee9a44b3280c884d3aa0214d3657a54d3cff380f99a39d75dcdf585",
+    False: "221d6654bee9a44b3280c884d3aa0214d3657a54d3cff380f99a39d75dcdf585",
+}
 
 
 def _plain(value: Any) -> Any:
@@ -78,3 +88,28 @@ def test_cluster_kill_cascade_rejoin_golden():
     assert result.redirected > 0
     assert result.sync_completed > 0
     assert _digest(result.as_dict()) == CLUSTER_DIGEST
+
+
+def test_serial_fault_injection_golden():
+    # The same GC-heavy financial1 run with program, erase and
+    # read-disturb faults: bad frames, retirements and a failed erase
+    # all land while GC keeps erasing victims.
+    records = build_workload("financial1", num_records=6000, seed=7,
+                             footprint_pages=2048)
+    system = build_flash_system(
+        dram_bytes=256 << 10, flash_bytes=2 << 20,
+        fault_config=FaultConfig(program_fail_rate=2e-3,
+                                 erase_fail_rate=2e-3,
+                                 read_disturb_rate=1e-3, seed=7),
+        reliability_config=ReliabilityConfig.uniform(1e-5, seed=7))
+    report = run_trace_concurrent(system, records)
+    controller = report.controller
+    assert controller is not None
+    assert controller.frames_marked_bad > 0
+    assert controller.blocks_retired > 0
+    assert controller.erase_faults > 0
+    assert controller.erases > 0
+    assert report.flash is not None and report.flash.gc_runs > 0
+    assert controller.descriptor_updates > 0
+    with_numpy = metrics._np is not None
+    assert _digest(asdict(report)) == FAULT_DIGEST[with_numpy]

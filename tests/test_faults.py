@@ -302,6 +302,37 @@ class TestControllerFaults:
         assert controller.stats.erase_faults == 1
         assert retired == [0]
 
+    def test_program_failure_reshapes_memoised_layout(self):
+        device = make_device(injector=ScriptedInjector(
+            program_script=[True]))
+        controller = ProgrammableFlashController(device)
+        before = controller.pages_of_block(0)
+        with pytest.raises(ProgramFailure):
+            controller.program(PageAddress(0, 2, 0), lba=1)
+        after = controller.pages_of_block(0)
+        assert len(after) == len(before) - 2
+        assert all(a.frame != 2 for a in after)
+        assert after == tuple(a for a in before if a.frame != 2)
+        assert controller.block_capacity_pages(0) == len(after)
+
+    def test_retirement_drops_memoised_layout(self):
+        # The failed erase retires the block before its pended density
+        # switch can apply: the layout keeps its MLC shape and the switch
+        # stays pended.
+        device = make_device(injector=ScriptedInjector(
+            erase_script=[True]))
+        controller = ProgrammableFlashController(device)
+        before = controller.pages_of_block(0)
+        controller.request_slc(PageAddress(0, 1, 0))
+        with pytest.raises(EraseFailure):
+            controller.erase(0)
+        assert controller.is_retired(0)
+        after = controller.pages_of_block(0)
+        assert after is not before
+        assert after == before
+        assert controller.block_capacity_pages(0) == len(after)
+        assert controller.has_pending_density_change(0, 1)
+
 
 # ---------------------------------------------------------------------------
 # Typed exceptions
