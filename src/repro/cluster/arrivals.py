@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..parallel import derive_seed
 from ..workloads.macro import build_workload
@@ -33,12 +33,46 @@ from ..workloads.macro import build_workload
 __all__ = ["ARRIVAL_PATTERNS", "Arrival", "intensity",
            "sample_arrival_times", "build_arrivals"]
 
-#: The supported open-loop traffic shapes.
-ARRIVAL_PATTERNS = ("steady", "diurnal", "flash_crowd", "drain")
-
 #: One open-loop request: ``(time_us, seq, page, is_read)``.  A plain
 #: tuple so substreams pickle cheaply into shard worker processes.
 Arrival = Tuple[float, int, int, bool]
+
+
+def _steady(x: float) -> float:
+    return 1.0
+
+
+def _diurnal(x: float) -> float:
+    return 0.15 + 0.85 * 0.5 * (1.0 - math.cos(2.0 * math.pi * x))
+
+
+def _flash_crowd(x: float) -> float:
+    return 1.0 if 0.45 <= x < 0.6 else 0.25
+
+
+def _drain(x: float) -> float:
+    return max(0.0, 1.0 - x)
+
+
+#: Each pattern's intensity shape over normalised time ``x``.  The one
+#: table both :func:`intensity` and :func:`sample_arrival_times` read.
+_SHAPES: Dict[str, Callable[[float], float]] = {
+    "steady": _steady,
+    "diurnal": _diurnal,
+    "flash_crowd": _flash_crowd,
+    "drain": _drain,
+}
+
+#: The supported open-loop traffic shapes.
+ARRIVAL_PATTERNS = tuple(_SHAPES)
+
+
+def _shape(pattern: str) -> Callable[[float], float]:
+    try:
+        return _SHAPES[pattern]
+    except KeyError:
+        raise ValueError(f"unknown arrival pattern {pattern!r}; "
+                         f"known: {', '.join(ARRIVAL_PATTERNS)}") from None
 
 
 def intensity(pattern: str, x: float) -> float:
@@ -47,16 +81,7 @@ def intensity(pattern: str, x: float) -> float:
     ``x`` is the fraction of the run elapsed; the peak rate multiplies
     this shape to give the instantaneous rate.
     """
-    if pattern == "steady":
-        return 1.0
-    if pattern == "diurnal":
-        return 0.15 + 0.85 * 0.5 * (1.0 - math.cos(2.0 * math.pi * x))
-    if pattern == "flash_crowd":
-        return 1.0 if 0.45 <= x < 0.6 else 0.25
-    if pattern == "drain":
-        return max(0.0, 1.0 - x)
-    raise ValueError(f"unknown arrival pattern {pattern!r}; "
-                     f"known: {', '.join(ARRIVAL_PATTERNS)}")
+    return _shape(pattern)(x)
 
 
 def sample_arrival_times(pattern: str, peak_rps: float, duration_s: float,
@@ -67,22 +92,26 @@ def sample_arrival_times(pattern: str, peak_rps: float, duration_s: float,
     process at ``peak_rps`` and survive with probability
     ``intensity(pattern, t/duration)``.  One seeded RNG drives both the
     exponential gaps and the thinning draws, so the stream is a pure
-    function of ``(pattern, peak_rps, duration_s, seed)``.
+    function of ``(pattern, peak_rps, duration_s, seed)``.  An unknown
+    ``pattern`` raises :class:`ValueError` before any draw.
     """
     if peak_rps <= 0:
         raise ValueError("peak_rps must be positive")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
+    shape = _shape(pattern)
     rng = Random(derive_seed(seed, f"cluster:arrivals:{pattern}"))
+    expovariate = rng.expovariate
+    random = rng.random
     duration_us = duration_s * 1e6
     peak_per_us = peak_rps / 1e6
     times: List[float] = []
     t_us = 0.0
     while True:
-        t_us += rng.expovariate(peak_per_us)
+        t_us += expovariate(peak_per_us)
         if t_us >= duration_us:
             return times
-        if rng.random() < intensity(pattern, t_us / duration_us):
+        if random() < shape(t_us / duration_us):
             times.append(t_us)
 
 

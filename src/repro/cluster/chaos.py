@@ -8,10 +8,12 @@ aged shard whose fault ladder trips graceful degradation — are *not* in
 the schedule; they are discovered when the shard runs and cascade
 through the same staged redirect machinery.
 
-The schedule answers the two questions the planner asks:
+The schedule answers the questions the planner asks:
 
 * :meth:`ChaosSchedule.dead_at` — which shards are out of the ring at
   instant ``t`` (killed, and not yet rejoined);
+* :meth:`ChaosSchedule.change_instants` — the instants at which that
+  answer can change, which split the run into liveness epochs;
 * :meth:`ChaosSchedule.stages` — the deterministic stage order: kills
   grouped by identical kill instant, ascending, so a same-microsecond
   double kill runs as one stage and a later kill (a survivor cascade)
@@ -112,6 +114,14 @@ class ChaosSchedule:
             if rejoin_us is None or time_us < rejoin_us:
                 dead.add(kill.shard)
         return frozenset(dead)
+
+    def change_instants(self) -> Tuple[float, ...]:
+        """Every instant membership changes (kills and rejoins), sorted
+        and distinct.  They split time into *liveness epochs*: between
+        two consecutive instants (from the earlier one inclusive)
+        :meth:`dead_at` and every shard's incarnation are constant."""
+        return tuple(sorted({kill.at_us for kill in self.kills}
+                            | {rejoin.at_us for rejoin in self.rejoins}))
 
     def stages(self) -> List[Tuple[float, Tuple[int, ...]]]:
         """Scripted kill stages: ``(kill_at_us, shards)`` ascending.

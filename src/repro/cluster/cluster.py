@@ -47,9 +47,11 @@ planner's results exactly.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import asdict, dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from ..parallel import SweepResult, SweepTask, merge_telemetry, sweep
 from ..telemetry import LatencyHistogram, Telemetry
@@ -394,6 +396,17 @@ def _run_stage(scenario: ClusterScenario, stage: str, nodes: List[_Node],
             for node, result in zip(nodes, results)}
 
 
+class _Epoch(NamedTuple):
+    """One liveness epoch ``[start_us, end_us)``: no kill or rejoin
+    happens inside it, so its dead set and each shard's serving node
+    (``nodes[shard]``) hold for every arrival in it."""
+
+    start_us: float
+    end_us: float
+    dead: FrozenSet[int]
+    nodes: Tuple[_Node, ...]
+
+
 class _Planner:
     """Time-aware routing shared by the plan and failover phases."""
 
@@ -404,6 +417,7 @@ class _Planner:
         self.ring = HashRing(range(scenario.shards),
                              vnodes=scenario.vnodes)
         self.organic = frozenset(_organic_risk(scenario, chaos))
+        self._instants = chaos.change_instants()
         #: Shard ids whose incarnation-0 run has started (or finished) —
         #: their original streams can no longer accept failover traffic.
         self.started: Set[int] = set()
@@ -415,15 +429,19 @@ class _Planner:
             return (shard, 1)
         return (shard, 0)
 
-    def replica_nodes(self, page: int, time_us: float,
-                      is_read: bool) -> List[_Node]:
-        """The nodes a planned request lands on: the first live replica
-        for a read, every live replica for a write."""
-        dead = self.chaos.dead_at(time_us)
-        targets = self.ring.route_replicas(page, self.scenario.replicas,
-                                           exclude=dead)
-        chosen = targets[:1] if is_read else targets
-        return [self.node_for(shard, time_us) for shard in chosen]
+    def epoch_at(self, time_us: float) -> _Epoch:
+        """The liveness epoch containing ``time_us``.  A kill or rejoin
+        instant opens the epoch it starts: a shard is dead from its kill
+        instant inclusive and incarnation 1 from its rejoin instant
+        inclusive, exactly as :meth:`ChaosSchedule.dead_at` and
+        :meth:`node_for` answer at that instant."""
+        instants = self._instants
+        index = bisect.bisect_right(instants, time_us)
+        start_us = instants[index - 1] if index else -math.inf
+        end_us = instants[index] if index < len(instants) else math.inf
+        return _Epoch(start_us, end_us, self.chaos.dead_at(start_us),
+                      tuple(self.node_for(shard, start_us)
+                            for shard in range(self.scenario.shards)))
 
     def failover_node(self, page: int, time_us: float) -> _Node:
         """Where failover traffic (a redirect or a replica retry) at
@@ -442,19 +460,41 @@ class _Planner:
 
 def _plan_streams(planner: _Planner, arrivals: List[Arrival],
                   ) -> Tuple[Dict[_Node, List[Arrival]], int]:
-    """Route the traffic plan onto nodes; returns (streams, planned_ops)."""
+    """Route the traffic plan onto nodes; returns (streams, planned_ops).
+
+    A read lands on its key's first live replica, a write on every live
+    replica.  An epoch cursor walks the time-sorted arrivals: within a
+    liveness epoch the dead set and the shard -> node map are fixed, so
+    each distinct page is routed once per epoch and its replica tuple
+    memoised until the cursor crosses into the next epoch.
+    """
     chaos = planner.chaos
     streams: Dict[_Node, List[Arrival]] = {
         (shard, 0): [] for shard in range(planner.scenario.shards)}
     for rejoin in chaos.rejoins:
         streams[(rejoin.shard, 1)] = []
+    route = planner.ring.route_replicas
+    replicas = planner.scenario.replicas
+    epoch = planner.epoch_at(-math.inf)
+    routed: Dict[int, Tuple[int, ...]] = {}
     planned_ops = 0
     for arrival in arrivals:
         time_us, _, page, is_read = arrival
-        nodes = planner.replica_nodes(page, time_us, is_read)
-        planned_ops += len(nodes)
-        for node in nodes:
-            streams[node].append(arrival)
+        if not epoch.start_us <= time_us < epoch.end_us:
+            epoch = planner.epoch_at(time_us)
+            routed = {}
+        targets = routed.get(page)
+        if targets is None:
+            targets = routed[page] = route(page, replicas,
+                                           exclude=epoch.dead)
+        nodes = epoch.nodes
+        if is_read:
+            streams[nodes[targets[0]]].append(arrival)
+            planned_ops += 1
+        else:
+            for shard in targets:
+                streams[nodes[shard]].append(arrival)
+            planned_ops += len(targets)
     return streams, planned_ops
 
 
@@ -465,9 +505,13 @@ def _plan_sync(planner: _Planner, arrivals: List[Arrival],
     background write on the rejoined incarnation warming the key back
     in, paired with one background source read on the first live shard
     still holding it.  Minimal-move by construction: only the
-    rejoiner's own keys travel."""
+    rejoiner's own keys travel.
+
+    The "had it been up" test uses the same epoch cursor as
+    :func:`_plan_streams`, so each page is tested at most once per
+    liveness epoch."""
     chaos = planner.chaos
-    ring = planner.ring
+    route = planner.ring.route_replicas
     replicas = planner.scenario.replicas
     sync_streams: Dict[_Node, List[Arrival]] = {}
     for rejoin in sorted(chaos.rejoins, key=lambda spec: spec.shard):
@@ -475,26 +519,32 @@ def _plan_sync(planner: _Planner, arrivals: List[Arrival],
         kill_us = chaos.kill_at(shard)
         assert kill_us is not None  # ChaosSchedule validated the pairing
         moved: Dict[int, None] = {}
+        epoch = planner.epoch_at(kill_us)
+        as_if_alive = epoch.dead - {shard}
+        tested: Set[int] = set()
         for time_us, _, page, _ in arrivals:
             if not kill_us <= time_us < rejoin.at_us or page in moved:
                 continue
+            if not epoch.start_us <= time_us < epoch.end_us:
+                epoch = planner.epoch_at(time_us)
+                as_if_alive = epoch.dead - {shard}
+                tested = set()
+            if page in tested:
+                continue  # already found not to live on the rejoiner
+            tested.add(page)
             # Would this key have lived on the rejoiner, had it been up?
-            as_if_alive = set(chaos.dead_at(time_us))
-            as_if_alive.discard(shard)
-            if shard in ring.route_replicas(page, replicas,
-                                            exclude=as_if_alive):
+            if shard in route(page, replicas, exclude=as_if_alive):
                 moved[page] = None
-        dead_at_rejoin = set(chaos.dead_at(rejoin.at_us))
-        dead_at_rejoin.add(shard)
+        at_rejoin = planner.epoch_at(rejoin.at_us)
+        dead_at_rejoin = at_rejoin.dead | {shard}
         for seq, page in enumerate(moved):
             try:
-                source = ring.route(page, exclude=dead_at_rejoin)
+                source = planner.ring.route(page, exclude=dead_at_rejoin)
             except ClusterError:
                 continue  # nobody left to stream from; key stays cold
             sync_streams.setdefault((shard, 1), []).append(
                 (rejoin.at_us, seq, page, False))
-            source_node = planner.node_for(source, rejoin.at_us)
-            sync_streams.setdefault(source_node, []).append(
+            sync_streams.setdefault(at_rejoin.nodes[source], []).append(
                 (rejoin.at_us, seq, page, True))
     for stream in sync_streams.values():
         stream.sort(key=lambda a: (a[0], a[1]))

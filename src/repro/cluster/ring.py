@@ -23,17 +23,31 @@ runs out of shards — every shard excluded, or a replication factor
 above the live population — raises the typed
 :class:`~repro.cluster.errors.ClusterError` rather than looping or
 silently under-providing replicas.
+
+The walk's answer depends only on the key's start position on the
+circle, the exclusion set and R, so the ring fills a *successor table*
+per ``(exclusion, R)`` lazily: one slot per ring point, each the replica
+tuple a walk from that point returns.  A route is then one SHA-256, one
+bisect and one list index.  Tables are keyed by the exclusion restricted
+to the ring's own shard ids, so there are at most ``2^shards x shards``
+of them, each at most ``len(points)`` tuples; the ring keeps no
+per-page state.  Validation runs before a table is touched and a
+failing ``(exclusion, R)`` never gets one, so it raises on every call.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import ClusterError
 
 __all__ = ["HashRing"]
+
+#: A successor table: slot ``i`` is the replica tuple of a walk that
+#: starts at ring point ``i`` (None until first needed).
+_Table = List[Optional[Tuple[int, ...]]]
 
 
 def _point(text: str) -> int:
@@ -61,8 +75,10 @@ class HashRing:
             for shard_id in self.shard_ids
             for replica in range(vnodes)]
         points.sort()
-        self._points = points
+        self._owners = [shard_id for _, shard_id in points]
         self._hashes = [position for position, _ in points]
+        self._ids = frozenset(self.shard_ids)
+        self._tables: Dict[Tuple[FrozenSet[int], int], _Table] = {}
 
     def route(self, page: int, exclude: Iterable[int] = ()) -> int:
         """Owning shard for ``page``, skipping any shard in ``exclude``.
@@ -86,25 +102,48 @@ class HashRing:
         shards survive the exclusion — silently returning a short
         tuple would under-provide the key without anyone noticing.
         """
+        excluded = frozenset(exclude)
+        table = self._tables.get((excluded, replicas))
+        if table is None:
+            table = self._table(excluded, replicas)
+        start = bisect.bisect_left(self._hashes, _point(f"page:{page}"))
+        if start == len(table):
+            start = 0  # past the last point: wrap to the first
+        chosen = table[start]
+        if chosen is None:
+            chosen = table[start] = self._walk(start, excluded, replicas)
+        return chosen
+
+    def _table(self, excluded: FrozenSet[int],
+               replicas: int) -> _Table:
+        """Validate ``(excluded, replicas)`` and return its successor
+        table, creating it on first use.  Raises before any table is
+        stored, so a failing pair keeps failing on every call."""
         if replicas < 1:
             raise ClusterError("replicas must be >= 1")
-        excluded = frozenset(exclude)
-        live = len(set(self.shard_ids) - excluded)
+        excluded = excluded & self._ids
+        live = len(self.shard_ids) - len(excluded)
         if live < replicas:
             raise ClusterError(
                 f"cannot place {replicas} replicas on {live} live "
                 f"shard(s) ({len(self.shard_ids)} total, "
-                f"{len(excluded & set(self.shard_ids))} excluded)")
-        points = self._points
-        start = bisect.bisect_left(self._hashes, _point(f"page:{page}"))
+                f"{len(excluded)} excluded)")
+        return self._tables.setdefault((excluded, replicas),
+                                       [None] * len(self._owners))
+
+    def _walk(self, start: int, excluded: FrozenSet[int],
+              replicas: int) -> Tuple[int, ...]:
+        """Clockwise walk from ring point ``start`` collecting the first
+        ``replicas`` distinct shards not in ``excluded``."""
+        owners = self._owners
+        count = len(owners)
         chosen: List[int] = []
-        for offset in range(len(points)):
-            position = (start + offset) % len(points)
-            shard_id = points[position][1]
+        for offset in range(count):
+            shard_id = owners[(start + offset) % count]
             if shard_id in excluded or shard_id in chosen:
                 continue
             chosen.append(shard_id)
             if len(chosen) == replicas:
                 return tuple(chosen)
-        raise ClusterError(  # pragma: no cover - guarded by `live` above
+        raise ClusterError(  # pragma: no cover - guarded by _table
             f"ring walk exhausted before placing {replicas} replicas")

@@ -63,6 +63,12 @@ from .arrivals import Arrival
 
 __all__ = ["run_shard"]
 
+#: What ``_admit`` stores as a request's context: the arrival and
+#: whether it is background sync traffic.  Subscripted once here: a
+#: ``Tuple[...]`` subscript in the completion handler would pay a
+#: typing-cache lookup on every completion.
+_Context = Tuple[Arrival, bool]
+
 
 class _ShardEngine(EventEngine):
     """One shard run's event-loop state (not reusable).
@@ -211,7 +217,7 @@ class _ShardEngine(EventEngine):
         now_us = self.loop.now_us
         pending.finish_us = now_us
         self.system.complete_request(pending)
-        arrival, background = cast(Tuple[Arrival, bool], pending.context)
+        arrival, background = cast(_Context, pending.context)
         if background:
             if self.fail_at_us is not None and now_us > self.fail_at_us:
                 self.sync_lost += 1

@@ -35,7 +35,8 @@ from .synthetic import (
     SyntheticConfig,
     UniformPopularity,
     ZipfPopularity,
-    _scatter,
+    _SCATTER_OFFSET,
+    _scatter_multiplier,
 )
 from .trace import OP_READ, OP_WRITE, PAGE_BYTES, TraceRecord
 
@@ -160,21 +161,24 @@ def generate_macro_trace(spec: MacroWorkloadSpec, num_records: int,
     """
     if num_records < 0:
         raise ValueError("num_records must be non-negative")
-    rng = Random(seed)
+    random = Random(seed).random
     n = footprint_pages or spec.footprint_pages
-    distribution = spec.make_distribution(n)
+    sample_rank = spec.make_distribution(n).sample_rank
+    multiplier = _scatter_multiplier(n)
+    read_fraction = spec.read_fraction
+    sequential_write_fraction = spec.sequential_write_fraction
     log_cursor = 0
     # Reserve the top 5% of the footprint as the sequential log region.
     log_region_start = n - max(n // 20, 1)
+    log_region_pages = n - log_region_start
     for index in range(num_records):
-        is_read = rng.random() < spec.read_fraction
-        if not is_read and rng.random() < spec.sequential_write_fraction:
-            page = log_region_start + log_cursor % (n - log_region_start)
+        is_read = random() < read_fraction
+        if not is_read and random() < sequential_write_fraction:
+            page = log_region_start + log_cursor % log_region_pages
             log_cursor += 1
             yield TraceRecord(page=page, op=OP_WRITE, timestamp=index * 1e-4)
             continue
-        rank = distribution.sample_rank(rng.random())
-        page = _scatter(rank, n)
+        page = (sample_rank(random()) * multiplier + _SCATTER_OFFSET) % n
         yield TraceRecord(
             page=page,
             op=OP_READ if is_read else OP_WRITE,

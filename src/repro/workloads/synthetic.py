@@ -21,6 +21,7 @@ dedicated to the read cache").
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from random import Random
 from typing import Iterator, List, Sequence
@@ -110,14 +111,10 @@ class ZipfPopularity(PopularityDistribution):
         self._total = total
 
     def sample_rank(self, u: float) -> int:
-        lo, hi = 0, self.n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # hi = n-1: the last rank is the fallback and is never probed,
+        # exactly as in a hand-rolled lo < hi search, so ranks hold even
+        # where rounding puts cdf[-2] above the pinned cdf[-1] = 1.0.
+        return bisect_left(self._cdf, u, 0, self.n - 1)
 
     def rank_probability(self, rank: int) -> float:
         return (rank + 1) ** -self.alpha / self._total
@@ -148,16 +145,23 @@ class ExponentialPopularity(PopularityDistribution):
         return mass / (1.0 - self._tail)
 
 
-def _scatter(rank: int, n: int) -> int:
-    """Bijective affine map spreading popularity ranks across the space.
+#: Additive term of the scatter map ``rank -> (rank * a + b) % n``.
+_SCATTER_OFFSET = 12_345
+
+
+def _scatter_multiplier(n: int) -> int:
+    """Multiplier ``a`` of the bijective affine map that spreads
+    popularity ranks across an ``n``-page space.
 
     Multiplication by an odd constant modulo n is a bijection when
-    gcd(a, n) = 1; we nudge the multiplier until that holds.
+    gcd(a, n) = 1; we nudge the multiplier until that holds.  Computed
+    once per footprint, then applied as
+    ``(rank * a + _SCATTER_OFFSET) % n`` per sample.
     """
     multiplier = 2_654_435_761  # Knuth's golden-ratio constant (odd)
     while math.gcd(multiplier, n) != 1:
         multiplier += 2
-    return (rank * multiplier + 12_345) % n
+    return multiplier
 
 
 def generate_trace(distribution: PopularityDistribution,
@@ -168,12 +172,14 @@ def generate_trace(distribution: PopularityDistribution,
     micro-benchmarks stress the cache's skew response, not read/write
     locality differences).
     """
-    rng = Random(config.seed)
+    random = Random(config.seed).random
+    sample_rank = distribution.sample_rank
     n = config.footprint_pages
+    multiplier = _scatter_multiplier(n)
+    read_fraction = config.read_fraction
     for index in range(config.num_records):
-        rank = distribution.sample_rank(rng.random())
-        page = _scatter(rank, n)
-        op = OP_READ if rng.random() < config.read_fraction else OP_WRITE
+        page = (sample_rank(random()) * multiplier + _SCATTER_OFFSET) % n
+        op = OP_READ if random() < read_fraction else OP_WRITE
         yield TraceRecord(page=page, op=op, timestamp=index * 1e-4)
 
 

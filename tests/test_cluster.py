@@ -25,9 +25,13 @@ Covers DESIGN.md section 15's contracts:
 
 from __future__ import annotations
 
+import bisect
+import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     ARRIVAL_PATTERNS,
@@ -46,6 +50,7 @@ from repro.cluster import (
     write_feed_jsonl,
 )
 from repro.cluster.arrivals import intensity, sample_arrival_times
+from repro.cluster.cluster import _Planner, _plan_streams, _plan_sync
 
 
 class TestHashRing:
@@ -129,6 +134,97 @@ class TestHashRing:
                         if shard in survivors] == survivors
 
 
+def _sha_point(text):
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def _reference_route(shard_ids, vnodes, page, replicas, exclude):
+    """Naive replica walk straight from the ring's definition: hash
+    every vnode, walk clockwise from the page's hash, collect the first
+    ``replicas`` distinct shards outside ``exclude`` (None if short)."""
+    points = sorted((_sha_point(f"shard:{shard}:{v}"), shard)
+                    for shard in shard_ids for v in range(vnodes))
+    start = bisect.bisect_left([h for h, _ in points],
+                               _sha_point(f"page:{page}"))
+    chosen = []
+    for offset in range(len(points)):
+        shard = points[(start + offset) % len(points)][1]
+        if shard not in exclude and shard not in chosen:
+            chosen.append(shard)
+            if len(chosen) == replicas:
+                return tuple(chosen)
+    return None
+
+
+#: One ring shared by every example, so successor tables filled by one
+#: example are read back by later ones.
+_PROPERTY_RING = HashRing(range(5), vnodes=8)
+
+_CONTAINERS = {
+    "list": list,
+    "set": set,
+    "frozenset": frozenset,
+    "generator": lambda ids: (shard for shard in ids),
+}
+
+
+class TestRingAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(page=st.integers(min_value=0, max_value=1 << 40),
+           replicas=st.integers(min_value=1, max_value=5),
+           exclude=st.lists(st.integers(min_value=-2, max_value=7),
+                            max_size=6),
+           container=st.sampled_from(sorted(_CONTAINERS)))
+    def test_route_replicas_matches_naive_walk(self, page, replicas,
+                                               exclude, container):
+        ring = _PROPERTY_RING
+        expected = _reference_route(range(5), 8, page, replicas,
+                                    set(exclude))
+        wrap = _CONTAINERS[container]
+        if expected is None:
+            for _ in range(3):  # a failure is never cached
+                with pytest.raises(ClusterError):
+                    ring.route_replicas(page, replicas,
+                                        exclude=wrap(exclude))
+            return
+        assert ring.route_replicas(page, replicas,
+                                   exclude=wrap(exclude)) == expected
+        assert ring.route(page, exclude=wrap(exclude)) == expected[0]
+        # Asked again through the now-filled table: same answer.
+        assert ring.route_replicas(page, replicas,
+                                   exclude=wrap(exclude)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(shards=st.integers(min_value=1, max_value=6),
+           vnodes=st.integers(min_value=1, max_value=6),
+           pages=st.lists(st.integers(min_value=0, max_value=10_000),
+                          min_size=1, max_size=20))
+    def test_fresh_rings_match_naive_walk(self, shards, vnodes, pages):
+        ring = HashRing(range(shards), vnodes=vnodes)
+        for page in pages:
+            for replicas in range(1, shards + 1):
+                assert ring.route_replicas(page, replicas) == \
+                    _reference_route(range(shards), vnodes, page,
+                                     replicas, set())
+
+    def test_failed_calls_raise_every_time_and_leave_ring_correct(self):
+        ring = HashRing(range(4), vnodes=8)
+        for _ in range(3):
+            with pytest.raises(ClusterError):
+                ring.route_replicas(5, 3, exclude={0, 2})
+            with pytest.raises(ClusterError):
+                ring.route_replicas(5, 0)
+            with pytest.raises(ClusterError):
+                ring.route(5, exclude=iter(range(4)))
+        for page in range(64):
+            for exclude, replicas in (({0, 2}, 2), ({0, 2}, 1),
+                                      ((), 3), ((9, 1), 3)):
+                assert ring.route_replicas(page, replicas,
+                                           exclude=exclude) == \
+                    _reference_route(range(4), 8, page, replicas,
+                                     set(exclude))
+
+
 class TestArrivals:
     def test_patterns_are_seeded_and_sorted(self):
         for pattern in ARRIVAL_PATTERNS:
@@ -152,6 +248,15 @@ class TestArrivals:
         assert intensity("drain", 1.0) == 0.0
         with pytest.raises(ValueError):
             intensity("nope", 0.5)
+
+    def test_unknown_pattern_raises_before_any_draw(self):
+        # The first gap overshoots a 1 ms run at 1 req/s, so thinning
+        # would never consult the shape; the name is checked up front.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bogus"):
+                sample_arrival_times("bogus", 1.0, 1e-3, 0)
+        with pytest.raises(ValueError, match="bogus"):
+            build_arrivals("bogus", 1.0, 1e-3, "specweb99", 64, 0)
 
     def test_flash_crowd_bursts(self):
         times = sample_arrival_times("flash_crowd", 8000.0, 1.0, seed=4)
@@ -444,15 +549,12 @@ class TestRepair:
         # Minimal-move: every page in the catch-up stream would have
         # lived on the rejoiner had it been up, and every planned sync
         # write lands on the rejoined incarnation alone.
-        from repro.cluster.cluster import _Planner, _plan_sync
-        from repro.cluster.arrivals import build_arrivals as build
-
         scenario = _repair_scenario()
         chaos = scenario.chaos()
         planner = _Planner(scenario, chaos)
-        arrivals = build(scenario.pattern, scenario.rate_rps,
-                         scenario.duration_s, scenario.workload,
-                         scenario.footprint_pages, scenario.seed)
+        arrivals = build_arrivals(scenario.pattern, scenario.rate_rps,
+                                  scenario.duration_s, scenario.workload,
+                                  scenario.footprint_pages, scenario.seed)
         sync_streams = _plan_sync(planner, arrivals)
         writes = [a for a in sync_streams[(1, 1)] if not a[3]]
         assert writes
@@ -488,6 +590,133 @@ class TestRepair:
         for point in points:
             assert point.completed + point.shed + point.lost_reads \
                 + point.lost_writes == point.planned_ops
+
+
+def _epoch_scenario():
+    # Kill, survivor cascade and rejoin, as in the cluster_r2 benchmark.
+    return ClusterScenario(shards=5, replicas=2, rate_rps=9000.0,
+                           duration_s=0.3, seed=5, footprint_pages=4096,
+                           kill_shard=1, kill_at_us=100_000.0,
+                           cascade=((3, 150_000.0),),
+                           rejoin_at_us=240_000.0)
+
+
+def _boundary_arrivals(scenario, planner):
+    """The scenario's arrivals plus reads and writes placed exactly at,
+    just before and just after every kill, cascade and rejoin instant,
+    on pages the changing shards own (so routing flips at the edge)."""
+    arrivals = build_arrivals(scenario.pattern, scenario.rate_rps,
+                              scenario.duration_s, scenario.workload,
+                              scenario.footprint_pages, scenario.seed)
+    pages = [page for page in range(scenario.footprint_pages)
+             if {1, 3} & set(planner.ring.route_replicas(page, 2))][:12]
+    seq = len(arrivals)
+    extra = []
+    for instant in planner.chaos.change_instants():
+        for time_us in (math.nextafter(instant, -math.inf), instant,
+                        math.nextafter(instant, math.inf)):
+            for index, page in enumerate(pages):
+                extra.append((time_us, seq, page, index % 2 == 0))
+                seq += 1
+    return sorted(arrivals + extra, key=lambda a: (a[0], a[1]))
+
+
+def _reference_streams(planner, arrivals):
+    """Per-arrival routing: dead set and incarnation asked afresh for
+    every request, no epochs, no memo."""
+    streams, planned = {}, 0
+    for arrival in arrivals:
+        time_us, _, page, is_read = arrival
+        targets = planner.ring.route_replicas(
+            page, planner.scenario.replicas,
+            exclude=planner.chaos.dead_at(time_us))
+        for shard in targets[:1] if is_read else targets:
+            streams.setdefault(planner.node_for(shard, time_us),
+                               []).append(arrival)
+            planned += 1
+    return streams, planned
+
+
+def _reference_sync(planner, arrivals):
+    """Per-arrival catch-up planning: the "had it been up" exclusion is
+    rebuilt from ``dead_at`` for every arrival in the dead window."""
+    chaos, ring = planner.chaos, planner.ring
+    sync = {}
+    for rejoin in sorted(chaos.rejoins, key=lambda spec: spec.shard):
+        shard, kill_us = rejoin.shard, chaos.kill_at(rejoin.shard)
+        moved = {}
+        for time_us, _, page, _ in arrivals:
+            if not kill_us <= time_us < rejoin.at_us or page in moved:
+                continue
+            as_if_alive = set(chaos.dead_at(time_us)) - {shard}
+            if shard in ring.route_replicas(page, planner.scenario.replicas,
+                                            exclude=as_if_alive):
+                moved[page] = None
+        dead_at_rejoin = set(chaos.dead_at(rejoin.at_us)) | {shard}
+        for seq, page in enumerate(moved):
+            source = ring.route(page, exclude=dead_at_rejoin)
+            sync.setdefault((shard, 1), []).append(
+                (rejoin.at_us, seq, page, False))
+            sync.setdefault(planner.node_for(source, rejoin.at_us),
+                            []).append((rejoin.at_us, seq, page, True))
+    for stream in sync.values():
+        stream.sort(key=lambda a: (a[0], a[1]))
+    return sync
+
+
+class TestEpochPlanning:
+    def test_epoch_bounds_follow_kill_and_rejoin_instants(self):
+        scenario = _epoch_scenario()
+        chaos = scenario.chaos()
+        planner = _Planner(scenario, chaos)
+        assert chaos.change_instants() == (100_000.0, 150_000.0, 240_000.0)
+        probes = [0.0, -math.inf, math.inf]
+        for instant in chaos.change_instants():
+            before = math.nextafter(instant, -math.inf)
+            assert planner.epoch_at(instant).start_us == instant
+            assert planner.epoch_at(before).end_us == instant
+            probes += [before, instant, math.nextafter(instant, math.inf)]
+        for time_us in probes:
+            epoch = planner.epoch_at(time_us)
+            assert epoch.start_us <= time_us < epoch.end_us \
+                or time_us == epoch.end_us == math.inf
+            assert epoch.dead == chaos.dead_at(time_us)
+            assert epoch.nodes == tuple(planner.node_for(shard, time_us)
+                                        for shard in range(5))
+
+    def test_boundary_arrivals_land_like_per_arrival_routing(self):
+        scenario = _epoch_scenario()
+        planner = _Planner(scenario, scenario.chaos())
+        arrivals = _boundary_arrivals(scenario, planner)
+        streams, planned = _plan_streams(planner, arrivals)
+        expected, expected_planned = _reference_streams(planner, arrivals)
+        assert planned == expected_planned
+        assert {node: stream for node, stream in streams.items()
+                if stream} == expected
+        # The boundary arrivals really exercise the flips: the killed
+        # shards get nothing from their kill instants on, the rejoined
+        # incarnation everything of shard 1 from its rejoin instant.
+        assert max(a[0] for a in streams[(1, 0)]) < 100_000.0
+        assert max(a[0] for a in streams[(3, 0)]) < 150_000.0
+        assert min(a[0] for a in streams[(1, 1)]) == 240_000.0
+
+    def test_epoch_cursor_tolerates_unsorted_arrivals(self):
+        scenario = _epoch_scenario()
+        planner = _Planner(scenario, scenario.chaos())
+        arrivals = _boundary_arrivals(scenario, planner)[::-1]
+        streams, planned = _plan_streams(planner, arrivals)
+        expected, expected_planned = _reference_streams(planner, arrivals)
+        assert planned == expected_planned
+        assert {node: stream for node, stream in streams.items()
+                if stream} == expected
+
+    def test_sync_moved_keys_match_per_arrival_reference(self):
+        scenario = _epoch_scenario()
+        planner = _Planner(scenario, scenario.chaos())
+        arrivals = _boundary_arrivals(scenario, planner)
+        sync = _plan_sync(planner, arrivals)
+        assert sync == _reference_sync(planner, arrivals)
+        assert sync[(1, 1)]
 
 
 class TestFeed:
