@@ -63,7 +63,7 @@ from .arrivals import Arrival
 
 __all__ = ["run_shard"]
 
-#: What ``_admit`` stores as a request's context: the arrival and
+#: What ``_admit_arrival`` stores as a request's context: the arrival and
 #: whether it is background sync traffic.  Subscripted once here: a
 #: ``Tuple[...]`` subscript in the completion handler would pay a
 #: typing-cache lookup on every completion.
@@ -171,7 +171,7 @@ class _ShardEngine(EventEngine):
             self.shed += 1
             bucket[2] += 1
         else:
-            self._admit(arrival)
+            self._admit_arrival(arrival)
         self._post_next_arrival()
 
     def _on_sync(self, event: Event) -> None:
@@ -182,7 +182,7 @@ class _ShardEngine(EventEngine):
             # stream pages; the orchestrator's plan was optimistic.
             self.sync_skipped += 1
         else:
-            self._admit(arrival, background=True)
+            self._admit_arrival(arrival, background=True)
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.sync_page(arrival[2], arrival[3])
@@ -193,16 +193,19 @@ class _ShardEngine(EventEngine):
         if telemetry is not None:
             telemetry.rejoin(self.shard_id, self.loop.now_us)
 
-    def _admit(self, arrival: Arrival, background: bool = False) -> None:
+    def _admit_arrival(self, arrival: Arrival,
+                       background: bool = False) -> None:
         _, _, page, is_read = arrival
         # Functional execution at admission, in arrival order — the same
         # state/timing split as run_trace_concurrent, so cache contents
-        # are a pure function of the admitted request sequence.
-        pending = self._submit(page, is_read)
+        # are a pure function of the admitted request sequence.  With
+        # the window full the request waits in the host queue,
+        # undispatched.
+        slot_free = self.slots < self.queue_depth
+        pending = self._admit(page, is_read, slot_free)
         pending.context = (arrival, background)
-        if self.slots < self.queue_depth:
+        if slot_free:
             self.slots += 1
-            self._dispatch(pending)
         else:
             self.wait.append(pending)
         # Graceful degradation may have tripped while serving this very
@@ -243,8 +246,7 @@ class _ShardEngine(EventEngine):
                 response_us = now_us - pending.arrive_us
                 self.response.observe(response_us)
                 self.queue_delay.observe(
-                    response_us - pending.service_us
-                    - self.system.config.cpu_us_per_request)
+                    response_us - pending.service_us - self._cpu_us)
                 self.service_latency.observe(pending.service_us)
                 bucket[1] += 1
                 bucket[5] += response_us

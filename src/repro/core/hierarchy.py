@@ -31,7 +31,7 @@ from ..dram.model import DramModel
 from ..dram.page_cache import PrimaryDiskCache
 from ..disk.model import DiskModel
 from ..faults.injector import FaultConfig, FaultInjector
-from ..flash.device import DeviceOp, FlashDevice, op_recorder
+from ..flash.device import DeviceOp, FlashDevice
 from ..flash.geometry import FlashGeometry
 from ..flash.timing import CellMode
 from ..flash.wear import CellLifetimeModel
@@ -203,14 +203,6 @@ class _SystemBase:
 
     # -- non-blocking entry points ---------------------------------------------
 
-    def _device(self) -> Optional[FlashDevice]:
-        """The NAND device whose ops the submit path captures (if any)."""
-        return None
-
-    def _gc_time_us(self) -> float:
-        """Cumulative background-GC flash time (0 without a flash tier)."""
-        return 0.0
-
     def submit_read(self, page: int) -> PendingRequest:
         """Non-blocking :meth:`read`: returns a :class:`PendingRequest`.
 
@@ -219,35 +211,17 @@ class _SystemBase:
         captured NAND ops, charging queue delay — belongs to the caller
         (the event engine).
         """
-        return self._submit(page, is_read=True)
+        return self._submit(page, True)
 
     def submit_write(self, page: int) -> PendingRequest:
         """Non-blocking :meth:`write`; see :meth:`submit_read`."""
-        return self._submit(page, is_read=False)
+        return self._submit(page, False)
 
     def _submit(self, page: int, is_read: bool) -> PendingRequest:
-        device = self._device()
-        gc_before_us = self._gc_time_us()
         background_before_us = self.background_us
-        ops: List[DeviceOp] = []
-        if device is not None:
-            # FlashDevice.capture_ops, minus a context manager per request.
-            previous = device.op_sink
-            device.op_sink = op_recorder(ops, previous)
-            try:
-                service_us = self.read(page) if is_read else self.write(page)
-            finally:
-                device.op_sink = previous
-        else:
-            service_us = self.read(page) if is_read else self.write(page)
-        return PendingRequest(
-            page=page,
-            is_read=is_read,
-            service_us=service_us,
-            ops=ops,
-            gc_us=self._gc_time_us() - gc_before_us,
-            background_delta_us=self.background_us - background_before_us,
-        )
+        service_us = self.read(page) if is_read else self.write(page)
+        return PendingRequest(page, is_read, service_us, [], 0.0,
+                              self.background_us - background_before_us)
 
     def complete_request(self, pending: PendingRequest) -> float:
         """Close out a submitted request once the engine stamped its
@@ -355,11 +329,25 @@ class FlashBackedSystem(_SystemBase):
     def _flash_busy_us(self) -> float:
         return self.flash.controller.device.stats.busy_us
 
-    def _device(self) -> Optional[FlashDevice]:
-        return self.flash.controller.device
-
-    def _gc_time_us(self) -> float:
-        return self.flash.stats.gc_time_us
+    def _submit(self, page: int, is_read: bool) -> PendingRequest:
+        # FlashDevice.capture_ops, minus a context manager per request:
+        # the device appends this request's ops to a fresh log.
+        device = self.flash.controller.device
+        cache_stats = self.flash.stats
+        gc_before_us = cache_stats.gc_time_us
+        background_before_us = self.background_us
+        outer = device.op_log
+        ops: List[DeviceOp] = []
+        device.op_log = ops
+        try:
+            service_us = self.read(page) if is_read else self.write(page)
+        finally:
+            device.op_log = outer
+            if outer is not None:
+                outer.extend(ops)
+        return PendingRequest(page, is_read, service_us, ops,
+                              cache_stats.gc_time_us - gc_before_us,
+                              self.background_us - background_before_us)
 
     def _fill_from_below(self, page: int) -> float:
         outcome = self.flash.read(page)

@@ -9,15 +9,18 @@ timing domain: the concurrent engine replays each request's captured
 device operations against a bank of channel/plane resources and charges
 any resource wait as queue delay.
 
-Determinism: assignment is least-loaded with lowest-index tie-break —
-no hashes, no randomness — so a given op sequence always lands on the
-same resources in the same order.
+Determinism: assignment is an in-order scan over plane indices that
+stops early (:meth:`NandScheduler._pick` — *not* a plain least-loaded
+pick) — no hashes, no randomness — so a given op sequence always lands
+on the same resources in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
+
+from .device import DeviceOp
 
 __all__ = ["ChannelConfig", "ScheduledOp", "NandScheduler"]
 
@@ -58,14 +61,15 @@ class ScheduledOp(NamedTuple):
 
 
 class NandScheduler:
-    """Greedy least-loaded scheduler over ``channels x planes`` planes.
+    """Greedy early-stopping scheduler over ``channels x planes`` planes.
 
     Each plane is a single server: it executes one NAND operation at a
     time and frees at the op's end.  :meth:`schedule` places an op that
-    becomes *ready* at ``ready_us`` on the plane that frees earliest
-    (lowest plane index on ties — a deterministic total order), returning
-    the placement and the wait it incurred.  Busy time is accumulated
-    per channel for the utilization figures.
+    becomes *ready* at ``ready_us`` on the plane :meth:`_pick` chooses,
+    returning the placement and the wait it incurred;
+    :meth:`place_chain` places a whole dependent op chain by the same
+    rule in one call.  Busy time is accumulated per channel for the
+    utilization figures.
     """
 
     def __init__(self, config: ChannelConfig) -> None:
@@ -76,7 +80,15 @@ class NandScheduler:
         self.ops_scheduled = 0
 
     def _pick(self, ready_us: float) -> Tuple[int, float]:
-        """Plane index with the earliest availability (ties: lowest index)."""
+        """The plane an op ready at ``ready_us`` runs on, and when it frees.
+
+        Scans in index order keeping the earliest-free plane so far (ties
+        keep the lower index) and stops at the first index >= 1 where
+        that plane is free by ``ready_us``.  With ``free_at = [5, 3, 1]``
+        and ``ready_us = 10`` that is plane 1: neither the least-loaded
+        plane (2) nor the lowest free index (0).  The pinned
+        concurrent-engine digests depend on this exact rule.
+        """
         best_index = 0
         best_free_us = self._free_at_us[0]
         for index in range(1, len(self._free_at_us)):
@@ -85,8 +97,6 @@ class NandScheduler:
                 best_free_us = free_us
                 best_index = index
             if best_free_us <= ready_us:
-                # Nothing can start earlier than the ready time; the
-                # lowest such index wins, and we already scan in order.
                 break
         return best_index, best_free_us
 
@@ -105,6 +115,37 @@ class NandScheduler:
         return ScheduledOp(channel=channel, plane=plane,
                            start_us=start_us, end_us=end_us,
                            wait_us=start_us - ready_us)
+
+    def place_chain(self, ready_us: float,
+                    ops: Sequence[DeviceOp]) -> Tuple[float, float, int]:
+        """Place a dependent op chain: each op is ready when the one
+        before it ends, the first at ``ready_us``.
+
+        Equivalent to one :meth:`schedule` call per op, without building
+        a :class:`ScheduledOp` for each.  Returns ``(end_us, wait_us,
+        stalls)``: when the last op ends, the total time the chain
+        waited for planes, and how many of its ops waited at all.
+        """
+        free_at = self._free_at_us
+        busy_us = self.channel_busy_us
+        planes = self.config.planes
+        pick = self._pick
+        wait_us = 0.0
+        stalls = 0
+        for op in ops:
+            latency_us = op.latency_us
+            if latency_us < 0:
+                raise ValueError("latency_us must be non-negative")
+            index, free_us = pick(ready_us)
+            if free_us > ready_us:
+                wait_us += free_us - ready_us
+                stalls += 1
+                ready_us = free_us
+            ready_us += latency_us
+            free_at[index] = ready_us
+            busy_us[index // planes] += latency_us
+            self.ops_scheduled += 1
+        return ready_us, wait_us, stalls
 
     def horizon_us(self) -> float:
         """Time at which the whole fabric falls idle."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from ..faults.injector import FaultInjector
 from ..reliability.model import ReliabilityModel
@@ -57,14 +57,13 @@ __all__ = [
     "EraseResult",
     "FlashStats",
     "DeviceOp",
-    "op_recorder",
     "FlashDevice",
     "MLC_READ_SENSITIVITY",
 ]
 
 
 class DeviceOp(NamedTuple):
-    """One captured NAND operation, as emitted by the device op sink.
+    """One captured NAND operation, as appended to the device op log.
 
     The concurrent engine replays these against the channel/plane
     scheduler (:mod:`repro.flash.channels`) to model device-level
@@ -74,23 +73,6 @@ class DeviceOp(NamedTuple):
     kind: str          # "read" | "program" | "erase"
     block: int
     latency_us: float
-
-
-OpSink = Callable[[str, int, float], None]
-
-
-def op_recorder(into: List[DeviceOp], previous: Optional[OpSink]) -> OpSink:
-    """An op sink appending every op to ``into``, then chaining to
-    ``previous`` (so an outer capture still sees an inner one's ops)."""
-    append = into.append
-    if previous is None:
-        def sink(kind: str, block: int, latency_us: float) -> None:
-            append(DeviceOp(kind, block, latency_us))
-    else:
-        def sink(kind: str, block: int, latency_us: float) -> None:
-            append(DeviceOp(kind, block, latency_us))
-            previous(kind, block, latency_us)
-    return sink
 
 
 #: Effective-damage multiplier for MLC reads: MLC sensing margins are ~10x
@@ -284,13 +266,13 @@ class FlashDevice:
         #: (the default) keeps every operation on the historical code
         #: path; attaching costs one attribute check per operation.
         self.telemetry = None
-        #: Optional per-operation sink ``sink(kind, block, latency_us)``
-        #: invoked after every read/program/erase (including ones that
-        #: raise a status failure — the plane was occupied either way).
-        #: The concurrent engine attaches one to capture each request's
-        #: op stream for channel/plane scheduling; ``None`` (the
-        #: default) changes nothing.
-        self.op_sink: Optional[OpSink] = None
+        #: Optional op log: while it is a list, every read/program/erase
+        #: appends its :class:`DeviceOp` (including ones that raise a
+        #: status failure — the plane was occupied either way).  The
+        #: hierarchy's submit path swaps in a fresh list per request to
+        #: capture its op stream for channel/plane scheduling; ``None``
+        #: (the default) changes nothing.
+        self.op_log: Optional[List[DeviceOp]] = None
         self._rng = Random(seed)
         self._erase_counts: List[int] = [0] * geometry.num_blocks
         # Frames are created lazily: large devices in metadata-only runs
@@ -307,16 +289,19 @@ class FlashDevice:
         functional operation under capture and hands the recorded op
         stream to the event engine, which schedules it on
         channels/planes (the hierarchy's per-request ``submit_*`` path
-        installs :func:`op_recorder` itself, without a context manager).
-        Nesting chains: an outer capture still sees ops recorded by an
-        inner one.
+        swaps :attr:`op_log` itself, without a context manager).
+        Nesting chains: on exit an inner capture hands its ops to the
+        outer log, so the outer one still sees them, in issue order.
         """
-        previous = self.op_sink
-        self.op_sink = op_recorder(into, previous)
+        outer = self.op_log
+        start = len(into)
+        self.op_log = into
         try:
             yield into
         finally:
-            self.op_sink = previous
+            self.op_log = outer
+            if outer is not None:
+                outer.extend(into[start:])
 
     # -- frame bookkeeping ----------------------------------------------------
 
@@ -393,9 +378,9 @@ class FlashDevice:
         self.stats.reads += 1
         self.stats.record(latency, self.power.active_w, kind="read")
         self.clock_us += latency
-        sink = self.op_sink
-        if sink is not None:
-            sink("read", address.block, latency)
+        log = self.op_log
+        if log is not None:
+            log.append(DeviceOp("read", address.block, latency))
         # No telemetry hook here: nand.reads is harvested from
         # DeviceStats at end of run (Telemetry.harvest_cache_counters).
         errors = self._raw_bit_errors(frame)
@@ -452,9 +437,9 @@ class FlashDevice:
             self.stats.programs += 1
             self.stats.record(latency, self.power.active_w, kind="program")
             self.clock_us += latency
-            sink = self.op_sink
-            if sink is not None:
-                sink("program", address.block, latency)
+            log = self.op_log
+            if log is not None:
+                log.append(DeviceOp("program", address.block, latency))
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.nand_fault("program")
@@ -465,9 +450,9 @@ class FlashDevice:
         self.stats.programs += 1
         self.stats.record(latency, self.power.active_w, kind="program")
         self.clock_us += latency
-        sink = self.op_sink
-        if sink is not None:
-            sink("program", address.block, latency)
+        log = self.op_log
+        if log is not None:
+            log.append(DeviceOp("program", address.block, latency))
         model = self.reliability
         if model is not None:
             model.note_program(address.block, address.frame, self.clock_us)
@@ -502,9 +487,9 @@ class FlashDevice:
             self.stats.erases += 1
             self.stats.record(latency, self.power.active_w, kind="erase")
             self.clock_us += latency
-            sink = self.op_sink
-            if sink is not None:
-                sink("erase", block, latency)
+            log = self.op_log
+            if log is not None:
+                log.append(DeviceOp("erase", block, latency))
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.nand_erase(latency)
@@ -528,9 +513,9 @@ class FlashDevice:
         self.stats.erases += 1
         self.stats.record(latency, self.power.active_w, kind="erase")
         self.clock_us += latency
-        sink = self.op_sink
-        if sink is not None:
-            sink("erase", block, latency)
+        log = self.op_log
+        if log is not None:
+            log.append(DeviceOp("erase", block, latency))
         model = self.reliability
         if model is not None:
             model.note_erase(block, self.clock_us,

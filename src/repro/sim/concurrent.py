@@ -40,6 +40,7 @@ result is byte-identical by construction (asserted in
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Tuple
 
 from ..core.hierarchy import DramOnlySystem, FlashBackedSystem, PendingRequest
@@ -53,6 +54,9 @@ from .server import ServerModel
 
 __all__ = ["run_trace_concurrent"]
 
+#: Bound once: an enum member lookup through its class is a slow path.
+_COMPLETE = EventType.COMPLETE
+
 
 def _expand(records: Iterable[TraceRecord]) -> Iterator[Tuple[int, bool]]:
     """Flatten records to (page, is_read) requests in trace order."""
@@ -65,12 +69,13 @@ class EventEngine:
     """Admission and dispatch shared by the closed-loop engine below and
     the open-loop cluster shard engine (:mod:`repro.cluster.shard`).
 
-    Only COMPLETE is a per-request event.  A request is dispatched the
-    moment it takes a window slot: its op chain is placed on the fabric
-    with ``ready_us = now + cpu_us_per_request`` and its COMPLETE posted
-    at ``dispatch + service + waits`` (DESIGN.md section 14 has the
-    ordering argument).  Channel stalls and background GC/scrub work are
-    counted inline; they schedule nothing.
+    Only COMPLETE is a per-request event.  One admission step submits a
+    request and, once it holds a window slot, dispatches it: its op
+    chain is placed on the fabric in one call with ``ready_us = now +
+    cpu_us_per_request`` (a request with no NAND ops skips the fabric)
+    and its COMPLETE posted at ``dispatch + service + waits`` (DESIGN.md
+    section 14 has the ordering argument).  Channel stalls and
+    background GC/scrub work are counted inline; they schedule nothing.
     """
 
     def __init__(self, system: DramOnlySystem | FlashBackedSystem,
@@ -83,18 +88,26 @@ class EventEngine:
         self.channel_stalls = 0
         self.gc_events = 0
         self.scrub_events = 0
-        self._scrubber = getattr(system, "scrubber", None)
-        self._last_scrub_passes = (self._scrubber.stats.passes
-                                   if self._scrubber is not None else 0)
+        self._submit_read = system.submit_read
+        self._submit_write = system.submit_write
+        # One constant per system: the ordering argument needs it.
+        self._cpu_us = system.config.cpu_us_per_request
+        self._place_chain = self.scheduler.place_chain
+        self._post_at = self.loop.post_at
+        scrubber = getattr(system, "scrubber", None)
+        self._scrub_stats = None if scrubber is None else scrubber.stats
+        self._last_scrub_passes = (0 if scrubber is None
+                                   else scrubber.stats.passes)
 
-    def _submit(self, page: int, is_read: bool) -> PendingRequest:
+    def _admit(self, page: int, is_read: bool,
+               dispatch: bool = True) -> PendingRequest:
         """Run one request's functional work now, in admission order —
-        the determinism anchor (see the module docstring)."""
-        system = self.system
+        the determinism anchor (see the module docstring) — and
+        dispatch it unless it must wait for a window slot."""
         if is_read:
-            pending = system.submit_read(page)
+            pending = self._submit_read(page)
         else:
-            pending = system.submit_write(page)
+            pending = self._submit_write(page)
         pending.arrive_us = self.loop.now_us
         self.position += 1
         sampler = self.sampler
@@ -102,35 +115,33 @@ class EventEngine:
             sampler.maybe_sample(self.position)
         if pending.gc_us > 0:
             self.gc_events += 1
-        scrubber = self._scrubber
-        if (scrubber is not None
-                and scrubber.stats.passes > self._last_scrub_passes):
-            self._last_scrub_passes = scrubber.stats.passes
+        scrub_stats = self._scrub_stats
+        if (scrub_stats is not None
+                and scrub_stats.passes > self._last_scrub_passes):
+            self._last_scrub_passes = scrub_stats.passes
             self.scrub_events += 1
+        if dispatch:
+            self._dispatch(pending)
         return pending
 
     def _dispatch(self, pending: PendingRequest) -> None:
-        """Place the request's op stream on the fabric; post COMPLETE."""
-        loop = self.loop
+        """Place the request's op chain on the fabric; post COMPLETE."""
         # Host CPU/network time precedes storage dispatch (the same
         # per-system constant the serial wall clock charges).
-        dispatch_us = loop.now_us + self.system.config.cpu_us_per_request
+        dispatch_us = self.loop.now_us + self._cpu_us
         pending.dispatch_us = dispatch_us
-        ready_us = dispatch_us
-        wait_us = 0.0
-        schedule = self.scheduler.schedule
-        for op in pending.ops:
-            placed = schedule(ready_us, op.latency_us)
-            if placed.wait_us > 0:
-                self.channel_stalls += 1
-                wait_us += placed.wait_us
-            ready_us = placed.end_us
         # Response = service as charged by the serial model, plus every
         # wait the op chain suffered.  Background op *latency* (GC,
         # scrub rewrites) occupies the fabric but is excluded from
         # service, so it delays neighbours rather than this request.
-        loop.post_at(dispatch_us + pending.service_us + wait_us,
-                     Event(EventType.COMPLETE, pending))
+        finish_us = dispatch_us + pending.service_us
+        ops = pending.ops
+        if ops:
+            _, wait_us, stalls = self._place_chain(dispatch_us, ops)
+            if stalls:
+                self.channel_stalls += stalls
+                finish_us += wait_us
+        self._post_at(finish_us, Event(_COMPLETE, pending))
 
     def _run_loop(self) -> float:
         """Drain the loop; returns the makespan (us), which covers the
@@ -152,36 +163,34 @@ class _ConcurrentEngine(EventEngine):
         self.queue_delay = LatencyHistogram("queue_delay_us")
         self.service_latency = LatencyHistogram("service_latency_us")
         self.position = system.stats.requests
-        self._exhausted = False
+        self._complete_request = system.complete_request
+        self._observe_queue_delay = self.queue_delay.observe
+        self._observe_service = self.service_latency.observe
         self.loop.register(EventType.COMPLETE, self._on_complete)
-
-    def _admit_next(self) -> None:
-        """Admit the next trace request into a free window slot."""
-        try:
-            page, is_read = next(self.source)
-        except StopIteration:
-            self._exhausted = True
-            return
-        self._dispatch(self._submit(page, is_read))
 
     # -- event handlers (time comes from self.loop.now_us; SIM010) -----------
 
     def _on_complete(self, event: Event) -> None:
         pending: PendingRequest = event.payload
         pending.finish_us = self.loop.now_us
-        self.system.complete_request(pending)
-        self.queue_delay.observe(pending.queue_delay_us)
-        self.service_latency.observe(pending.service_us)
-        if not self._exhausted:
-            # The freed slot admits the next request at this instant.
-            self._admit_next()
+        service_us = pending.service_us
+        # PendingRequest.queue_delay_us, from complete_request's response.
+        queue_delay_us = self._complete_request(pending) - service_us
+        if queue_delay_us < 0.0:
+            queue_delay_us = 0.0
+        self._observe_queue_delay(queue_delay_us)
+        self._observe_service(service_us)
+        # The freed slot admits the next request at this instant.
+        request = next(self.source, None)
+        if request is not None:
+            self._admit(*request)
 
     # -- driving ---------------------------------------------------------------
 
     def run(self) -> float:
         """Fill the window, drain the loop; returns the makespan (us)."""
-        for _ in range(self.queue_depth):
-            self._admit_next()
+        for request in islice(self.source, self.queue_depth):
+            self._admit(*request)
         return self._run_loop()
 
 

@@ -38,6 +38,13 @@ DEFAULT_LATENCY_BUCKETS_US: Tuple[float, ...] = (
     1_000.0, 2_000.0, 5_000.0, 10_000.0, 20_000.0, 50_000.0, 100_000.0,
 )
 
+#: A histogram folds its pending buffer into the buckets whenever it
+#: reaches this many samples, bounding memory on unbounded traces.  The
+#: fold points are part of the output: totals are summed per fold.  A
+#: module constant, so :meth:`LatencyHistogram.observe` reads it
+#: without a class-attribute lookup per sample.
+_DRAIN_THRESHOLD = 65536
+
 
 class Counter:
     """Monotonically increasing event count."""
@@ -89,10 +96,6 @@ class LatencyHistogram:
     __slots__ = ("name", "edges", "_counts", "_overflow", "_count",
                  "_total", "_min", "_max", "_pending", "_push")
 
-    #: Fold the pending buffer into the buckets whenever it reaches this
-    #: many samples, bounding memory on unbounded traces.
-    _DRAIN_THRESHOLD = 65536
-
     def __init__(self, name: str,
                  edges: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US):
         if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
@@ -112,7 +115,7 @@ class LatencyHistogram:
 
     def observe(self, value: float) -> None:
         self._push(value)
-        if len(self._pending) >= self._DRAIN_THRESHOLD:
+        if len(self._pending) >= _DRAIN_THRESHOLD:
             self._drain()
 
     def _drain(self) -> None:

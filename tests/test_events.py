@@ -7,19 +7,21 @@ import pickle
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.hierarchy import build_flash_system
 from repro.experiments import fig14_concurrency
 from repro.flash.channels import ChannelConfig, NandScheduler
-from repro.flash.device import FlashDevice
+from repro.flash.device import DeviceOp, FlashDevice
 from repro.flash.geometry import PageAddress
 from repro.parallel import sweep
-from repro.sim.concurrent import run_trace_concurrent
+from repro.sim.concurrent import _ConcurrentEngine, run_trace_concurrent
 from repro.sim.engine import QueueingStats, run_trace
 from repro.sim.events import Event, EventLoop, EventType
-from repro.telemetry import LatencyHistogram
+from repro.telemetry import LatencyHistogram, metrics
 from repro.workloads.macro import build_workload
 from repro.workloads.postpdc import derive_disk_trace
+from repro.workloads.trace import TraceRecord
 
 
 class TestEventLoop:
@@ -104,6 +106,49 @@ class TestNandScheduler:
         c = sched.schedule(10.0, 10.0)  # both busy until 100
         assert c.channel == 0 and c.start_us == 100.0
 
+    def test_pick_stops_at_first_free_prefix(self):
+        # The rule is not least-loaded: the scan stops at the first
+        # index >= 1 where the earliest-free plane so far is free by the
+        # ready time.  free_at = [5, 3, 1], ready 10 -> plane 1, neither
+        # the least-loaded plane (2) nor the lowest free index (0).
+        sched = NandScheduler(ChannelConfig(channels=1, planes=3))
+        for latency_us in (5.0, 3.0, 1.0):
+            sched.schedule(0.0, latency_us)
+        assert sched._free_at_us == [5.0, 3.0, 1.0]
+        placed = sched.schedule(10.0, 2.0)
+        assert (placed.channel, placed.plane) == (0, 1)
+        assert placed.wait_us == 0.0
+        assert sched._free_at_us == [5.0, 12.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(channels=st.integers(1, 8), planes=st.integers(1, 4),
+           chains=st.lists(st.tuples(
+               st.integers(0, 400).map(float),
+               st.lists(st.one_of(
+                   st.integers(0, 60).map(float),
+                   st.floats(0.0, 60.0, allow_nan=False)), max_size=6)),
+               max_size=40))
+    def test_place_chain_matches_per_op_schedule(self, channels, planes,
+                                                 chains):
+        config = ChannelConfig(channels=channels, planes=planes)
+        chained, per_op = NandScheduler(config), NandScheduler(config)
+        for ready_us, latencies in chains:
+            ops = [DeviceOp("read", 0, latency) for latency in latencies]
+            end_us, wait_us, stalls = chained.place_chain(ready_us, ops)
+            expected_end_us, expected_wait_us, expected_stalls = (
+                ready_us, 0.0, 0)
+            for op in ops:
+                placed = per_op.schedule(expected_end_us, op.latency_us)
+                if placed.wait_us > 0:
+                    expected_stalls += 1
+                    expected_wait_us += placed.wait_us
+                expected_end_us = placed.end_us
+            assert (end_us, wait_us, stalls) == (
+                expected_end_us, expected_wait_us, expected_stalls)
+        assert chained._free_at_us == per_op._free_at_us
+        assert chained.channel_busy_us == per_op.channel_busy_us
+        assert chained.ops_scheduled == per_op.ops_scheduled
+
     def test_plane_indexing(self):
         sched = NandScheduler(ChannelConfig(channels=2, planes=2))
         placements = [sched.schedule(0.0, 10.0) for _ in range(4)]
@@ -123,6 +168,8 @@ class TestNandScheduler:
         sched = NandScheduler(ChannelConfig())
         with pytest.raises(ValueError):
             sched.schedule(0.0, -1.0)
+        with pytest.raises(ValueError):
+            sched.place_chain(0.0, [DeviceOp("read", 0, -1.0)])
 
     def test_utilization_at_zero_span_is_all_zeros(self):
         # Degenerate window (no simulated time elapsed): the fraction
@@ -219,6 +266,52 @@ class TestOpCapture:
                 device.read_page(address)
         assert len(inner) == 1
         assert len(outer) == 2
+
+
+class TestEngineHistogramDrain:
+    """The engine's latency histograms must fold their samples at the
+    sample counts plain ``observe`` folds at (every
+    ``metrics._DRAIN_THRESHOLD`` samples, then on read): the histogram totals
+    are summed per fold, so a moved fold point changes the reported
+    totals on any run past the threshold."""
+
+    @pytest.mark.parametrize("use_numpy", [True, False],
+                             ids=["numpy", "pure-python"])
+    def test_matches_one_observe_at_a_time(self, monkeypatch, use_numpy):
+        if not use_numpy:
+            monkeypatch.setattr(metrics, "_np", None)
+        elif metrics._np is None:
+            pytest.skip("numpy is not installed")
+        system = build_flash_system(dram_bytes=1 << 20,
+                                    flash_bytes=4 << 20)
+        delays, services = [], []
+        complete_request = system.complete_request
+
+        def recording_complete(pending):
+            response_us = complete_request(pending)
+            delays.append(pending.queue_delay_us)
+            services.append(pending.service_us)
+            return response_us
+
+        # Installed before the engine binds it at construction.
+        monkeypatch.setattr(system, "complete_request", recording_complete)
+        # A long cheap trace: mostly PDC hits over a small page set,
+        # with enough misses and writes to vary both latencies.
+        records = (TraceRecord(page=(index * 7) % 600,
+                               op="w" if index % 5 == 0 else "r")
+                   for index in range(70_000))
+        engine = _ConcurrentEngine(system, records, queue_depth=8,
+                                   config=ChannelConfig(channels=1,
+                                                        planes=2))
+        engine.run()
+        assert len(delays) > metrics._DRAIN_THRESHOLD
+        assert engine.channel_stalls > 0 and max(delays) > 0.0
+        for histogram, values in ((engine.queue_delay, delays),
+                                  (engine.service_latency, services)):
+            reference = LatencyHistogram(histogram.name)
+            for value in values:
+                reference.observe(value)
+            assert histogram.__getstate__() == reference.__getstate__()
 
 
 class TestHierarchySubmit:
