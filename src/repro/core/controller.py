@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Set,
+                    Tuple)
 
 from ..ecc.latency import AcceleratorConfig, BCHLatencyModel
 from ..flash.device import EraseFailure, FlashDevice, ProgramFailure
@@ -102,8 +103,7 @@ class ControllerConfig:
             raise ValueError("program_fail_retire_threshold must be >= 1")
 
 
-@dataclass(frozen=True)
-class ControllerReadResult:
+class ControllerReadResult(NamedTuple):
     """Outcome of a controller-mediated page read."""
 
     latency_us: float
@@ -267,12 +267,8 @@ class ProgrammableFlashController:
         if telemetry is not None:
             telemetry.flash_read(latency, retries, recovered)
         return ControllerReadResult(
-            latency_us=latency,
-            corrected_errors=min(errors, entry.ecc_strength),
-            recovered=recovered,
-            reconfig=reconfig,
-            hot_promotion=hot,
-        )
+            latency, min(errors, entry.ecc_strength), recovered, reconfig,
+            hot)
 
     def program(self, address: PageAddress, lba: Optional[int] = None,
                 data: Optional[bytes] = None) -> float:

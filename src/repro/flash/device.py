@@ -129,8 +129,7 @@ class PageState:
     PROGRAMMED = 1
 
 
-@dataclass(frozen=True)
-class ReadResult:
+class ReadResult(NamedTuple):
     """Outcome of a page read."""
 
     latency_us: float
@@ -139,14 +138,12 @@ class ReadResult:
     mode: CellMode
 
 
-@dataclass(frozen=True)
-class ProgramResult:
+class ProgramResult(NamedTuple):
     latency_us: float
     mode: CellMode
 
 
-@dataclass(frozen=True)
-class EraseResult:
+class EraseResult(NamedTuple):
     latency_us: float
     erase_count: int
 
@@ -256,6 +253,8 @@ class FlashDevice:
         self.soft_error_rate_per_bit = soft_error_rate_per_bit
         self.fault_injector = fault_injector
         self.reliability = reliability
+        if reliability is not None:
+            reliability.attach(geometry.frames_per_block)
         #: Monotonic device time (us): advances with every operation's
         #: latency plus any idle time the caller deposits via
         #: :meth:`advance_clock`.  The reliability model's retention
@@ -332,6 +331,21 @@ class FlashDevice:
             )
         return frame.sampler
 
+    def _live_frame(self, address: PageAddress) -> _Frame:
+        """The frame behind ``address``, which must be valid for its
+        current mode (``IndexError`` otherwise)."""
+        block, index, subpage = address
+        frame = self._frames.get((block, index))
+        if frame is None:
+            frame = self._frame(block, index)
+        geometry = self.geometry
+        # A frame holds one state per page of its mode, so the subpage
+        # bound is the state list's length.
+        if (block >= geometry.num_blocks or index >= geometry.frames_per_block
+                or subpage >= len(frame.states)):
+            geometry.validate_address(address, frame.mode)
+        return frame
+
     def frame_mode(self, block: int, frame: int) -> CellMode:
         # Pure query: a frame no operation touched can only be in the
         # initial mode (mode changes happen during erase, which
@@ -364,46 +378,50 @@ class FlashDevice:
         return existing.damage if existing is not None else 0.0
 
     def page_state(self, address: PageAddress) -> int:
-        frame = self._frame(address.block, address.frame)
-        self.geometry.validate_address(address, frame.mode)
-        return frame.states[address.subpage]
+        return self._live_frame(address).states[address.subpage]
 
     # -- NAND operations --------------------------------------------------------
 
     def read_page(self, address: PageAddress) -> ReadResult:
         """Read one page: returns latency, raw bit errors, optional data."""
-        frame = self._frame(address.block, address.frame)
-        self.geometry.validate_address(address, frame.mode)
-        latency = self.timing.read_us(frame.mode)
-        self.stats.reads += 1
-        self.stats.record(latency, self.power.active_w, kind="read")
+        block, index, subpage = address
+        frame = self._live_frame(address)
+        mode = frame.mode
+        latency = self.timing.read_us(mode)
+        stats = self.stats
+        stats.reads += 1
+        stats.busy_us += latency
+        stats.read_busy_us += latency
+        stats.energy_j += self.power.active_w * latency * 1e-6
         self.clock_us += latency
         log = self.op_log
         if log is not None:
-            log.append(DeviceOp("read", address.block, latency))
+            log.append(DeviceOp("read", block, latency))
         # No telemetry hook here: nand.reads is harvested from
         # DeviceStats at end of run (Telemetry.harvest_cache_counters).
-        errors = self._raw_bit_errors(frame)
+        # Wear and soft errors only exist when configured; skipping the
+        # call otherwise consumes no RNG, exactly like making it.
+        if self.soft_error_rate_per_bit > 0.0 or (
+                self.lifetime_model is not None and frame.damage > 0):
+            errors = self._raw_bit_errors(frame)
+        else:
+            errors = 0
         injector = self.fault_injector
         if injector is not None:
-            if injector.block_dead(address.block):
+            if injector.block_dead(block):
                 self._kill_frame(frame)
                 errors = self.geometry.cells_per_frame
             else:
-                errors += injector.read_fault_bits(address.block,
-                                                   address.frame)
+                errors += injector.read_fault_bits(block, index)
         model = self.reliability
         if model is not None:
+            # read_errors also counts the read toward read disturb.
             errors += model.read_errors(
-                address.block, address.frame, frame.damage, frame.mode,
-                self.clock_us, self.geometry.cells_per_frame)
-            model.note_read(address.block, address.frame)
-        return ReadResult(
-            latency_us=latency,
-            raw_bit_errors=errors,
-            data=frame.data[address.subpage] if frame.data is not None else None,
-            mode=frame.mode,
-        )
+                block, index, frame.damage, mode, self.clock_us,
+                self.geometry.cells_per_frame)
+        data = frame.data
+        return ReadResult(latency, errors,
+                          data[subpage] if data is not None else None, mode)
 
     def program_page(self, address: PageAddress,
                      data: Optional[bytes] = None) -> ProgramResult:
@@ -413,9 +431,9 @@ class FlashDevice:
         :class:`ProgramFailure` — the attempt burns the page (it needs an
         erase before any retry) and costs the full program latency.
         """
-        frame = self._frame(address.block, address.frame)
-        self.geometry.validate_address(address, frame.mode)
-        if frame.states[address.subpage] != PageState.ERASED:
+        block, index, subpage = address
+        frame = self._live_frame(address)
+        if frame.states[subpage] != PageState.ERASED:
             raise ProgramError(
                 f"page {address} is not erased; NAND requires a block erase "
                 f"before reprogramming"
@@ -425,40 +443,44 @@ class FlashDevice:
                 f"payload of {len(data)} bytes exceeds page size "
                 f"{self.geometry.page_data_bytes}"
             )
-        latency = self.timing.write_us(frame.mode)
+        mode = frame.mode
+        latency = self.timing.write_us(mode)
         injector = self.fault_injector
         if injector is not None and (
-                injector.block_dead(address.block)
-                or injector.program_fault(address.block, address.frame)):
+                injector.block_dead(block)
+                or injector.program_fault(block, index)):
             # The failed attempt still occupies the plane for the full
             # program time and leaves the page in an indeterminate
             # (non-erased) state.
-            frame.states[address.subpage] = PageState.PROGRAMMED
+            frame.states[subpage] = PageState.PROGRAMMED
             self.stats.programs += 1
             self.stats.record(latency, self.power.active_w, kind="program")
             self.clock_us += latency
             log = self.op_log
             if log is not None:
-                log.append(DeviceOp("program", address.block, latency))
+                log.append(DeviceOp("program", block, latency))
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.nand_fault("program")
             raise ProgramFailure(address, latency_us=latency)
-        frame.states[address.subpage] = PageState.PROGRAMMED
+        frame.states[subpage] = PageState.PROGRAMMED
         if frame.data is not None:
-            frame.data[address.subpage] = data
-        self.stats.programs += 1
-        self.stats.record(latency, self.power.active_w, kind="program")
+            frame.data[subpage] = data
+        stats = self.stats
+        stats.programs += 1
+        stats.busy_us += latency
+        stats.program_busy_us += latency
+        stats.energy_j += self.power.active_w * latency * 1e-6
         self.clock_us += latency
         log = self.op_log
         if log is not None:
-            log.append(DeviceOp("program", address.block, latency))
+            log.append(DeviceOp("program", block, latency))
         model = self.reliability
         if model is not None:
-            model.note_program(address.block, address.frame, self.clock_us)
+            model.note_program(block, index, self.clock_us)
         # No telemetry hook here: nand.* counters are harvested from
         # DeviceStats at end of run (Telemetry.harvest_cache_counters).
-        return ProgramResult(latency_us=latency, mode=frame.mode)
+        return ProgramResult(latency, mode)
 
     def erase_block(
         self,
@@ -523,8 +545,7 @@ class FlashDevice:
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.nand_erase(latency)
-        return EraseResult(latency_us=latency,
-                           erase_count=self._erase_counts[block])
+        return EraseResult(latency, self._erase_counts[block])
 
     # -- wear/error injection ---------------------------------------------------
 

@@ -17,6 +17,7 @@ frame and must be 0 for SLC frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .timing import CellMode
 
@@ -27,21 +28,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PageAddress:
-    """Physical address of one logical Flash page.
-
-    ``subpage`` is 0 for SLC frames, and 0 or 1 for the two MLC pages that
-    share a frame.
-    """
-
+class _PageAddressFields(NamedTuple):
     block: int
     frame: int
     subpage: int = 0
 
-    def __post_init__(self) -> None:
-        if self.block < 0 or self.frame < 0 or self.subpage not in (0, 1):
-            raise ValueError(f"invalid page address {self!r}")
+
+class PageAddress(_PageAddressFields):
+    """Physical address of one logical Flash page.
+
+    ``subpage`` is 0 for SLC frames, and 0 or 1 for the two MLC pages that
+    share a frame.
+
+    A validated tuple: every page op builds, hashes and unpacks these, and
+    a tuple does all three in C.  Its hash is ``hash((block, frame,
+    subpage))``, so sets and dicts of addresses iterate in the same order
+    as they would over plain triples.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, block: int, frame: int,
+                subpage: int = 0) -> "PageAddress":
+        if block < 0 or frame < 0 or subpage not in (0, 1):
+            raise ValueError(
+                f"invalid page address PageAddress(block={block!r}, "
+                f"frame={frame!r}, subpage={subpage!r})")
+        return tuple.__new__(cls, (block, frame, subpage))
 
 
 @dataclass(frozen=True)

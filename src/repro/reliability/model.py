@@ -23,10 +23,22 @@ Reliability", PAPERS.md):
 Determinism contract (the same one :class:`~repro.faults.FaultInjector`
 honours): every random quantity flows from an independent
 ``derive_seed``-keyed stream.  The per-block multiplier is a pure
-function of (seed, block); per-frame error draws come from a per-frame
-RNG, so the error counts a frame observes depend only on the seed and on
-that frame's own operation history — never on the order other frames
+function of (seed, block); per-frame error draws come from the frame's
+own ``Random(derive_seed(seed, "reliability:frame:{block}:{frame}"))``
+stream, so the error counts a frame observes depend only on the seed and
+on that frame's own operation history — never on the order other frames
 were touched — which makes results identical at any sweep worker count.
+
+State layout: each block the model hears of gets one row with a slot
+per frame, and a slot holds the frame's whole history — programmed-at
+time, reads since program, neighbour programs — and its pending
+uniforms, so a read does one lookup.  A frame is read only a few times,
+so a slot does not keep a whole generator: it takes its stream's first
+:data:`_UNIFORM_BLOCK` uniforms and drops the generator.  A frame that
+uses all of them rebuilds its generator, skips the uniforms already
+used, and keeps the generator from then on.  The frame sees exactly the
+uniforms, in the same order, that one generator kept for its whole life
+would give.
 
 The model *composes with* the injector: :class:`~repro.flash.device.
 FlashDevice` adds the model's error count to the wear-sampler and
@@ -39,8 +51,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from ..flash.geometry import DEFAULT_GEOMETRY
 from ..flash.timing import CellMode
 from ..parallel import derive_seed
 
@@ -51,6 +64,11 @@ __all__ = ["ReliabilityConfig", "ReliabilityStats", "ReliabilityModel"]
 #: rounded mean, which avoids pathological Knuth-loop lengths without
 #: changing any reachable decode outcome.
 _POISSON_MEAN_LIMIT = 64.0
+
+#: Uniforms a frame's slot takes from its stream at a time.  Frames are
+#: read about twice on average and a draw below the bulk limit uses
+#: ``count + 1`` uniforms, so most frames never need a second block.
+_UNIFORM_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -140,13 +158,33 @@ class ReliabilityStats:
                 if self.modelled_reads else 0.0)
 
 
-@dataclass
-class _FrameErrorState:
-    """Per-frame history the error processes integrate over."""
+class _FrameSlot:
+    """Per-frame history the error processes integrate over, plus the
+    frame's uniform stream."""
 
-    programmed_at_us: float = 0.0
-    reads_since_program: int = 0
-    neighbor_programs: int = 0
+    __slots__ = ("programmed_at_us", "reads_since_program",
+                 "neighbor_programs", "uniforms", "cursor", "rng")
+
+    def __init__(self) -> None:
+        self.programmed_at_us = 0.0
+        self.reads_since_program = 0
+        self.neighbor_programs = 0
+        #: Uniforms taken from the frame's stream; ``cursor`` indexes the
+        #: next unused one.
+        self.uniforms: Sequence[float] = ()
+        self.cursor = 0
+        #: The frame's generator, kept once its first block ran out.
+        self.rng: Optional[Random] = None
+
+
+#: History of a frame no operation has touched.
+_FRESH = _FrameSlot()
+
+
+def _touch(row: List[Optional[_FrameSlot]], frame: int) -> _FrameSlot:
+    """Give a frame touched for the first time its slot."""
+    slot = row[frame] = _FrameSlot()
+    return slot
 
 
 class ReliabilityModel:
@@ -163,8 +201,19 @@ class ReliabilityModel:
         self.config = config or ReliabilityConfig()
         self.stats = ReliabilityStats()
         self._block_mult: Dict[int, float] = {}
-        self._frame_rngs: Dict[Tuple[int, int], Random] = {}
-        self._states: Dict[Tuple[int, int], _FrameErrorState] = {}
+        self._wear: Dict[float, float] = {}
+        self._frames_per_block = DEFAULT_GEOMETRY.frames_per_block
+        #: block -> one slot per frame, ``None`` until the frame is first
+        #: touched (an untouched frame has no history to erase).
+        self._rows: Dict[int, List[Optional[_FrameSlot]]] = {}
+
+    def attach(self, frames_per_block: int) -> None:
+        """Size the per-block rows to the device's blocks (the device
+        calls this when the model is attached to it)."""
+        if self._rows and frames_per_block != self._frames_per_block:
+            raise ValueError("the model already holds history for blocks "
+                             f"of {self._frames_per_block} frames")
+        self._frames_per_block = frames_per_block
 
     # -- per-block process variation -------------------------------------------
 
@@ -175,66 +224,79 @@ class ReliabilityModel:
         so sweeps that touch blocks in different orders still see the
         same weak and strong blocks.
         """
-        sigma = self.config.block_sigma
-        if sigma <= 0.0:
-            return 1.0
         cached = self._block_mult.get(block)
         if cached is None:
-            block_seed = derive_seed(self.config.seed,
-                                     f"reliability:block:{block}")
-            cached = math.exp(sigma * Random(block_seed).gauss(0.0, 1.0))
+            sigma = self.config.block_sigma
+            cached = 1.0
+            if sigma > 0.0:
+                block_seed = derive_seed(self.config.seed,
+                                         f"reliability:block:{block}")
+                cached = math.exp(sigma * Random(block_seed).gauss(0.0, 1.0))
             self._block_mult[block] = cached
         return cached
 
     # -- frame history ----------------------------------------------------------
 
-    def _state(self, block: int, frame: int) -> _FrameErrorState:
-        key = (block, frame)
-        state = self._states.get(key)
-        if state is None:
-            state = self._states[key] = _FrameErrorState()
-        return state
+    def _row(self, block: int) -> List[Optional[_FrameSlot]]:
+        row = self._rows.get(block)
+        if row is None:
+            row = self._rows[block] = [None] * self._frames_per_block
+        return row
+
+    def _find(self, block: int, frame: int) -> _FrameSlot:
+        """The frame's slot, or :data:`_FRESH` without creating one."""
+        row = self._rows.get(block)
+        return (row[frame] if row is not None else None) or _FRESH
 
     def note_program(self, block: int, frame: int, now_us: float) -> None:
         """A frame was programmed: its own history resets (fresh data),
-        and already-written neighbour frames absorb interference."""
-        state = self._state(block, frame)
-        state.programmed_at_us = now_us
-        state.reads_since_program = 0
-        state.neighbor_programs = 0
+        and already-written neighbour frames in the block absorb
+        interference."""
+        row = self._row(block)
+        slot = row[frame] or _touch(row, frame)
+        slot.programmed_at_us = now_us
+        slot.reads_since_program = 0
+        slot.neighbor_programs = 0
         if self.config.interference_rber_per_program > 0.0:
             if frame > 0:
-                self._state(block, frame - 1).neighbor_programs += 1
-            self._state(block, frame + 1).neighbor_programs += 1
+                (row[frame - 1] or _touch(row, frame - 1)) \
+                    .neighbor_programs += 1
+            if frame + 1 < len(row):
+                (row[frame + 1] or _touch(row, frame + 1)) \
+                    .neighbor_programs += 1
 
     def note_read(self, block: int, frame: int) -> None:
-        self._state(block, frame).reads_since_program += 1
+        """Count one read toward the frame's read disturb without drawing
+        errors (:meth:`read_errors` counts its own read)."""
+        row = self._row(block)
+        (row[frame] or _touch(row, frame)).reads_since_program += 1
 
     def note_erase(self, block: int, now_us: float, frames: int) -> None:
         """A block erase wipes every frame's accumulated error history."""
-        for frame in range(frames):
-            state = self._states.get((block, frame))
-            if state is None:
+        row = self._rows.get(block)
+        if row is None:
+            return
+        for slot in row[:frames]:
+            if slot is None:
                 continue
-            state.programmed_at_us = now_us
-            state.reads_since_program = 0
-            state.neighbor_programs = 0
+            slot.programmed_at_us = now_us
+            slot.reads_since_program = 0
+            slot.neighbor_programs = 0
 
     def accumulate(self, block: int, frame: int, reads: int = 0,
                    neighbor_programs: int = 0) -> None:
         """Bulk history deposit for accelerated simulations: account for
         ``reads`` reads and ``neighbor_programs`` neighbour programs
         without replaying each operation."""
-        state = self._state(block, frame)
-        state.reads_since_program += reads
-        state.neighbor_programs += neighbor_programs
+        row = self._row(block)
+        slot = row[frame] or _touch(row, frame)
+        slot.reads_since_program += reads
+        slot.neighbor_programs += neighbor_programs
 
     def retention_age_us(self, block: int, frame: int,
                          now_us: float) -> float:
         """Device-time age of the frame's data (scrub candidate signal)."""
-        state = self._states.get((block, frame))
-        programmed_at = state.programmed_at_us if state is not None else 0.0
-        return max(now_us - programmed_at, 0.0)
+        return max(now_us - self._find(block, frame).programmed_at_us, 0.0)
 
     # -- error process ----------------------------------------------------------
 
@@ -242,57 +304,85 @@ class ReliabilityModel:
                       mode: CellMode, now_us: float) -> float:
         """Deterministic expected RBER of a read right now (no RNG
         consumed — safe for scrub policy and tests to poll)."""
+        return self._rber(self._find(block, frame), block, damage, mode,
+                          now_us)
+
+    def _rber(self, slot: _FrameSlot, block: int, damage: float,
+              mode: CellMode, now_us: float) -> float:
         cfg = self.config
-        state = self._states.get((block, frame))
-        if state is not None:
-            age_us = max(now_us - state.programmed_at_us, 0.0)
-            reads = state.reads_since_program
-            neighbors = state.neighbor_programs
-        else:
-            age_us = max(now_us, 0.0)
-            reads = 0
-            neighbors = 0
-        wear = (1.0 + max(damage, 0.0) / cfg.spec_cycles) ** cfg.wear_accel
+        age_us = max(now_us - slot.programmed_at_us, 0.0)
+        wear = self._wear.get(damage)
+        if wear is None:
+            wear = self._wear[damage] = (
+                (1.0 + max(damage, 0.0) / cfg.spec_cycles) ** cfg.wear_accel)
         rber = (cfg.base_rber
                 + cfg.retention_rber_per_unit
                 * (age_us / cfg.retention_unit_us)
-                + cfg.read_disturb_rber_per_read * reads
-                + cfg.interference_rber_per_program * neighbors) * wear
-        rber *= self.block_multiplier(block)
+                + cfg.read_disturb_rber_per_read * slot.reads_since_program
+                + cfg.interference_rber_per_program
+                * slot.neighbor_programs) * wear
+        multiplier = self._block_mult.get(block)
+        rber *= (multiplier if multiplier is not None
+                 else self.block_multiplier(block))
         if mode is CellMode.MLC:
             rber *= cfg.mlc_factor
         return min(rber, 1.0)
 
     def read_errors(self, block: int, frame: int, damage: float,
                     mode: CellMode, now_us: float, cells: int) -> int:
-        """Raw bit errors this read observes (Poisson around the
-        expected count, from the frame's own RNG stream)."""
-        rber = self.expected_rber(block, frame, damage, mode, now_us)
+        """Raw bit errors this read observes (Poisson around the expected
+        count, from the frame's own uniform stream); the read then counts
+        toward the frame's read disturb."""
+        row = self._rows.get(block) or self._row(block)
+        slot = row[frame] or _touch(row, frame)
+        rber = self._rber(slot, block, damage, mode, now_us)
+        slot.reads_since_program += 1
         if rber <= 0.0:
             return 0
-        count = self._poisson(block, frame, rber * cells)
-        count = min(count, cells)
-        self.stats.modelled_reads += 1
-        self.stats.error_bits += count
-        return count
-
-    def _poisson(self, block: int, frame: int, mean: float) -> int:
+        mean = rber * cells
+        stats = self.stats
         if mean > _POISSON_MEAN_LIMIT:
             # Deeply uncorrectable either way; skip the O(mean) loop.
-            self.stats.saturated_reads += 1
-            return int(round(mean))
-        key = (block, frame)
-        rng = self._frame_rngs.get(key)
-        if rng is None:
-            rng = self._frame_rngs[key] = Random(derive_seed(
-                self.config.seed, f"reliability:frame:{block}:{frame}"))
-        limit = math.exp(-mean)
-        count = 0
-        product = rng.random()
-        while product > limit:
-            count += 1
-            product *= rng.random()
+            stats.saturated_reads += 1
+            count = int(round(mean))
+        else:
+            # Knuth's product method over the frame's uniforms.
+            limit = math.exp(-mean)
+            uniforms = slot.uniforms
+            at = slot.cursor
+            if at == len(uniforms):
+                uniforms, at = self._refill(slot, block, frame), 0
+            product = uniforms[at]
+            at += 1
+            count = 0
+            while product > limit:
+                count += 1
+                if at == len(uniforms):
+                    uniforms, at = self._refill(slot, block, frame), 0
+                product *= uniforms[at]
+                at += 1
+            slot.cursor = at
+        count = min(count, cells)
+        stats.modelled_reads += 1
+        stats.error_bits += count
         return count
+
+    def _refill(self, slot: _FrameSlot, block: int,
+                frame: int) -> List[float]:
+        """Replace the slot's used-up uniforms with the next block of
+        the frame's stream."""
+        rng = slot.rng
+        if rng is None:
+            rng = Random(derive_seed(
+                self.config.seed, f"reliability:frame:{block}:{frame}"))
+            if slot.uniforms:
+                # The first block ran out: skip it and keep the generator.
+                for _ in slot.uniforms:
+                    rng.random()
+                slot.rng = rng
+        draw = rng.random
+        uniforms = slot.uniforms = [draw() for _ in range(_UNIFORM_BLOCK)]
+        return uniforms
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         c = self.config

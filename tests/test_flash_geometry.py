@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,3 +79,46 @@ class TestCapacitySizing:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             FlashGeometry.for_capacity(0)
+
+
+class TestPageAddressContract:
+    """Every page op builds, hashes and compares these: the tuple-backed
+    type must behave exactly like the triple it wraps."""
+
+    @given(block=st.integers(min_value=0, max_value=1 << 20),
+           frame=st.integers(min_value=0, max_value=255),
+           subpage=st.integers(min_value=0, max_value=1))
+    def test_hash_equals_the_plain_triple_hash(self, block, frame, subpage):
+        # Sets and dicts of addresses iterate in hash order, and result
+        # digests follow that order.
+        assert hash(PageAddress(block, frame, subpage)) \
+            == hash((block, frame, subpage))
+
+    @pytest.mark.parametrize("args", [(-1, 0), (0, -1), (0, 0, 2),
+                                      (0, 0, -1), (-3, -3, 5)])
+    def test_invalid_addresses_raise_value_error(self, args):
+        with pytest.raises(ValueError, match="invalid page address"):
+            PageAddress(*args)
+
+    def test_repr_and_fields(self):
+        address = PageAddress(7, 3, 1)
+        assert repr(address) == "PageAddress(block=7, frame=3, subpage=1)"
+        assert (address.block, address.frame, address.subpage) == (7, 3, 1)
+        assert PageAddress(7, 3).subpage == 0
+        assert repr(PageAddress(7, 3)) \
+            == "PageAddress(block=7, frame=3, subpage=0)"
+
+    def test_pickle_round_trip(self):
+        # Sweep workers pickle results that carry addresses.
+        address = PageAddress(12, 5, 1)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(address, protocol=protocol))
+            assert copy == address
+            assert type(copy) is PageAddress
+            assert repr(copy) == repr(address)
+
+    def test_equal_addresses_dedupe(self):
+        pages = {PageAddress(1, 2), PageAddress(1, 2, 0), PageAddress(1, 2, 1)}
+        assert pages == {PageAddress(1, 2, 0), PageAddress(1, 2, 1)}
+        assert len(pages) == 2
+        assert {PageAddress(4, 4): "a"}[PageAddress(4, 4, 0)] == "a"

@@ -11,18 +11,24 @@ controller outliving the fixed-ECC baseline.
 
 from __future__ import annotations
 
+import math
+from random import Random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.hierarchy import build_flash_system
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry, PageAddress
 from repro.flash.timing import CellMode
+from repro.parallel import derive_seed
 from repro.reliability import (
     ReliabilityConfig,
     ReliabilityModel,
     ScrubConfig,
     Scrubber,
 )
+from repro.reliability.model import _POISSON_MEAN_LIMIT
 from repro.sim.engine import run_trace
 from repro.sim.lifetime import (
     ErrorRegime,
@@ -153,6 +159,86 @@ class TestDeterminism:
         assert a == b
 
 
+def _reference_counts(model: ReliabilityModel, frames, damages, cells):
+    """What ``read_errors`` must return for reads of ``frames`` (in
+    order) at ``damages``: Knuth's product method on each frame's own
+    fresh ``Random(derive_seed(...))`` stream, or the rounded mean above
+    the bulk limit."""
+    streams = {}
+    counts = []
+    for (block, frame), damage in zip(frames, damages):
+        rng = streams.get((block, frame))
+        if rng is None:
+            rng = streams[block, frame] = Random(derive_seed(
+                model.config.seed, f"reliability:frame:{block}:{frame}"))
+        mean = model.expected_rber(block, frame, damage, CellMode.SLC,
+                                   0.0) * cells
+        if mean > _POISSON_MEAN_LIMIT:
+            counts.append(int(round(mean)))
+            continue
+        limit = math.exp(-mean)
+        count = 0
+        product = rng.random()
+        while product > limit:
+            count += 1
+            product *= rng.random()
+        counts.append(count)
+    return counts
+
+
+class TestUniformStream:
+    """Per-frame uniforms are buffered in blocks and refilled; the draws
+    must equal an unbuffered generator's, block boundaries and all."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32),
+           block=st.integers(min_value=0, max_value=4095),
+           frame=st.integers(min_value=0, max_value=63),
+           reads=st.integers(min_value=1, max_value=24),
+           mean=st.one_of(
+               st.sampled_from([_POISSON_MEAN_LIMIT - 0.5,
+                                _POISSON_MEAN_LIMIT - 1e-6,
+                                _POISSON_MEAN_LIMIT + 1e-6,
+                                _POISSON_MEAN_LIMIT + 0.5]),
+               st.floats(min_value=1e-3, max_value=80.0)),
+           wear=st.lists(st.sampled_from([0.0, 1.0, 50.0, 2_000.0]),
+                         min_size=1, max_size=4))
+    def test_read_errors_equal_a_reference_knuth_loop(
+            self, seed, block, frame, reads, mean, wear):
+        cells = 16896
+        model = ReliabilityModel(ReliabilityConfig(
+            base_rber=mean / cells, seed=seed))
+        # A second frame's reads interleave with the first's: neither
+        # stream may see the other.
+        other = (block + 1, 63 - frame)
+        frames = [(block, frame) if i % 3 else other
+                  for i in range(3 * reads)]
+        # Damage moves the wear factor, so the mean varies read to read
+        # (by 1.0002x to 1.44x): means near the bulk limit straddle it.
+        damages = [wear[i % len(wear)] for i in range(len(frames))]
+        expected = _reference_counts(
+            ReliabilityModel(model.config), frames, damages, cells)
+        got = [model.read_errors(b, f, damage, CellMode.SLC, 0.0, cells)
+               for (b, f), damage in zip(frames, damages)]
+        assert got == expected
+
+    def test_long_runs_refill_many_blocks(self):
+        # A mean just under the bulk limit takes ~65 uniforms per read:
+        # every read crosses several block boundaries.
+        cells = 16896
+        config = ReliabilityConfig(
+            base_rber=(_POISSON_MEAN_LIMIT - 0.01) / cells, seed=3)
+        model = ReliabilityModel(config)
+        frames = [(9, 4)] * 50
+        damages = [0.0] * 50
+        got = [model.read_errors(9, 4, 0.0, CellMode.SLC, 0.0, cells)
+               for _ in frames]
+        assert got == _reference_counts(ReliabilityModel(config), frames,
+                                        damages, cells)
+        assert model.stats.saturated_reads == 0
+        assert sum(got) > 50 * 40
+
+
 # ---------------------------------------------------------------------------
 # Physics shapes
 # ---------------------------------------------------------------------------
@@ -203,6 +289,18 @@ class TestErrorPhysics:
         edge = model.expected_rber(0, 0, 0.0, CellMode.SLC, 0.0)
         assert edge > middle  # neighbours absorbed the interference
 
+    def test_interference_stays_inside_the_block(self):
+        model = ReliabilityModel(ReliabilityConfig(
+            base_rber=1e-4, interference_rber_per_program=1e-4, seed=2))
+        device = FlashDevice(
+            geometry=FlashGeometry(frames_per_block=4, num_blocks=4),
+            initial_mode=CellMode.SLC, seed=3, reliability=model)
+        fresh = model.expected_rber(1, 0, 0.0, CellMode.SLC, 0.0)
+        device.program_page(PageAddress(0, 3, 0))  # block 0's last frame
+        assert model.expected_rber(1, 0, 0.0, CellMode.SLC, 0.0) == fresh
+        # The in-block neighbour did absorb the program.
+        assert model.expected_rber(0, 2, 0.0, CellMode.SLC, 0.0) > fresh
+
     def test_poisson_saturation_shortcut(self):
         model = _model(base_rber=0.5, block_sigma=0.0)
         count = model.read_errors(0, 0, 0.0, CellMode.SLC, 0.0, 16896)
@@ -238,7 +336,8 @@ class TestDeviceIntegration:
             device.advance_clock(-1.0)
 
     def test_reads_see_model_errors_and_history_hooks_fire(self):
-        device, model = self._device(base_rber=5e-4)
+        device, model = self._device(base_rber=5e-4,
+                                     read_disturb_rber_per_read=1e-6)
         address = PageAddress(0, 0, 0)
         device.erase_block(0)
         device.program_page(address)
@@ -246,7 +345,12 @@ class TestDeviceIntegration:
                   for _ in range(40)]
         assert model.stats.modelled_reads == 40
         assert sum(errors) > 0
-        assert model._state(0, 0).reads_since_program == 40
+        # Every read was recorded: with no retention term, no wear and no
+        # block variation, the expected RBER is base + 40 reads' disturb.
+        cfg = model.config
+        assert model.expected_rber(0, 0, 0.0, CellMode.SLC,
+                                   device.clock_us) == pytest.approx(
+            cfg.base_rber + 40 * cfg.read_disturb_rber_per_read, rel=1e-12)
 
     def test_program_resets_retention_age(self):
         device, model = self._device(base_rber=1e-6)
