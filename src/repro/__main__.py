@@ -316,21 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--quiet", action="store_true",
                          help="suppress live orchestration events")
 
-    bench = sub.add_parser(
-        "bench", help="benchmark the simulator itself: requests/sec and "
-                      "per-subsystem profile shares, written to "
-                      "BENCH_<date>.json")
-    bench.add_argument("--num-records", type=int, default=40_000,
-                       help="trace records in the benchmark workload "
-                            "(default 40000)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="output path (default BENCH_<date>.json in "
-                            "the current directory); same-day reruns "
-                            "append to the file's runs list")
-    bench.add_argument("--force", action="store_true",
-                       help="start the output file fresh, discarding "
-                            "existing runs (also required to replace a "
-                            "file that is not a bench document)")
     return parser
 
 
@@ -367,9 +352,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_trace_command(args)
     if args.command == "stats":
         return _stats_command(args)
-    if args.command == "bench":
-        from .bench import run_bench_command
-        return run_bench_command(args)
     return 1
 
 
@@ -434,7 +416,7 @@ def _cluster_command(args: argparse.Namespace) -> int:
 
     from .cluster import (
         ClusterScenario,
-        serve,
+        run_cluster,
         write_feed_csv,
         write_feed_jsonl,
     )
@@ -482,7 +464,8 @@ def _cluster_command(args: argparse.Namespace) -> int:
                     status = "ok" if event["ok"] else "FAILED"
                     print(f"[{event['done']}/{event['total']}] "
                           f"{event['key']}: {status}", file=sys.stderr)
-        result = serve(scenario, workers=args.workers, on_event=on_event)
+        result = run_cluster(scenario, workers=args.workers,
+                             progress=on_event)
     except (KeyError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

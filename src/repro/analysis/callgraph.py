@@ -3,10 +3,8 @@
 Edges connect function/method symbols; each records its call site and
 whether the call is *deferred* (written inside a lambda or nested
 function, so it runs later — or never — rather than as part of the
-caller's own control flow).  The async-blocking rule (SIM011) must not
-follow deferred edges: ``loop.run_in_executor(None, lambda:
-run_cluster(...))`` is precisely how blocking work is kept *off* the
-event loop.
+caller's own control flow).  The taint walks follow deferred edges like
+any other; the flag is kept for ``repro lint --graph-out``.
 
 Resolution strategy, in order of confidence:
 
@@ -162,11 +160,9 @@ class CallGraph:
         miss = self.stats["ambiguous"] + self.stats["unresolved"]
         return hit / (hit + miss) if hit + miss else 1.0
 
-    def callees(self, qualname: str, *, include_deferred: bool = True,
+    def callees(self, qualname: str, *,
                 confident_only: bool = True) -> Iterator[Edge]:
         for edge in self.out.get(qualname, ()):
-            if not include_deferred and edge.deferred:
-                continue
             if confident_only and not edge.confident:
                 continue
             yield edge

@@ -44,21 +44,6 @@ WALL_CLOCK_CALLS = {
 
 CLOCK_ATTRS = ("clock_us", "now_us")
 
-#: Synchronous calls that park the thread: banned under async defs.
-BLOCKING_CALLS = {
-    "time.sleep",
-    "subprocess.run", "subprocess.call", "subprocess.check_call",
-    "subprocess.check_output", "subprocess.Popen",
-    "os.system", "os.popen", "os.wait", "os.waitpid",
-    "socket.create_connection",
-    "urllib.request.urlopen",
-    "io.open",
-}
-
-#: Methods that block when invoked on file/path-ish receivers.
-BLOCKING_METHODS = ("read_text", "read_bytes", "write_text",
-                    "write_bytes")
-
 #: Container-mutating method names for the shared-global rule (SIM013).
 MUTATOR_METHODS = frozenset({
     "append", "add", "extend", "insert", "update", "setdefault",
@@ -136,8 +121,7 @@ class WholeProgramAnalysis:
 
     def trace(self, root: Symbol,
               sources_of: Callable[[Symbol], List[SourceSite]],
-              *, min_depth: int = 0, include_deferred: bool = True,
-              ) -> Optional[Trace]:
+              *, min_depth: int = 0) -> Optional[Trace]:
         """First source reachable from *root* along confident edges."""
         queue: List[Tuple[str, Tuple[Edge, ...]]] = [(root.qualname, ())]
         seen: Set[str] = {root.qualname}
@@ -151,15 +135,13 @@ class WholeProgramAnalysis:
                                  source=sites[0])
             if len(walked) >= 12:   # depth guard; real chains are short
                 continue
-            for edge in self.graph.callees(
-                    qualname, include_deferred=include_deferred):
+            for edge in self.graph.callees(qualname):
                 if edge.callee not in seen:
                     seen.add(edge.callee)
                     queue.append((edge.callee, walked + (edge,)))
         return None
 
     def reachable_from(self, roots: Sequence[Symbol],
-                       *, include_deferred: bool = True,
                        ) -> Dict[str, Tuple[Symbol, Tuple[Edge, ...]]]:
         """qualname -> (entry root, chain) for everything reachable."""
         result: Dict[str, Tuple[Symbol, Tuple[Edge, ...]]] = {}
@@ -173,8 +155,7 @@ class WholeProgramAnalysis:
                 result[qualname] = (root, walked)
                 if len(walked) >= 12:
                     continue
-                for edge in self.graph.callees(
-                        qualname, include_deferred=include_deferred):
+                for edge in self.graph.callees(qualname):
                     if edge.callee not in result:
                         queue.append((edge.callee, walked + (edge,)))
         return result
@@ -235,36 +216,6 @@ class WholeProgramAnalysis:
 
         return self._facts(symbol, "time:" + ",".join(sorted(codes)),
                            extract)
-
-    def blocking_sources(self, symbol: Symbol) -> List[SourceSite]:
-        """Synchronous blocking calls (SIM011 sources), pragma-aware."""
-
-        def extract(sym: Symbol) -> List[SourceSite]:
-            ctx = sym.ctx
-            codes = ("SIM011",)
-            sites: List[SourceSite] = []
-            for call, deferred in _direct_calls(sym.node):
-                if deferred:
-                    continue   # handed to an executor/callback: fine
-                name = qualified_call_name(call.func, ctx)
-                detail: Optional[str] = None
-                if name in BLOCKING_CALLS:
-                    detail = f"{name}()"
-                elif isinstance(call.func, ast.Name) \
-                        and call.func.id == "open" \
-                        and ctx.imports.resolve("open") is None:
-                    detail = "open()"
-                elif isinstance(call.func, ast.Attribute) \
-                        and call.func.attr in BLOCKING_METHODS:
-                    detail = f".{call.func.attr}()"
-                if detail is not None and not _pragma_covers(
-                        ctx, call.lineno, codes):
-                    sites.append(SourceSite(
-                        "blocking", detail, ctx.relpath, call.lineno,
-                        call.col_offset))
-            return sites
-
-        return self._facts(symbol, "blocking", extract)
 
     # -- summaries over every function ------------------------------------
 
@@ -418,11 +369,6 @@ def _returns(node: ast.AST) -> Iterator[ast.Return]:
     for child in ast.walk(node):
         if isinstance(child, ast.Return) and child.value is not None:
             yield child
-
-
-def _direct_calls(node: ast.AST) -> Iterator[Tuple[ast.Call, bool]]:
-    from .callgraph import _iter_calls
-    yield from _iter_calls(node)
 
 
 def _direct_unpicklable_return(symbol: Symbol,

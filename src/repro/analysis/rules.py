@@ -6,7 +6,7 @@ rationale and the incidents behind them (notably PR 3's fig9 seed drift,
 which SIM002/SIM003 exist to make unrepresentable); section 16 covers
 the whole-program layer — SIM001/SIM002/SIM004/SIM010 gain
 interprocedural ``finalize`` passes here, and the graph-native rules
-SIM011..SIM013 live in :mod:`repro.analysis.rules_graph`.
+SIM012 and SIM013 live in :mod:`repro.analysis.rules_graph`.
 
 Adding a rule: subclass :class:`~repro.analysis.engine.Rule`, set
 ``code``/``name``/``severity``/``description``, implement

@@ -1,4 +1,4 @@
-"""Graph-based rules SIM011..SIM013 (simlint v2, DESIGN.md section 16).
+"""Graph-based rules SIM012 and SIM013 (simlint v2, DESIGN.md section 16).
 
 These rules only make sense whole-program: each one runs in
 ``finalize`` against the :class:`~repro.analysis.dataflow.
@@ -20,15 +20,11 @@ from .dataflow import (
     Trace,
     WholeProgramAnalysis,
 )
-from .engine import Finding, ModuleContext, Project, Rule
+from .engine import Finding, Project, Rule
 from .rules import register
 from .symbols import Symbol
 
-__all__ = ["AsyncBlockingRule", "SetOrderEscapeRule",
-           "SharedMutableGlobalRule"]
-
-#: Packages whose async defs serve the live event loop (SIM011 scope).
-_ASYNC_PACKAGES = ("repro.cluster",)
+__all__ = ["SetOrderEscapeRule", "SharedMutableGlobalRule"]
 
 #: Modules whose output is part of the byte-identity contract: the
 #: cluster feed, figure/report writers, telemetry export, and simlint's
@@ -37,71 +33,6 @@ _OUTPUT_MODULES = ("repro.cluster.feed", "repro.experiments.report",
                    "repro.telemetry.export", "repro.analysis.reporters")
 
 _SINK_NAME_RE = re.compile(r"^(write|render|emit|export|dump)_")
-
-
-def _chain_finding(rule: Rule, ctx: Optional[ModuleContext],
-                   symbol: Symbol, message: str,
-                   trace: Optional[Trace]) -> Finding:
-    """A finding anchored on *symbol*'s def line, chain attached."""
-    node = symbol.node
-    line = getattr(node, "lineno", 1)
-    span = (line, line)
-    decorators = getattr(node, "decorator_list", [])
-    if decorators:
-        span = (decorators[0].lineno, line)
-    return Finding(rule=rule.code, severity=rule.severity,
-                   path=symbol.path, line=line,
-                   col=getattr(node, "col_offset", 0), message=message,
-                   chain=trace.chain() if trace is not None else (),
-                   span=span)
-
-
-# ---------------------------------------------------------------------------
-# SIM011 — blocking calls reachable from async defs
-# ---------------------------------------------------------------------------
-
-
-@register
-class AsyncBlockingRule(Rule):
-    """Async service code must never block the running event loop.
-
-    ``repro.cluster.service`` keeps the asyncio loop responsive by
-    pushing the deterministic core into an executor thread.  A
-    ``time.sleep``, ``subprocess`` call, or synchronous file read
-    anywhere in the *synchronous* call tree of an ``async def`` parks
-    the whole loop — progress events stop flowing exactly when a long
-    shard makes them interesting.  Deferred edges (lambdas handed to
-    ``run_in_executor``, callbacks) are excluded: handing blocking work
-    to an executor is the sanctioned pattern, not the bug.
-    """
-
-    code = "SIM011"
-    name = "async-blocking"
-    severity = "error"
-    description = ("blocking calls (time.sleep, subprocess, synchronous "
-                   "file I/O) must not be reachable from async def "
-                   "bodies in repro.cluster; push them into an executor")
-
-    def finalize(self, project: Project) -> Iterator[Finding]:
-        analysis = project.analysis()
-        async_defs = [
-            symbol for symbol in analysis.symbols.functions.values()
-            if symbol.is_async
-            and symbol.ctx.in_packages(_ASYNC_PACKAGES)
-        ]
-        for symbol in sorted(async_defs, key=lambda s: s.qualname):
-            trace = analysis.trace(symbol, analysis.blocking_sources,
-                                   include_deferred=False)
-            if trace is None:
-                continue
-            via = "" if trace.depth == 0 else \
-                f" via {trace.summary()}"
-            yield _chain_finding(
-                self, None, symbol,
-                f"async def {symbol.name}() reaches blocking "
-                f"{trace.source.detail}{via}; the event loop stalls — "
-                "move the call into loop.run_in_executor(...)",
-                trace)
 
 
 # ---------------------------------------------------------------------------

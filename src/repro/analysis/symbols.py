@@ -37,7 +37,6 @@ class Symbol:
     ctx: ModuleContext
     node: ast.AST                  # the def/class node
     class_name: Optional[str] = None   # owning class, methods only
-    is_async: bool = False
 
     @property
     def path(self) -> str:
@@ -88,8 +87,7 @@ class SymbolTable:
         self.functions.setdefault(qualname, Symbol(
             qualname=qualname, module=ctx.module,
             name=node.name, kind="function",  # type: ignore[attr-defined]
-            ctx=ctx, node=node,
-            is_async=isinstance(node, ast.AsyncFunctionDef)))
+            ctx=ctx, node=node))
 
     def _add_class(self, ctx: ModuleContext, node: ast.ClassDef) -> None:
         qualname = f"{ctx.module}.{node.name}"
@@ -104,8 +102,7 @@ class SymbolTable:
             method_qual = f"{qualname}.{stmt.name}"
             method = Symbol(
                 qualname=method_qual, module=ctx.module, name=stmt.name,
-                kind="method", ctx=ctx, node=stmt, class_name=node.name,
-                is_async=isinstance(stmt, ast.AsyncFunctionDef))
+                kind="method", ctx=ctx, node=stmt, class_name=node.name)
             self.functions.setdefault(method_qual, method)
             table.setdefault(stmt.name, method)
             self.methods_by_name.setdefault(stmt.name, []).append(method)

@@ -22,9 +22,7 @@ Layers:
 * :mod:`~repro.cluster.cluster`  — N-stage failover/repair orchestration
   and aggregation (:func:`run_cluster`);
 * :mod:`~repro.cluster.feed`     — deterministic JSONL/CSV telemetry
-  feeds;
-* :mod:`~repro.cluster.service`  — the asyncio serving shell with live
-  progress events.
+  feeds.
 """
 
 from .arrivals import ARRIVAL_PATTERNS, build_arrivals
@@ -33,7 +31,6 @@ from .cluster import ClusterResult, ClusterScenario, run_cluster
 from .errors import ClusterError
 from .feed import feed_lines, write_feed_csv, write_feed_jsonl
 from .ring import HashRing
-from .service import ClusterService, serve
 from .shard import run_shard
 
 __all__ = [
@@ -50,7 +47,5 @@ __all__ = [
     "write_feed_csv",
     "write_feed_jsonl",
     "HashRing",
-    "ClusterService",
-    "serve",
     "run_shard",
 ]

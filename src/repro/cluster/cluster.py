@@ -177,7 +177,7 @@ class ClusterResult:
     #: Per-shard summaries (shard-id order), incarnations merged, each
     #: with its own buckets.
     shards: List[Dict[str, Any]] = field(default_factory=list)
-    #: Merged per-shard telemetry (event-bus metrics + sampler series).
+    #: Merged per-shard telemetry (counters, histograms, sampler series).
     telemetry: Optional[Telemetry] = None
 
     @property

@@ -185,13 +185,13 @@ class _ShardEngine(EventEngine):
             self._admit_arrival(arrival, background=True)
             telemetry = self.telemetry
             if telemetry is not None:
-                telemetry.sync_page(arrival[2], arrival[3])
+                telemetry.sync_page(arrival[3])
         self._post_next_sync()
 
     def _on_rejoin(self, event: Event) -> None:
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.rejoin(self.shard_id, self.loop.now_us)
+            telemetry.rejoin()
 
     def _admit_arrival(self, arrival: Arrival,
                        background: bool = False) -> None:
@@ -305,8 +305,8 @@ def run_shard(shard_id: int, arrivals: List[Arrival], dram_bytes: int,
     histograms, per-time-bucket rows, redirected arrivals and lost
     in-flight reads (for the orchestrator's failover stages),
     device-health stats, and the shard's
-    :class:`~repro.telemetry.Telemetry` handle (event-bus metrics plus
-    :class:`~repro.telemetry.TraceSampler` health series).
+    :class:`~repro.telemetry.Telemetry` handle (counters and histograms
+    plus :class:`~repro.telemetry.TraceSampler` health series).
 
     ``incarnation`` numbers repeated runs of the same shard id: a
     repaired shard re-admitted at ``rejoin_at_us`` is incarnation 1,

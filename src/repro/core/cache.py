@@ -261,7 +261,7 @@ class FlashDiskCache:
         self.fcht = FlashCacheHashTable(buckets=self.config.fcht_buckets)
         self.stats = CacheStats()
         #: Optional :class:`repro.telemetry.Telemetry` handle; ``None``
-        #: (default) leaves the lookup/GC paths un-instrumented.
+        #: (default) leaves the GC/degrade paths un-instrumented.
         self.telemetry: Optional[Any] = None
         self._location: Dict[int, Region] = {}  # lba -> owning log
         self._dirty: Set[int] = set()           # lbas not yet on disk
@@ -371,15 +371,9 @@ class FlashDiskCache:
         disk.  In the degraded (DRAM+disk bypass) state every read is an
         immediate miss.
         """
-        # Hit/miss/write hooks fire only for event subscribers; their
-        # counters mirror CacheStats and are harvested at end of run
-        # (Telemetry.harvest_cache_counters), keeping this path cheap.
-        telemetry = self.telemetry
         if self.degraded:
             self.stats.bypass_reads += 1
             self.stats.read_misses += 1
-            if telemetry is not None and telemetry.bus.active:
-                telemetry.cache_miss()
             return None
         self._accrue_gc_credit()
         address = self.fcht.lookup(lba)
@@ -388,8 +382,6 @@ class FlashDiskCache:
             self.stats.read_misses += 1
             self.controller.fgst.record_miss(4200.0)
             self.stats.foreground_time_us += lookup_us
-            if telemetry is not None and telemetry.bus.active:
-                telemetry.cache_miss()
             return None
 
         result = self.controller.read(address)
@@ -410,14 +402,10 @@ class FlashDiskCache:
                 self.stats.recovered_faults += 1
             self.stats.read_misses += 1
             self.controller.fgst.record_miss(4200.0)
-            if telemetry is not None and telemetry.bus.active:
-                telemetry.cache_miss()
             return FlashReadOutcome(latency_us=latency, recovered=False)
 
         self.stats.read_hits += 1
         self.controller.fgst.record_hit(result.latency_us)
-        if telemetry is not None and telemetry.bus.active:
-            telemetry.cache_hit(latency)
         self._touch_block(address.block)
         if result.hot_promotion and self.config.hot_promotion:
             self._promote_to_slc(lba, address)
@@ -472,9 +460,6 @@ class FlashDiskCache:
         disk via ``flushed_lbas``.
         """
         self.stats.writes += 1
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.bus.active:
-            telemetry.cache_write()
         if self.degraded:
             self.stats.bypass_writes += 1
             self._orphan_dirty.discard(lba)

@@ -265,7 +265,7 @@ class ProgrammableFlashController:
             self.stats.hot_promotions += 1
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.flash_read(latency, retries, recovered)
+            telemetry.flash_read(latency)
         return ControllerReadResult(
             latency, min(errors, entry.ecc_strength), recovered, reconfig,
             hot)
@@ -526,7 +526,7 @@ class ProgrammableFlashController:
             self._forget_block_shape(block)
             self.stats.blocks_retired += 1
             if self.telemetry is not None:
-                self.telemetry.retire(block)
+                self.telemetry.retire()
             if self.retire_listener is not None:
                 self.retire_listener(block)
 

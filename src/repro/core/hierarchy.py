@@ -182,7 +182,7 @@ class _SystemBase:
         self.stats.total_latency_us += latency
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.request_read(latency, hit)
+            telemetry.request_read(latency)
         self._tick_flush()
         return latency
 
@@ -197,7 +197,7 @@ class _SystemBase:
         self.stats.total_latency_us += latency
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.request_write(latency, hit)
+            telemetry.request_write(latency)
         self._tick_flush()
         return latency
 

@@ -514,7 +514,6 @@ class FlashDevice:
                 log.append(DeviceOp("erase", block, latency))
             telemetry = self.telemetry
             if telemetry is not None:
-                telemetry.nand_erase(latency)
                 telemetry.nand_fault("erase")
             raise EraseFailure(block, latency_us=latency)
         latencies = []
@@ -542,9 +541,6 @@ class FlashDevice:
         if model is not None:
             model.note_erase(block, self.clock_us,
                              self.geometry.frames_per_block)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.nand_erase(latency)
         return EraseResult(latency, self._erase_counts[block])
 
     # -- wear/error injection ---------------------------------------------------

@@ -5,8 +5,6 @@ wear curves across billions of accesses, throughput ceilings set by tail
 storage latency.  This package turns the simulator's end-of-run counters
 into that kind of evidence without perturbing the simulation:
 
-* a typed :class:`~repro.telemetry.events.EventBus`
-  (read/write/hit/miss/gc/erase/fault/retire/degrade);
 * a :class:`~repro.telemetry.metrics.MetricsRegistry` of counters,
   gauges, and fixed-bucket latency histograms with p50/p95/p99/max;
 * windowed :class:`~repro.telemetry.timeseries.TraceSampler` snapshots
@@ -18,18 +16,15 @@ into that kind of evidence without perturbing the simulation:
 is guarded by a single attribute load and ``None`` check, so
 un-instrumented runs execute the exact same simulation code and stay
 bit-identical to pre-telemetry behaviour.  With a handle attached, each
-hook is counter increments plus at most one histogram insert, and bus
-events are only materialised when someone subscribed to that kind
-(:meth:`EventBus.wants`).  An instrumented run must stay within 10% of
-un-instrumented wall-clock (asserted in
-``benchmarks/test_telemetry_overhead.py``).
+hook is counter increments plus at most one histogram insert.  An
+instrumented run must stay within 10% of un-instrumented wall-clock
+(asserted in ``benchmarks/test_telemetry_overhead.py``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .events import Event, EventBus, EventKind
 from .metrics import (
     Counter,
     DEFAULT_LATENCY_BUCKETS_US,
@@ -40,9 +35,6 @@ from .metrics import (
 from .timeseries import TimeSeries, TraceSampler
 
 __all__ = [
-    "Event",
-    "EventBus",
-    "EventKind",
     "Counter",
     "Gauge",
     "LatencyHistogram",
@@ -66,7 +58,6 @@ class Telemetry:
     def __init__(self, sample_interval: int = 1000):
         if sample_interval < 1:
             raise ValueError("sample_interval must be >= 1")
-        self.bus = EventBus()
         self.metrics = MetricsRegistry()
         self.timeseries: Dict[str, TimeSeries] = {}
         #: Requests between :class:`TraceSampler` snapshots.
@@ -131,42 +122,23 @@ class Telemetry:
         for name, series in other.timeseries.items():
             self.series(name).extend(series)
 
-    # -- bus plumbing ----------------------------------------------------------
-
-    def _publish(self, kind: EventKind, source: str,
-                 latency_us: float = 0.0, value: float = 0.0,
-                 detail: str = "") -> None:
-        bus = self.bus
-        if bus.wants(kind):
-            bus.publish(Event(kind, source, latency_us, value, detail))
-
     # The hooks below sit on the simulator's per-request and per-NAND-op
     # paths, where even a counter bump is a measurable share of the
     # simulated work.  Every hot counter duplicates a statistic the
     # simulator already maintains (``SystemStats``, ``PdcStats``,
-    # ``DiskModel``, ``ControllerStats``, ``DeviceStats``), so the hooks
-    # only feed the latency histograms (a buffered append) and publish
-    # events when someone subscribed; the counters are reconstructed at
-    # end of run by :meth:`harvest_system_counters` /
-    # :meth:`harvest_cache_counters` (the overhead-contract benchmark
-    # holds the total under 10%).
+    # ``DiskModel``, ``CacheStats``, ``ControllerStats``, ``DeviceStats``),
+    # so the hooks only feed the latency histograms (a buffered append);
+    # the counters are reconstructed at end of run by
+    # :meth:`harvest_system_counters` / :meth:`harvest_cache_counters`
+    # (the overhead-contract benchmark holds the total under 10%).
 
     # -- request level (hierarchy foreground path) -----------------------------
-    # ``pdc_hit`` rides along on the request hooks instead of a separate
-    # per-access PDC hook: the hierarchy already knows the lookup outcome,
-    # and one hook call per request is half the hot-path cost of two.
 
-    def request_read(self, latency_us: float, pdc_hit: bool) -> None:
+    def request_read(self, latency_us: float) -> None:
         self.read_latency.observe(latency_us)
-        if self.bus.active:
-            self._publish(EventKind.READ, "system", latency_us,
-                          value=float(pdc_hit))
 
-    def request_write(self, latency_us: float, pdc_hit: bool) -> None:
+    def request_write(self, latency_us: float) -> None:
         self.write_latency.observe(latency_us)
-        if self.bus.active:
-            self._publish(EventKind.WRITE, "system", latency_us,
-                          value=float(pdc_hit))
 
     # -- disk ------------------------------------------------------------------
 
@@ -178,22 +150,13 @@ class Telemetry:
 
     # -- raw NAND operations ---------------------------------------------------
 
-    def nand_erase(self, latency_us: float) -> None:
-        if self.bus.active:
-            self._publish(EventKind.ERASE, "nand", latency_us)
-
     def nand_fault(self, operation: str) -> None:
         self.metrics.counter(f"nand.faults.{operation}").inc()
-        self._publish(EventKind.FAULT, "nand", detail=operation)
 
     # -- Flash controller ------------------------------------------------------
 
-    def flash_read(self, latency_us: float, retries: int,
-                   recovered: bool) -> None:
+    def flash_read(self, latency_us: float) -> None:
         self.flash_read_latency.observe(latency_us)
-        if not recovered and self.bus.active:
-            self._publish(EventKind.FAULT, "flash", latency_us,
-                          detail="uncorrectable")
 
     def flash_program(self, latency_us: float) -> None:
         self.flash_program_latency.observe(latency_us)
@@ -202,41 +165,21 @@ class Telemetry:
         (self._c_reconfig_ecc if kind == "code_strength"
          else self._c_reconfig_density).inc()
 
-    def retire(self, block: int) -> None:
+    def retire(self) -> None:
         self._c_retired.inc()
-        self._publish(EventKind.RETIRE, "flash", value=float(block))
 
     # -- cluster repair --------------------------------------------------------
     # Cold paths (a handful of calls per run): a repaired shard coming
     # back into the ring, and its anti-entropy catch-up traffic.
 
-    def rejoin(self, shard_id: int, at_us: float) -> None:
+    def rejoin(self) -> None:
         self.metrics.counter("cluster.rejoins").inc()
-        self._publish(EventKind.REJOIN, "cluster", latency_us=at_us,
-                      value=float(shard_id))
 
-    def sync_page(self, page: int, is_read: bool) -> None:
+    def sync_page(self, is_read: bool) -> None:
         self.metrics.counter("cluster.sync_reads" if is_read
                              else "cluster.sync_writes").inc()
-        self._publish(EventKind.SYNC, "cluster", value=float(page),
-                      detail="read" if is_read else "write")
 
     # -- Flash disk cache ------------------------------------------------------
-    # The cache's hit/miss/write hooks exist for event subscribers; their
-    # counters duplicate ``CacheStats`` exactly, so the call sites skip the
-    # hook entirely while the bus is quiet and the run helpers square the
-    # counters up afterwards via :meth:`harvest_cache_counters`.
-
-    def cache_hit(self, latency_us: float) -> None:
-        self._c_hit.value += 1
-        self._publish(EventKind.HIT, "flash", latency_us)
-
-    def cache_miss(self) -> None:
-        self._c_miss.value += 1
-        self._publish(EventKind.MISS, "flash")
-
-    def cache_write(self) -> None:
-        self._c_cache_write.value += 1
 
     def harvest_cache_counters(self, cache) -> None:
         """Fold a finished cache stack's totals into the counters.
@@ -249,13 +192,10 @@ class Telemetry:
         :func:`repro.sim.engine.run_trace` and the disk-trace replay do
         so automatically.
         """
-        # Hit/miss/write hook call sites only fire for bus subscribers,
-        # and the hooks count live in that case.
-        if not self.bus.active:
-            stats = cache.stats
-            self._c_hit.value += stats.read_hits
-            self._c_miss.value += stats.read_misses
-            self._c_cache_write.value += stats.writes
+        stats = cache.stats
+        self._c_hit.value += stats.read_hits
+        self._c_miss.value += stats.read_misses
+        self._c_cache_write.value += stats.writes
         controller = cache.controller
         controller_stats = controller.stats
         self._c_retry.value += controller_stats.read_retries
@@ -284,12 +224,9 @@ class Telemetry:
         self._c_gc_runs.inc()
         self._c_gc_moves.inc(page_moves)
         self.gc_pass_latency.observe(elapsed_us)
-        self._publish(EventKind.GC, "flash", elapsed_us,
-                      value=float(page_moves))
 
     def degrade(self) -> None:
         self._c_degraded.inc()
-        self._publish(EventKind.DEGRADE, "flash")
 
     def scrub(self, elapsed_us: float, page_rewrites: int) -> None:
         """One background retention-scrub pass finished.  Cold path — a
@@ -297,8 +234,6 @@ class Telemetry:
         self._c_scrub_passes.inc()
         self._c_scrub_rewrites.inc(page_rewrites)
         self.scrub_pass_latency.observe(elapsed_us)
-        self._publish(EventKind.SCRUB, "flash", elapsed_us,
-                      value=float(page_rewrites))
 
     # -- wiring ----------------------------------------------------------------
 

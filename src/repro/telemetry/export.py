@@ -43,7 +43,6 @@ def telemetry_to_dict(telemetry: "Telemetry") -> Dict:
     """Plain-data snapshot of every instrument and series."""
     payload = telemetry.metrics.as_dict()
     payload["version"] = FORMAT_VERSION
-    payload["events_published"] = telemetry.bus.published
     payload["histogram_buckets"] = {
         name: [[edge, count] for edge, count in hist.bucket_rows()
                if edge != float("inf")] + [["+inf", hist.overflow]]

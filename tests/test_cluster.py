@@ -19,7 +19,7 @@ Covers DESIGN.md section 15's contracts:
   as one stage, a later kill cascades, and a repaired shard rejoins
   with a minimal-move catch-up sync of exactly its own keys;
 * admission control sheds rather than growing the backlog without
-  bound, and the asyncio serving shell streams orchestration events
+  bound, and the ``progress`` callback streams orchestration events
   without perturbing the result.
 """
 
@@ -38,14 +38,12 @@ from repro.cluster import (
     ChaosSchedule,
     ClusterError,
     ClusterScenario,
-    ClusterService,
     HashRing,
     KillSpec,
     RejoinSpec,
     build_arrivals,
     feed_lines,
     run_cluster,
-    serve,
     write_feed_csv,
     write_feed_jsonl,
 )
@@ -441,7 +439,7 @@ class TestReplicationAndChaos:
         scenario = _kill_scenario(shards=4, replicas=2,
                                   cascade=((2, 150_000.0),))
         events = []
-        result = serve(scenario, workers=2, on_event=events.append)
+        result = run_cluster(scenario, workers=2, progress=events.append)
         stages = [(event["stage"], event["shards"]) for event in events
                   if event["kind"] == "stage"]
         assert stages == [("kill@150000us", [1, 2]),
@@ -460,7 +458,7 @@ class TestReplicationAndChaos:
                                   kill_at_us=100_000.0,
                                   cascade=((2, 200_000.0),))
         events = []
-        result = serve(scenario, workers=3, on_event=events.append)
+        result = run_cluster(scenario, workers=3, progress=events.append)
         stages = [event["stage"] for event in events
                   if event["kind"] == "stage"]
         assert stages == ["kill@100000us", "kill@200000us", "serving"]
@@ -499,7 +497,7 @@ class TestReplicationAndChaos:
             kill_shard=1, kill_at_us=150_000.0,
             aged_shard=0, aged_fault_rate=0.9)
         events = []
-        result = serve(scenario, workers=2, on_event=events.append)
+        result = run_cluster(scenario, workers=2, progress=events.append)
         stages = [event["stage"] for event in events
                   if event["kind"] == "stage"]
         assert stages == ["kill@150000us", "organic", "serving"]
@@ -743,13 +741,13 @@ class TestFeed:
         assert len(rows) == 1 + len(result.bucket_rows())
 
 
-class TestClusterService:
-    def test_serve_matches_run_cluster_and_streams_events(self):
+class TestClusterProgress:
+    def test_progress_streams_events_without_perturbing_the_feed(self):
         scenario = _kill_scenario(duration_s=0.2)
         events = []
-        served = serve(scenario, workers=2, on_event=events.append)
-        direct = run_cluster(scenario, workers=1)
-        assert feed_lines(served) == feed_lines(direct)
+        streamed = run_cluster(scenario, workers=2, progress=events.append)
+        quiet = run_cluster(scenario, workers=1)
+        assert feed_lines(streamed) == feed_lines(quiet)
         kinds = [event["kind"] for event in events]
         assert "stage" in kinds and "shard" in kinds
         stages = [event["stage"] for event in events
@@ -759,13 +757,3 @@ class TestClusterService:
                         if event["kind"] == "shard"]
         assert all(event["ok"] for event in shard_events)
         assert len(shard_events) == scenario.shards
-
-    def test_service_object_is_reusable(self):
-        scenario = ClusterScenario(shards=2, rate_rps=2000.0,
-                                   duration_s=0.1, seed=2,
-                                   footprint_pages=2048)
-        service = ClusterService(scenario, workers=1)
-        import asyncio
-        first = asyncio.run(service.run())
-        second = asyncio.run(service.run())
-        assert feed_lines(first) == feed_lines(second)

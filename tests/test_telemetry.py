@@ -1,4 +1,4 @@
-"""Telemetry subsystem: events, metrics math, sampling, exporters, and
+"""Telemetry subsystem: metrics math, sampling, exporters, and
 the zero-perturbation contract (instrumented runs report the exact same
 simulation results as un-instrumented ones)."""
 
@@ -12,12 +12,10 @@ import pytest
 from repro.core.controller import ControllerConfig
 from repro.core.hierarchy import build_flash_system
 from repro.faults.injector import FaultConfig
+from repro.sim.concurrent import run_trace_concurrent
 from repro.sim.engine import run_trace
 from repro.sim.server import ServerModel
 from repro.telemetry import (
-    Event,
-    EventBus,
-    EventKind,
     LatencyHistogram,
     MetricsRegistry,
     Telemetry,
@@ -47,43 +45,6 @@ def _build_system(fault_rate: float = 0.0, seed: int = 3):
 def _trace(num_records: int = 3000, seed: int = 3):
     return build_workload("dbt2", num_records=num_records,
                           footprint_pages=8192, seed=seed)
-
-
-class TestEventBus:
-    def test_no_subscribers_publishes_nothing(self):
-        bus = EventBus()
-        assert not bus.wants(EventKind.READ)
-        bus.publish(Event(EventKind.READ, "x"))
-        assert bus.published == 1  # publish still counts if called
-
-    def test_kind_filter(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, kind=EventKind.GC)
-        assert bus.wants(EventKind.GC)
-        assert not bus.wants(EventKind.READ)
-        bus.publish(Event(EventKind.GC, "flash", value=4.0))
-        assert len(seen) == 1 and seen[0].kind is EventKind.GC
-
-    def test_wildcard_subscriber_sees_all_kinds(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        for kind in (EventKind.READ, EventKind.FAULT, EventKind.DEGRADE):
-            assert bus.wants(kind)
-            bus.publish(Event(kind, "t"))
-        assert [e.kind for e in seen] == [
-            EventKind.READ, EventKind.FAULT, EventKind.DEGRADE]
-
-    def test_telemetry_hooks_reach_subscribers(self):
-        telemetry = Telemetry()
-        faults = []
-        telemetry.bus.subscribe(faults.append, kind=EventKind.FAULT)
-        telemetry.nand_fault("program")
-        telemetry.flash_read(100.0, retries=1, recovered=False)
-        assert len(faults) == 2
-        assert faults[0].detail == "program"
-        assert faults[1].detail == "uncorrectable"
 
 
 class TestLatencyHistogram:
@@ -248,6 +209,34 @@ class TestRunTraceTelemetry:
         assert counters["pdc.hits"].value == pdc.read_hits + pdc.write_hits
         assert counters["pdc.misses"].value \
             == pdc.read_misses + pdc.write_misses
+
+    @pytest.mark.parametrize("queue_depth,channels,planes",
+                             [(1, 1, 1), (16, 4, 2)])
+    def test_harvested_cache_counters_match_stats(self, queue_depth,
+                                                  channels, planes):
+        """flash.* and nand.* counters are harvested from CacheStats and
+        DeviceStats after the run, serially and through the event
+        engine alike, on a write-heavy trace that forces GC erases."""
+        system = _build_system()
+        telemetry = Telemetry(sample_interval=500)
+        records = build_workload("financial1", num_records=6000,
+                                 footprint_pages=8192, seed=3)
+        report = run_trace_concurrent(
+            system, records, queue_depth=queue_depth, channels=channels,
+            planes=planes, telemetry=telemetry)
+        cache = system.flash.stats
+        device = system.flash.controller.device.stats
+        assert cache.gc_runs > 0 and device.erases > 0
+        assert cache.read_hits > 0 and cache.read_misses > 0
+        counters = {name: counter.value for name, counter
+                    in telemetry.metrics.counters.items()}
+        assert counters["flash.hits"] == cache.read_hits
+        assert counters["flash.misses"] == cache.read_misses
+        assert counters["flash.writes"] == cache.writes
+        assert counters["nand.erases"] == device.erases
+        assert counters["nand.reads"] == device.reads
+        assert counters["nand.programs"] == device.programs
+        assert report.flash == cache
 
     def test_server_response_bytes_threads_into_bandwidth(self):
         report = run_trace(_build_system(), _trace(600),
