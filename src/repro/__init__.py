@@ -58,7 +58,7 @@ from .flash import (
 from .faults import FaultConfig, FaultInjector, FaultStats
 from .sim import run_trace, run_trace_concurrent, ServerModel, \
     simulate_lifetime, lifetime_ratio
-from .workloads import TraceRecord, build_workload, read_spc
+from .workloads import Trace, TraceRecord, build_workload, read_spc
 from .power import system_power_breakdown
 
 __version__ = "1.0.0"
@@ -95,6 +95,7 @@ __all__ = [
     "ServerModel",
     "simulate_lifetime",
     "lifetime_ratio",
+    "Trace",
     "TraceRecord",
     "build_workload",
     "read_spc",

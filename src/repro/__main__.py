@@ -81,6 +81,19 @@ _FIGURES = {
 }
 
 
+def _record_limit(text: str) -> int:
+    """``--limit``: a record count, 0 or more."""
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if limit < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be non-negative, got {limit}")
+    return limit
+
+
 def _add_reliability_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--reliability-rate", type=float, default=0.0,
@@ -179,13 +192,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser("profile", help="characterise an SPC trace")
     profile.add_argument("path")
-    profile.add_argument("--limit", type=int, default=None,
+    profile.add_argument("--limit", type=_record_limit, default=None,
                          help="read at most N records")
 
     run = sub.add_parser(
         "run", help="replay an SPC trace through the Flash hierarchy")
     run.add_argument("path")
-    run.add_argument("--limit", type=int, default=None,
+    run.add_argument("--limit", type=_record_limit, default=None,
                      help="replay at most N records")
     run.add_argument("--dram-mb", type=int, default=64,
                      help="DRAM size in MB (default 64)")
@@ -211,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       "print latency percentiles, counters, and "
                       "time-series")
     stats.add_argument("path")
-    stats.add_argument("--limit", type=int, default=None,
+    stats.add_argument("--limit", type=_record_limit, default=None,
                        help="replay at most N records")
     stats.add_argument("--dram-mb", type=int, default=64,
                        help="DRAM size in MB (default 64)")

@@ -125,11 +125,9 @@ def build_arrivals(pattern: str, peak_rps: float, duration_s: float,
     seed is derived independently of the timing stream's.
     """
     times = sample_arrival_times(pattern, peak_rps, duration_s, seed)
-    records = build_workload(workload, num_records=len(times),
-                             seed=derive_seed(seed, "cluster:keys"),
-                             footprint_pages=footprint_pages)
-    requests = [(page, record.is_read)
-                for record in records for page in record.expand()]
+    keys = build_workload(workload, num_records=len(times),
+                          seed=derive_seed(seed, "cluster:keys"),
+                          footprint_pages=footprint_pages)
     return [(time_us, seq, page, is_read)
             for seq, (time_us, (page, is_read))
-            in enumerate(zip(times, requests))]
+            in enumerate(zip(times, keys.requests()))]

@@ -9,8 +9,8 @@ Two systems, same request API:
   cache (e.g. 1GB) with its programmable memory controller, in front of
   the hard drive.
 
-Both process page-granular :class:`~repro.workloads.trace.TraceRecord`
-streams closed-loop.  Foreground latency (what a request waits on) is kept
+Both process page-granular traces (:class:`~repro.workloads.trace.Trace`
+columns) closed-loop.  Foreground latency (what a request waits on) is kept
 separate from background work (PDC write-back, Flash fills, GC) — the
 paper performs "all GCs ... in the background" — but background work still
 consumes device busy time and energy, and the wall clock can never run
@@ -41,7 +41,7 @@ from ..reliability import (
     ScrubConfig,
     Scrubber,
 )
-from ..workloads.trace import PAGE_BYTES, TraceRecord
+from ..workloads.trace import PAGE_BYTES, Trace, TraceRecord
 from .cache import FlashCacheConfig, FlashDiskCache
 from .controller import ControllerConfig, ProgrammableFlashController
 
@@ -259,10 +259,25 @@ class _SystemBase:
         return total
 
     def run(self, records: Iterable[TraceRecord]) -> float:
-        """Process a whole trace; returns total foreground latency."""
+        """Process a whole trace; returns total foreground latency.
+
+        Reads the trace's columns (any other iterable of records is
+        converted once), so no record is built per request.
+        """
+        trace = Trace.from_records(records)
+        read = self.read
+        write = self.write
         total = 0.0
-        for record in records:
-            total += self.process(record)
+        for page, run, is_read in zip(trace.pages, trace.runs, trace.reads):
+            access = read if is_read else write
+            if run == 1:
+                total += access(page)
+            else:
+                # A run's latency is summed first, as process() sums it.
+                subtotal = 0.0
+                for page in range(page, page + run):
+                    subtotal += access(page)
+                total += subtotal
         return total
 
     # -- time/power accounting ---------------------------------------------------

@@ -41,12 +41,12 @@ result is byte-identical by construction (asserted in
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional
 
 from ..core.hierarchy import DramOnlySystem, FlashBackedSystem, PendingRequest
 from ..flash.channels import ChannelConfig, NandScheduler
 from ..telemetry import LatencyHistogram, Telemetry, TraceSampler
-from ..workloads.trace import TraceRecord
+from ..workloads.trace import Trace, TraceRecord
 from .engine import QueueingStats, SimulationReport, run_trace, \
     summarise_system
 from .events import Event, EventLoop, EventType
@@ -56,13 +56,6 @@ __all__ = ["run_trace_concurrent"]
 
 #: Bound once: an enum member lookup through its class is a slow path.
 _COMPLETE = EventType.COMPLETE
-
-
-def _expand(records: Iterable[TraceRecord]) -> Iterator[Tuple[int, bool]]:
-    """Flatten records to (page, is_read) requests in trace order."""
-    for record in records:
-        for page in record.expand():
-            yield page, record.is_read
 
 
 class EventEngine:
@@ -158,7 +151,7 @@ class _ConcurrentEngine(EventEngine):
                  records: Iterable[TraceRecord],
                  queue_depth: int, config: ChannelConfig) -> None:
         super().__init__(system, config)
-        self.source = _expand(records)
+        self.source = Trace.from_records(records).requests()
         self.queue_depth = queue_depth
         self.queue_delay = LatencyHistogram("queue_delay_us")
         self.service_latency = LatencyHistogram("service_latency_us")

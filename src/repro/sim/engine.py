@@ -29,7 +29,7 @@ from ..power.models import PowerBreakdown, system_power_breakdown
 from ..reliability import ReliabilityStats, ScrubStats
 from ..telemetry import LatencyHistogram, Telemetry, TraceSampler
 from ..telemetry.timeseries import TimeSeries
-from ..workloads.trace import TraceRecord
+from ..workloads.trace import Trace, TraceRecord
 from .server import ServerModel
 
 __all__ = ["QueueingStats", "SimulationReport", "run_trace",
@@ -234,7 +234,9 @@ def run_trace(system: DramOnlySystem | FlashBackedSystem,
         telemetry.attach(system)
         sampler = TraceSampler(telemetry, system,
                                interval=telemetry.sample_interval)
-        process = system.process
+        trace = Trace.from_records(records)
+        read = system.read
+        write = system.write
         maybe_sample = sampler.maybe_sample
         # Track trace position locally (one request per expanded page)
         # rather than reading the stats property back per record.  The
@@ -242,9 +244,14 @@ def run_trace(system: DramOnlySystem | FlashBackedSystem,
         # zero — so a system that already processed records (a warmup
         # phase, a previous run_trace call) keeps one continuous x axis.
         position = system.stats.requests
-        for record in records:
-            process(record)
-            position += record.pages
+        for page, run, is_read in zip(trace.pages, trace.runs, trace.reads):
+            access = read if is_read else write
+            if run == 1:
+                access(page)
+            else:
+                for page in range(page, page + run):
+                    access(page)
+            position += run
             if position >= sampler.next_at:
                 maybe_sample(position)
         # ``system.stats.requests`` is the single source of truth for the
@@ -257,7 +264,7 @@ def run_trace(system: DramOnlySystem | FlashBackedSystem,
             raise RuntimeError(
                 f"trace position counter ({position}) drifted from the "
                 f"system request count ({processed}); a record expanded "
-                f"to a different number of requests than record.pages")
+                f"to a different number of requests than its run length")
         # Close every series with the end-of-trace state so a short trace
         # still yields at least one point per signal.
         sampler.finalize(processed)

@@ -25,9 +25,10 @@ the full Table 4 suite.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Iterator, List
+from typing import Dict
 
 from .synthetic import (
     ExponentialPopularity,
@@ -36,9 +37,10 @@ from .synthetic import (
     UniformPopularity,
     ZipfPopularity,
     _SCATTER_OFFSET,
+    _generated,
     _scatter_multiplier,
 )
-from .trace import OP_READ, OP_WRITE, PAGE_BYTES, TraceRecord
+from .trace import PAGE_BYTES, Trace
 
 __all__ = [
     "MacroWorkloadSpec",
@@ -151,9 +153,8 @@ _MICRO_SPECS: Dict[str, tuple] = {
 
 def generate_macro_trace(spec: MacroWorkloadSpec, num_records: int,
                          seed: int = 1234,
-                         footprint_pages: int | None = None
-                         ) -> Iterator[TraceRecord]:
-    """Stream ``num_records`` accesses following ``spec``.
+                         footprint_pages: int | None = None) -> Trace:
+    """Generate ``num_records`` accesses following ``spec``.
 
     ``footprint_pages`` overrides the spec's natural footprint — used by
     experiments that scale working sets down to simulation-friendly sizes
@@ -161,8 +162,14 @@ def generate_macro_trace(spec: MacroWorkloadSpec, num_records: int,
     """
     if num_records < 0:
         raise ValueError("num_records must be non-negative")
+    if footprint_pages is None:
+        n = spec.footprint_pages
+    elif footprint_pages < 1:
+        raise ValueError(
+            f"footprint_pages must be at least 1, got {footprint_pages}")
+    else:
+        n = footprint_pages
     random = Random(seed).random
-    n = footprint_pages or spec.footprint_pages
     sample_rank = spec.make_distribution(n).sample_rank
     multiplier = _scatter_multiplier(n)
     read_fraction = spec.read_fraction
@@ -171,19 +178,21 @@ def generate_macro_trace(spec: MacroWorkloadSpec, num_records: int,
     # Reserve the top 5% of the footprint as the sequential log region.
     log_region_start = n - max(n // 20, 1)
     log_region_pages = n - log_region_start
-    for index in range(num_records):
-        is_read = random() < read_fraction
-        if not is_read and random() < sequential_write_fraction:
-            page = log_region_start + log_cursor % log_region_pages
-            log_cursor += 1
-            yield TraceRecord(page=page, op=OP_WRITE, timestamp=index * 1e-4)
-            continue
-        page = (sample_rank(random()) * multiplier + _SCATTER_OFFSET) % n
-        yield TraceRecord(
-            page=page,
-            op=OP_READ if is_read else OP_WRITE,
-            timestamp=index * 1e-4,
-        )
+    pages = array("q")
+    reads = bytearray()
+    add_page = pages.append
+    add_read = reads.append
+    for _ in range(num_records):
+        if random() < read_fraction:
+            add_read(1)
+        else:
+            add_read(0)
+            if random() < sequential_write_fraction:
+                add_page(log_region_start + log_cursor % log_region_pages)
+                log_cursor += 1
+                continue
+        add_page((sample_rank(random()) * multiplier + _SCATTER_OFFSET) % n)
+    return _generated(pages, reads)
 
 
 def workload_footprint_pages(name: str) -> int:
@@ -197,12 +206,13 @@ def workload_footprint_pages(name: str) -> int:
 
 def build_workload(name: str, num_records: int, seed: int = 1234,
                    footprint_pages: int | None = None,
-                   read_fraction: float | None = None) -> List[TraceRecord]:
+                   read_fraction: float | None = None) -> Trace:
     """Materialise any Table 4 workload by name.
 
     Micro names (``uniform``, ``alpha1..3``, ``exp1..2``) use the 512MB
     micro footprint; macro names use their published footprints.  Both can
-    be overridden for scaled-down experiments.
+    be overridden for scaled-down experiments; an override below one page
+    raises ``ValueError``.
     """
     if name in MACRO_WORKLOADS:
         spec = MACRO_WORKLOADS[name]
@@ -213,11 +223,12 @@ def build_workload(name: str, num_records: int, seed: int = 1234,
                 read_fraction=read_fraction, tail=spec.tail,
                 sequential_write_fraction=spec.sequential_write_fraction,
             )
-        return list(generate_macro_trace(
-            spec, num_records, seed=seed, footprint_pages=footprint_pages))
+        return generate_macro_trace(
+            spec, num_records, seed=seed, footprint_pages=footprint_pages)
     if name in _MICRO_SPECS:
         config = SyntheticConfig(
-            footprint_pages=footprint_pages or SyntheticConfig().footprint_pages,
+            footprint_pages=(SyntheticConfig().footprint_pages
+                             if footprint_pages is None else footprint_pages),
             num_records=num_records,
             read_fraction=0.9 if read_fraction is None else read_fraction,
             seed=seed,
@@ -228,9 +239,9 @@ def build_workload(name: str, num_records: int, seed: int = 1234,
             footprint_bytes=config.footprint_pages * PAGE_BYTES,
             read_fraction=config.read_fraction, tail=tail,
         )
-        return list(generate_macro_trace(
+        return generate_macro_trace(
             spec, num_records, seed=seed,
-            footprint_pages=config.footprint_pages))
+            footprint_pages=config.footprint_pages)
     raise KeyError(
         f"unknown workload {name!r}; known: {', '.join(ALL_WORKLOAD_NAMES)}"
     )

@@ -21,12 +21,13 @@ dedicated to the read cache").
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, List, Sequence
+from typing import List
 
-from .trace import OP_READ, OP_WRITE, PAGE_BYTES, TraceRecord
+from .trace import PAGE_BYTES, Trace
 
 __all__ = [
     "SyntheticConfig",
@@ -164,9 +165,17 @@ def _scatter_multiplier(n: int) -> int:
     return multiplier
 
 
+def _generated(pages: array, reads: bytearray) -> Trace:
+    """A generated trace: one page per record, stamped every 0.1 ms."""
+    rows = len(pages)
+    # Row i's timestamp is exactly i * 1e-4 (float.__rmul__ computes it).
+    return Trace(pages, array("I", [1]) * rows, reads,
+                 array("d", map((1e-4).__rmul__, range(rows))))
+
+
 def generate_trace(distribution: PopularityDistribution,
-                   config: SyntheticConfig) -> Iterator[TraceRecord]:
-    """Stream records sampling pages from ``distribution``.
+                   config: SyntheticConfig) -> Trace:
+    """Sample ``config.num_records`` pages from ``distribution``.
 
     Reads and writes share the popularity distribution (the paper's
     micro-benchmarks stress the cache's skew response, not read/write
@@ -177,29 +186,31 @@ def generate_trace(distribution: PopularityDistribution,
     n = config.footprint_pages
     multiplier = _scatter_multiplier(n)
     read_fraction = config.read_fraction
-    for index in range(config.num_records):
-        page = (sample_rank(random()) * multiplier + _SCATTER_OFFSET) % n
-        op = OP_READ if random() < read_fraction else OP_WRITE
-        yield TraceRecord(page=page, op=op, timestamp=index * 1e-4)
+    pages = array("q")
+    reads = bytearray()
+    add_page = pages.append
+    add_read = reads.append
+    for _ in range(config.num_records):
+        add_page((sample_rank(random()) * multiplier + _SCATTER_OFFSET) % n)
+        add_read(random() < read_fraction)
+    return _generated(pages, reads)
 
 
-def uniform_trace(config: SyntheticConfig | None = None) -> List[TraceRecord]:
+def uniform_trace(config: SyntheticConfig | None = None) -> Trace:
     """Table 4 ``uniform``: uniform popularity over 512MB."""
     config = config or SyntheticConfig()
-    return list(generate_trace(UniformPopularity(config.footprint_pages), config))
+    return generate_trace(UniformPopularity(config.footprint_pages), config)
 
 
-def zipf_trace(alpha: float,
-               config: SyntheticConfig | None = None) -> List[TraceRecord]:
+def zipf_trace(alpha: float, config: SyntheticConfig | None = None) -> Trace:
     """Table 4 ``alpha1/2/3``: Zipf popularity (alpha = 0.8, 1.2, 1.6)."""
     config = config or SyntheticConfig()
-    return list(generate_trace(
-        ZipfPopularity(config.footprint_pages, alpha), config))
+    return generate_trace(ZipfPopularity(config.footprint_pages, alpha), config)
 
 
 def exponential_trace(lam: float,
-                      config: SyntheticConfig | None = None) -> List[TraceRecord]:
+                      config: SyntheticConfig | None = None) -> Trace:
     """Table 4 ``exp1/2``: exponential popularity (lambda = 0.01, 0.1)."""
     config = config or SyntheticConfig()
-    return list(generate_trace(
-        ExponentialPopularity(config.footprint_pages, lam), config))
+    return generate_trace(
+        ExponentialPopularity(config.footprint_pages, lam), config)

@@ -10,7 +10,8 @@ traces in the SPC format — CSV lines of
 with LBA/Size in 512-byte sectors and Opcode ``r``/``R`` or ``w``/``W``.
 This module defines the in-memory record type used throughout the
 simulator (page-granular, matching the 2KB Flash page the disk cache
-manages) and a reader/writer pair for SPC files, so the real traces can be
+manages), the columnar :class:`Trace` every generator and the SPC reader
+return, and a reader/writer pair for SPC files, so the real traces can be
 dropped in when available while the bundled generators provide
 statistically matched substitutes.
 """
@@ -18,14 +19,16 @@ statistically matched substitutes.
 from __future__ import annotations
 
 import io
+from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List
+from typing import IO, Iterable, Iterator, Sequence, Tuple, overload
 
 __all__ = [
     "OP_READ",
     "OP_WRITE",
     "PAGE_BYTES",
     "SECTOR_BYTES",
+    "Trace",
     "TraceRecord",
     "TraceStats",
     "read_spc",
@@ -74,6 +77,110 @@ class TraceRecord:
         return iter(range(self.page, self.page + self.pages))
 
 
+#: A row's op by its ``reads`` flag (0 = write, 1 = read).
+_OPS = (OP_WRITE, OP_READ)
+_READ_FLAGS = {OP_WRITE: 0, OP_READ: 1}
+
+
+def _column(typecode: str, name: str, values: Iterable) -> array:
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    try:
+        return array(typecode, values)
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"trace column {name}: {exc}") from None
+
+
+class Trace(Sequence[TraceRecord]):
+    """A whole trace as four parallel columns, one row per record.
+
+    ``pages`` (``array('q')``) and ``runs`` (``array('I')``) give each
+    row's extent, ``reads`` (``bytearray``) is 1 for a read and 0 for a
+    write, and ``timestamps`` (``array('d')``) is seconds from trace
+    start.  The columns are validated once, as columns, when the trace
+    is built.  It is a read-only sequence of :class:`TraceRecord`: each
+    indexed or iterated row is built on demand, while the simulator's
+    request loops read the columns and build no record at all.
+    """
+
+    __slots__ = ("pages", "runs", "reads", "timestamps")
+
+    def __init__(self, pages: Iterable[int], runs: Iterable[int],
+                 reads: Iterable[int], timestamps: Iterable[float]) -> None:
+        self.pages = _column("q", "pages", pages)
+        self.runs = _column("I", "runs", runs)
+        self.reads = reads if isinstance(reads, bytearray) \
+            else bytearray(reads)
+        self.timestamps = _column("d", "timestamps", timestamps)
+        rows = len(self.pages)
+        if not len(self.runs) == len(self.reads) == len(self.timestamps) \
+                == rows:
+            raise ValueError("trace columns differ in length")
+        if rows:
+            if min(self.pages) < 0:
+                raise ValueError(f"invalid extent: page {min(self.pages)}")
+            if min(self.runs) < 1:
+                raise ValueError(f"invalid extent: run {min(self.runs)}")
+            if max(self.reads) > 1:
+                raise ValueError(f"op flag {max(self.reads)} is neither "
+                                 "0 (write) nor 1 (read)")
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> "Trace":
+        """The columns of any iterable of records; a :class:`Trace`
+        is returned as it is."""
+        if isinstance(records, Trace):
+            return records
+        rows = records if isinstance(records, (list, tuple)) \
+            else list(records)
+        try:
+            reads = bytearray([_READ_FLAGS[row.op] for row in rows])
+        except KeyError as exc:
+            raise ValueError(f"bad op {exc.args[0]!r}") from None
+        return cls(array("q", [row.page for row in rows]),
+                   array("I", [row.pages for row in rows]), reads,
+                   array("d", [row.timestamp for row in rows]))
+
+    def requests(self) -> Iterator[Tuple[int, bool]]:
+        """``(page, is_read)`` per page request, runs expanded, in trace
+        order."""
+        for page, run, read in zip(self.pages, self.runs, self.reads):
+            is_read = read == 1
+            if run == 1:
+                yield page, is_read
+            else:
+                for page in range(page, page + run):
+                    yield page, is_read
+
+    def __len__(self) -> int:
+        return len(self.pages)
+
+    @overload
+    def __getitem__(self, index: int) -> TraceRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "Trace": ...
+
+    def __getitem__(self, index: int | slice) -> "TraceRecord | Trace":
+        if isinstance(index, slice):
+            return Trace(self.pages[index], self.runs[index],
+                         self.reads[index], self.timestamps[index])
+        return TraceRecord(self.pages[index], _OPS[self.reads[index]],
+                           self.runs[index], self.timestamps[index])
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        for page, run, read, timestamp in zip(self.pages, self.runs,
+                                              self.reads, self.timestamps):
+            yield TraceRecord(page, _OPS[read], run, timestamp)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.pages == other.pages and self.runs == other.runs
+                and self.reads == other.reads
+                and self.timestamps == other.timestamps)
+
+
 @dataclass
 class TraceStats:
     """Summary statistics of a trace (used by Table 4 reporting)."""
@@ -111,15 +218,23 @@ def summarize(records: Iterable[TraceRecord]) -> TraceStats:
     return stats
 
 
-def read_spc(stream: IO[str], limit: int | None = None) -> Iterator[TraceRecord]:
-    """Parse SPC-format lines into page-granular records.
+def read_spc(stream: IO[str], limit: int | None = None) -> Trace:
+    """Parse SPC-format lines into a page-granular :class:`Trace`.
 
     Sector extents are converted to the covering 2KB-page extent.  Malformed
     lines raise ``ValueError`` with the offending line number — silent
-    truncation of a trace would invisibly change an experiment.
+    truncation of a trace would invisibly change an experiment.  ``limit``
+    keeps at most that many records (0 keeps none).
     """
-    count = 0
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+    pages = array("q")
+    runs = array("I")
+    reads = bytearray()
+    timestamps = array("d")
     for line_number, line in enumerate(stream, start=1):
+        if len(pages) == limit:
+            break
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -137,6 +252,9 @@ def read_spc(stream: IO[str], limit: int | None = None) -> Iterator[TraceRecord]
             raise ValueError(f"SPC line {line_number}: {exc}") from exc
         if opcode not in ("r", "w"):
             raise ValueError(f"SPC line {line_number}: bad opcode {fields[3]!r}")
+        if lba_sector < 0:
+            raise ValueError(f"SPC line {line_number}: negative LBA "
+                             f"{lba_sector}")
         # UMass traces record size in bytes; some SPC dialects use sectors.
         # Heuristic: multiples of 512 >= 512 are bytes.
         if size_bytes_or_sectors >= SECTOR_BYTES and \
@@ -146,21 +264,17 @@ def read_spc(stream: IO[str], limit: int | None = None) -> Iterator[TraceRecord]
             sectors = max(size_bytes_or_sectors, 1)
         first_page = lba_sector // _SECTORS_PER_PAGE
         last_page = (lba_sector + sectors - 1) // _SECTORS_PER_PAGE
-        yield TraceRecord(
-            page=first_page,
-            op=OP_READ if opcode == "r" else OP_WRITE,
-            pages=last_page - first_page + 1,
-            timestamp=timestamp,
-        )
-        count += 1
-        if limit is not None and count >= limit:
-            return
+        pages.append(first_page)
+        runs.append(last_page - first_page + 1)
+        reads.append(opcode == "r")
+        timestamps.append(timestamp)
+    return Trace(pages, runs, reads, timestamps)
 
 
-def records_from_spc_file(path: str, limit: int | None = None) -> List[TraceRecord]:
+def records_from_spc_file(path: str, limit: int | None = None) -> Trace:
     """Read a whole SPC trace file into memory."""
     with open(path, "r", encoding="ascii") as stream:
-        return list(read_spc(stream, limit=limit))
+        return read_spc(stream, limit=limit)
 
 
 def write_spc(records: Iterable[TraceRecord], stream: IO[str],
@@ -177,9 +291,9 @@ def write_spc(records: Iterable[TraceRecord], stream: IO[str],
     return count
 
 
-def spc_roundtrip(records: List[TraceRecord]) -> List[TraceRecord]:
+def spc_roundtrip(records: Iterable[TraceRecord]) -> Trace:
     """Serialise + reparse (test helper proving format fidelity)."""
     buffer = io.StringIO()
     write_spc(records, buffer)
     buffer.seek(0)
-    return list(read_spc(buffer))
+    return read_spc(buffer)

@@ -43,6 +43,15 @@ class TestRunCommand:
             main(["run"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["profile", "run", "stats"])
+    @pytest.mark.parametrize("limit", ["-1", "many"])
+    def test_bad_limit_is_a_usage_error(self, trace_path, capsys, command,
+                                        limit):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, trace_path, "--limit", limit])
+        assert excinfo.value.code == 2
+        assert "argument --limit" in capsys.readouterr().err
+
     def test_fault_flags_reach_the_injector(self, trace_path, capsys):
         assert main(["run", trace_path, "--dram-mb", "1", "--flash-mb", "4",
                      "--fault-rate", "0.2", "--fault-seed", "7"]) == 0

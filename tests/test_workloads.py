@@ -88,6 +88,20 @@ class TestSpcFormat:
         stream = io.StringIO("0,0,2048,r,0\n" * 10)
         assert len(list(read_spc(stream, limit=3))) == 3
 
+    def test_limit_zero_reads_nothing(self):
+        # The limit is checked before a line is parsed, so not even a
+        # malformed first line is reached.
+        assert len(read_spc(io.StringIO("0,0,2048,r,0\n" * 4), limit=0)) == 0
+        assert len(read_spc(io.StringIO("garbage\n"), limit=0)) == 0
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            read_spc(io.StringIO("0,0,2048,r,0\n"), limit=-1)
+
+    def test_negative_lba_raises_with_line_number(self):
+        with pytest.raises(ValueError, match="line 2: negative LBA"):
+            read_spc(io.StringIO("0,0,2048,r,0\n0,-8,2048,r,0\n"))
+
     @settings(max_examples=30, deadline=None)
     @given(records=st.lists(
         st.builds(TraceRecord,
@@ -166,6 +180,20 @@ class TestMacroRegistry:
                                      footprint_pages=2048)
             assert len(records) == 200
             assert workload_footprint_pages(name) > 0
+
+    @pytest.mark.parametrize("name", ["specweb99", "alpha2"],
+                             ids=["macro", "micro"])
+    @pytest.mark.parametrize("footprint", [0, -5])
+    def test_footprint_below_one_page_rejected(self, name, footprint):
+        # 0 used to fall through to the natural 1.8 GB / 512 MB footprint.
+        with pytest.raises(ValueError, match="footprint"):
+            build_workload(name, num_records=10, footprint_pages=footprint)
+
+    def test_footprint_override_of_one_page(self):
+        for name in ("specweb99", "alpha2"):
+            records = build_workload(name, num_records=50,
+                                     footprint_pages=1)
+            assert {record.page for record in records} == {0}
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
