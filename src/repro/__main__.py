@@ -358,7 +358,9 @@ def main(argv: list[str] | None = None) -> int:
         from .analysis.cli import run_lint_command
         return run_lint_command(args)
     if args.command == "profile":
-        records = records_from_spc_file(args.path, limit=args.limit)
+        records = _load_trace(args)
+        if records is None:
+            return 2
         print(profile_trace(records).summary())
         return 0
     if args.command == "run":
@@ -529,7 +531,17 @@ def _cluster_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_system_and_records(args: argparse.Namespace):
+def _load_trace(args: argparse.Namespace):
+    """The trace ``path``/``--limit`` select, or ``None`` after a one-line
+    usage error on stderr when it has no records."""
+    records = records_from_spc_file(args.path, limit=args.limit)
+    if not records:
+        print(f"error: {args.path}: trace has no records", file=sys.stderr)
+        return None
+    return records
+
+
+def _build_system(args: argparse.Namespace):
     from .core.hierarchy import build_flash_system
     from .faults.injector import FaultConfig
     from .reliability import ReliabilityConfig, ScrubConfig
@@ -556,8 +568,7 @@ def _build_system_and_records(args: argparse.Namespace):
         reliability_config=reliability_config,
         scrub_config=scrub_config,
     )
-    records = records_from_spc_file(args.path, limit=args.limit)
-    return system, records, fault_config
+    return system, fault_config
 
 
 def _print_reliability_sections(report) -> None:
@@ -646,7 +657,10 @@ def _print_latency_percentiles(report) -> None:
 def _run_trace_command(args: argparse.Namespace) -> int:
     from .telemetry import Telemetry
 
-    system, records, fault_config = _build_system_and_records(args)
+    records = _load_trace(args)
+    if records is None:
+        return 2
+    system, fault_config = _build_system(args)
     telemetry = None
     if args.telemetry_out is not None:
         telemetry = Telemetry(sample_interval=args.telemetry_interval)
@@ -683,7 +697,10 @@ def _stats_command(args: argparse.Namespace) -> int:
     from .telemetry import Telemetry
     from .telemetry.export import write_csv, write_json
 
-    system, records, _ = _build_system_and_records(args)
+    records = _load_trace(args)
+    if records is None:
+        return 2
+    system, _ = _build_system(args)
     telemetry = Telemetry(sample_interval=args.interval)
     report = _run_with_concurrency(args, system, records, telemetry)
 

@@ -268,6 +268,8 @@ class FlashDiskCache:
         #: Dirty lbas whose Flash home died; they leave via the next flush.
         self._orphan_dirty: Set[int] = set()
         self._gc_credit = 0.0                   # background move budget
+        #: Credit each access accrues (``None``: GC is unbudgeted).
+        self._gc_accrual = self.config.gc_move_budget
         #: True once the cache fell below its minimum-blocks floor and
         #: handed the hierarchy back to DRAM+disk.
         self.degraded = False
@@ -375,7 +377,9 @@ class FlashDiskCache:
             self.stats.bypass_reads += 1
             self.stats.read_misses += 1
             return None
-        self._accrue_gc_credit()
+        accrual = self._gc_accrual
+        if accrual is not None:
+            self._gc_credit += accrual
         address = self.fcht.lookup(lba)
         lookup_us = self.fcht.lookup_cost_us()
         if address is None:
@@ -428,7 +432,9 @@ class FlashDiskCache:
         """
         if self.degraded:
             return 0.0
-        self._accrue_gc_credit()
+        accrual = self._gc_accrual
+        if accrual is not None:
+            self._gc_credit += accrual
         old = self.fcht.lookup(lba)
         if old is not None:
             self._drop_page(lba, old)
@@ -464,7 +470,9 @@ class FlashDiskCache:
             self.stats.bypass_writes += 1
             self._orphan_dirty.discard(lba)
             return WriteOutcome(latency_us=0.0, flushed_lbas=(lba,))
-        self._accrue_gc_credit()
+        accrual = self._gc_accrual
+        if accrual is not None:
+            self._gc_credit += accrual
         flushed: List[int] = []
         existing = self.fcht.lookup(lba)
         if existing is not None:
@@ -765,10 +773,6 @@ class FlashDiskCache:
                         "disabled (SSD semantics): no space can be reclaimed")
                 flushed.extend(self._evict_block(region))
         return region.open_free.popleft(), flushed
-
-    def _accrue_gc_credit(self) -> None:
-        if self.config.gc_move_budget is not None:
-            self._gc_credit += self.config.gc_move_budget
 
     def _gc_move_allowance(self) -> Optional[int]:
         """How many GC page moves the background budget currently allows

@@ -161,6 +161,16 @@ class _SystemBase:
         self.telemetry = None
         self._writeback_queue: list[int] = []
         self._requests_since_flush = 0
+        # The request path's constants and callees, bound once.  The
+        # config is frozen and the layers are never swapped; ``stats`` is
+        # not bound, because reset_measurement() replaces it.
+        self._page_bytes = config.page_bytes
+        self._flush_interval = config.flush_interval_requests
+        self._dram_read = self.dram.read
+        self._dram_write = self.dram.write
+        self._pdc_read = self.pdc.read
+        self._pdc_write = self.pdc.write
+        self._disk_read = self.disk.read
 
     # Subclasses implement the levels below the PDC.
     def _fill_from_below(self, page: int) -> float:
@@ -171,34 +181,47 @@ class _SystemBase:
 
     def read(self, page: int) -> float:
         """Service one page read; returns foreground latency (us)."""
-        self.stats.reads += 1
-        latency = self.dram.read(self.config.page_bytes)
-        hit, evictions = self.pdc.read(page)
+        stats = self.stats
+        stats.reads += 1
+        latency = self._dram_read(self._page_bytes)
+        hit, evictions = self._pdc_read(page)
         if not hit:
             latency += self._fill_from_below(page)
             for eviction in evictions:
                 if eviction.dirty:
                     self._write_back(eviction.page)
-        self.stats.total_latency_us += latency
+        stats.total_latency_us += latency
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.request_read(latency)
-        self._tick_flush()
+        # The write-back daemon's tick.
+        since_flush = self._requests_since_flush + 1
+        if since_flush >= self._flush_interval:
+            self._requests_since_flush = 0
+            self._periodic_flush()
+        else:
+            self._requests_since_flush = since_flush
         return latency
 
     def write(self, page: int) -> float:
         """Service one page write (into the PDC, write-back)."""
-        self.stats.writes += 1
-        latency = self.dram.write(self.config.page_bytes)
-        hit, evictions = self.pdc.write(page)
+        stats = self.stats
+        stats.writes += 1
+        latency = self._dram_write(self._page_bytes)
+        hit, evictions = self._pdc_write(page)
         for eviction in evictions:
             if eviction.dirty:
                 self._write_back(eviction.page)
-        self.stats.total_latency_us += latency
+        stats.total_latency_us += latency
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.request_write(latency)
-        self._tick_flush()
+        since_flush = self._requests_since_flush + 1
+        if since_flush >= self._flush_interval:
+            self._requests_since_flush = 0
+            self._periodic_flush()
+        else:
+            self._requests_since_flush = since_flush
         return latency
 
     # -- non-blocking entry points ---------------------------------------------
@@ -230,12 +253,6 @@ class _SystemBase:
             raise ValueError("complete_request before the engine stamped "
                              "dispatch/finish times")
         return pending.finish_us - pending.dispatch_us
-
-    def _tick_flush(self) -> None:
-        self._requests_since_flush += 1
-        if self._requests_since_flush >= self.config.flush_interval_requests:
-            self._requests_since_flush = 0
-            self._periodic_flush()
 
     def _periodic_flush(self) -> None:
         """Write queued dirty pages to disk as one batched, mostly
@@ -316,8 +333,8 @@ class DramOnlySystem(_SystemBase):
 
     def _fill_from_below(self, page: int) -> float:
         self.stats.disk_fills += 1
-        latency = self.disk.read()
-        latency += self.dram.write(self.config.page_bytes)
+        latency = self._disk_read()
+        latency += self._dram_write(self._page_bytes)
         return latency
 
     def _write_back(self, page: int) -> None:
@@ -338,6 +355,9 @@ class FlashBackedSystem(_SystemBase):
         #: Optional :class:`repro.reliability.Scrubber`; ``None`` (default)
         #: means no background retention scrubbing.
         self.scrubber: Optional[Scrubber] = None
+        self._flash_read = flash_cache.read
+        self._flash_insert_clean = flash_cache.insert_clean
+        self._flash_write = flash_cache.write
 
     # -- plumbing --------------------------------------------------------------
 
@@ -365,21 +385,21 @@ class FlashBackedSystem(_SystemBase):
                               self.background_us - background_before_us)
 
     def _fill_from_below(self, page: int) -> float:
-        outcome = self.flash.read(page)
+        outcome = self._flash_read(page)
         if outcome is not None and outcome.recovered:
             self.stats.flash_fills += 1
-            return outcome.latency_us + self.dram.write(self.config.page_bytes)
+            return outcome.latency_us + self._dram_write(self._page_bytes)
         # Flash miss (or CRC-failed page): fetch from disk, fill both the
         # PDC (synchronously) and the Flash read cache (in the background).
         latency = (outcome.latency_us if outcome is not None else 0.0)
         self.stats.disk_fills += 1
-        latency += self.disk.read()
-        latency += self.dram.write(self.config.page_bytes)
-        self.background_us += self.flash.insert_clean(page)
+        latency += self._disk_read()
+        latency += self._dram_write(self._page_bytes)
+        self.background_us += self._flash_insert_clean(page)
         return latency
 
     def _write_back(self, page: int) -> None:
-        outcome = self.flash.write(page)
+        outcome = self._flash_write(page)
         self.background_us += outcome.latency_us
         self._writeback_queue.extend(outcome.flushed_lbas)
 

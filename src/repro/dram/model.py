@@ -14,6 +14,7 @@ model keeps read and write busy time separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict
 
 from ..flash.timing import (
     DramPower,
@@ -66,6 +67,12 @@ class DramModel:
     def __post_init__(self) -> None:
         if self.size_bytes < 1:
             raise ValueError("DRAM size must be positive")
+        # Byte count -> access_us() of it (``timing`` is fixed once
+        # built).  The request path moves one page size millions of
+        # times; the memo hands back the very float access_us computed,
+        # so busy-time sums are unchanged.  Not a dataclass field: it
+        # stays out of asdict(), repr() and ==.
+        self._latency_us: Dict[int, float] = {}
 
     @property
     def num_devices(self) -> int:
@@ -81,14 +88,26 @@ class DramModel:
             raise ValueError("num_bytes must be non-negative")
         return self.timing.access_us + num_bytes / DDR2_BANDWIDTH_BYTES_PER_US
 
+    def _memo_latency(self, num_bytes: int) -> float:
+        # A rejected size raises here and is never memoised, so it raises
+        # on every call.
+        latency = self._latency_us[num_bytes] = self.access_us(num_bytes)
+        return latency
+
     def read(self, num_bytes: int) -> float:
-        latency = self.access_us(num_bytes)
+        try:
+            latency = self._latency_us[num_bytes]
+        except KeyError:
+            latency = self._memo_latency(num_bytes)
         self.read_busy_us += latency
         self.reads += 1
         return latency
 
     def write(self, num_bytes: int) -> float:
-        latency = self.access_us(num_bytes)
+        try:
+            latency = self._latency_us[num_bytes]
+        except KeyError:
+            latency = self._memo_latency(num_bytes)
         self.write_busy_us += latency
         self.writes += 1
         return latency

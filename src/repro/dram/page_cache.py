@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Sequence, Tuple
 
 __all__ = ["PdcStats", "Eviction", "PrimaryDiskCache"]
 
@@ -56,6 +56,11 @@ class Eviction:
     dirty: bool
 
 
+#: What every hit returns: no evictions, as one shared immutable value,
+#: so the hit path allocates nothing.
+_HIT: Tuple[bool, Tuple[Eviction, ...]] = (True, ())
+
+
 class PrimaryDiskCache:
     """Write-back LRU page cache in DRAM.
 
@@ -85,27 +90,30 @@ class PrimaryDiskCache:
 
     # -- accesses -------------------------------------------------------------
 
-    def read(self, page: int) -> tuple[bool, List[Eviction]]:
+    def read(self, page: int) -> Tuple[bool, Sequence[Eviction]]:
         """Look up ``page`` for a read.
 
         Returns ``(hit, evictions)``.  On a miss the page is installed
         clean (the caller fetches the contents from the next level) and the
-        LRU victim, if any, is reported for write-back.
+        LRU victim, if any, is reported for write-back.  A hit reports an
+        empty tuple.
         """
-        if page in self._pages:
-            self._pages.move_to_end(page)
+        pages = self._pages
+        if page in pages:
+            pages.move_to_end(page)
             self.stats.read_hits += 1
-            return True, []
+            return _HIT
         self.stats.read_misses += 1
         return False, self._install(page, dirty=False)
 
-    def write(self, page: int) -> tuple[bool, List[Eviction]]:
+    def write(self, page: int) -> Tuple[bool, Sequence[Eviction]]:
         """Write ``page``: mark dirty, installing it on a miss."""
-        if page in self._pages:
-            self._pages[page] = True
-            self._pages.move_to_end(page)
+        pages = self._pages
+        if page in pages:
+            pages[page] = True
+            pages.move_to_end(page)
             self.stats.write_hits += 1
-            return True, []
+            return _HIT
         self.stats.write_misses += 1
         return False, self._install(page, dirty=True)
 

@@ -275,8 +275,11 @@ class FlashDevice:
         self._rng = Random(seed)
         self._erase_counts: List[int] = [0] * geometry.num_blocks
         # Frames are created lazily: large devices in metadata-only runs
-        # only materialise the blocks a workload actually touches.
-        self._frames: Dict[tuple[int, int], _Frame] = {}
+        # only materialise the blocks a workload actually touches.  The
+        # table is keyed ``block * frames_per_block + frame``, an int, so
+        # a page op builds no key tuple.
+        self._frames_per_block = geometry.frames_per_block
+        self._frames: Dict[int, _Frame] = {}
 
     # -- non-blocking entry points ---------------------------------------------
 
@@ -305,7 +308,10 @@ class FlashDevice:
     # -- frame bookkeeping ----------------------------------------------------
 
     def _frame(self, block: int, frame: int) -> _Frame:
-        key = (block, frame)
+        """The frame at (``block``, ``frame``), created on first use.  The
+        pair must be in range: out of range, its key names another frame
+        (public queries call :meth:`_check_frame` first)."""
+        key = block * self._frames_per_block + frame
         existing = self._frames.get(key)
         if existing is not None:
             return existing
@@ -331,18 +337,30 @@ class FlashDevice:
             )
         return frame.sampler
 
+    def _check_frame(self, block: int, frame: int) -> None:
+        if not (0 <= block < self.geometry.num_blocks
+                and 0 <= frame < self._frames_per_block):
+            raise IndexError(
+                f"frame ({block}, {frame}) out of range (device has "
+                f"{self.geometry.num_blocks} blocks of "
+                f"{self._frames_per_block} frames)")
+
     def _live_frame(self, address: PageAddress) -> _Frame:
         """The frame behind ``address``, which must be valid for its
         current mode (``IndexError`` otherwise)."""
         block, index, subpage = address
-        frame = self._frames.get((block, index))
+        geometry = self.geometry
+        frames_per_block = self._frames_per_block
+        # Block and frame are checked before they form a key (an address
+        # is never negative); the mode-dependent subpage bound after.
+        if block >= geometry.num_blocks or index >= frames_per_block:
+            geometry.validate_address(address, self.initial_mode)
+        frame = self._frames.get(block * frames_per_block + index)
         if frame is None:
             frame = self._frame(block, index)
-        geometry = self.geometry
         # A frame holds one state per page of its mode, so the subpage
         # bound is the state list's length.
-        if (block >= geometry.num_blocks or index >= geometry.frames_per_block
-                or subpage >= len(frame.states)):
+        if subpage >= len(frame.states):
             geometry.validate_address(address, frame.mode)
         return frame
 
@@ -350,7 +368,8 @@ class FlashDevice:
         # Pure query: a frame no operation touched can only be in the
         # initial mode (mode changes happen during erase, which
         # materialises the frame), so don't materialise it here.
-        existing = self._frames.get((block, frame))
+        self._check_frame(block, frame)
+        existing = self._frames.get(block * self._frames_per_block + frame)
         return existing.mode if existing is not None else self.initial_mode
 
     def block_frame_modes(self, block: int) -> List[CellMode]:
@@ -361,10 +380,12 @@ class FlashDevice:
         """
         get = self._frames.get
         initial = self.initial_mode
+        # Only in-range frames are ever created, so a block outside the
+        # array finds none and reads as all initial mode.
+        first = block * self._frames_per_block
         return [
-            frame.mode if (frame := get((block, index))) is not None
-            else initial
-            for index in range(self.geometry.frames_per_block)
+            frame.mode if (frame := get(key)) is not None else initial
+            for key in range(first, first + self._frames_per_block)
         ]
 
     def erase_count(self, block: int) -> int:
@@ -374,7 +395,8 @@ class FlashDevice:
     def frame_damage(self, block: int, frame: int) -> float:
         # Pure query, same reasoning as frame_mode: untouched frames
         # carry zero damage by construction.
-        existing = self._frames.get((block, frame))
+        self._check_frame(block, frame)
+        existing = self._frames.get(block * self._frames_per_block + frame)
         return existing.damage if existing is not None else 0.0
 
     def page_state(self, address: PageAddress) -> int:
@@ -579,6 +601,7 @@ class FlashDevice:
 
     def raw_bit_errors_at(self, block: int, frame: int) -> int:
         """Current raw error count for a frame without a timed read."""
+        self._check_frame(block, frame)
         return self._raw_bit_errors(self._frame(block, frame))
 
     def advance_clock(self, idle_us: float) -> None:
@@ -621,11 +644,13 @@ class FlashDevice:
         """
         if self.lifetime_model is None:
             return float("inf")
+        self._check_frame(block, frame)
         return self._sampler(self._frame(block, frame)) \
             .next_failure_damage(error_index)
 
     def frame_read_sensitivity(self, block: int, frame: int) -> float:
         """Effective-damage multiplier of the frame's current mode."""
+        self._check_frame(block, frame)
         mode = self._frame(block, frame).mode
         return MLC_READ_SENSITIVITY if mode is CellMode.MLC else 1.0
 

@@ -52,6 +52,22 @@ class TestRunCommand:
         assert excinfo.value.code == 2
         assert "argument --limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["profile", "run", "stats"])
+    @pytest.mark.parametrize("source", ["empty file", "limit 0"])
+    def test_empty_trace_is_a_usage_error(self, trace_path, tmp_path,
+                                          capsys, command, source):
+        if source == "empty file":
+            path = tmp_path / "empty.spc"
+            path.write_text("")
+            argv = [command, str(path)]
+        else:
+            argv = [command, trace_path, "--limit", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {argv[1]}: trace has no records"]
+
     def test_fault_flags_reach_the_injector(self, trace_path, capsys):
         assert main(["run", trace_path, "--dram-mb", "1", "--flash-mb", "4",
                      "--fault-rate", "0.2", "--fault-seed", "7"]) == 0

@@ -58,6 +58,44 @@ class TestDramModel:
         with pytest.raises(ValueError):
             DramModel(size_bytes=0)
 
+    SIZES = (2048, 0, 1, 511, 2048, 3000, 4096, 0, 2048, 3000)
+
+    def test_read_and_write_charge_access_us_bit_for_bit(self):
+        dram = DramModel(size_bytes=1 << 20)
+        for size in self.SIZES:
+            expected = dram.access_us(size).hex()
+            assert dram.read(size).hex() == expected
+            assert dram.write(size).hex() == expected
+
+    def test_negative_size_raises_on_every_call(self):
+        dram = DramModel(size_bytes=1 << 20)
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                dram.read(-1)
+            with pytest.raises(ValueError):
+                dram.write(-1)
+            with pytest.raises(ValueError):
+                dram.access_us(-1)
+        assert dram.reads == dram.writes == 0
+        assert dram.read_busy_us == dram.write_busy_us == 0.0
+
+    def test_busy_time_and_counts_accumulate_in_call_order(self):
+        dram = DramModel(size_bytes=1 << 20)
+        read_busy = write_busy = 0.0
+        for index, size in enumerate(self.SIZES):
+            if index % 3:
+                dram.read(size)
+                read_busy += dram.access_us(size)
+            else:
+                dram.write(size)
+                write_busy += dram.access_us(size)
+        assert dram.reads == 6 and dram.writes == 4
+        assert dram.read_busy_us.hex() == read_busy.hex()
+        assert dram.write_busy_us.hex() == write_busy.hex()
+        dram.reset_stats()
+        dram.read(2048)
+        assert dram.read_busy_us.hex() == dram.access_us(2048).hex()
+
 
 class TestPrimaryDiskCache:
     def test_read_miss_then_hit(self):
@@ -67,6 +105,19 @@ class TestPrimaryDiskCache:
         hit, _ = pdc.read(7)
         assert hit
         assert pdc.stats.read_hits == 1 and pdc.stats.read_misses == 1
+
+    def test_hit_reports_shared_immutable_empty_evictions(self):
+        pdc = PrimaryDiskCache(capacity_pages=4)
+        pdc.read(7)
+        pdc.write(8)
+        outcomes = [pdc.read(7), pdc.write(7), pdc.read(8), pdc.write(8)]
+        for hit, evictions in outcomes:
+            assert hit
+            assert evictions == ()
+            assert isinstance(evictions, tuple)
+        # One shared value: a hit allocates nothing.
+        assert all(outcome is outcomes[0] for outcome in outcomes)
+        assert pdc.stats.read_hits == 2 and pdc.stats.write_hits == 2
 
     def test_lru_eviction_order(self):
         pdc = PrimaryDiskCache(capacity_pages=2)

@@ -52,6 +52,30 @@ class TestNandProtocol:
         with pytest.raises(EraseError):
             device.erase_block(device.geometry.num_blocks)
 
+    def test_out_of_range_frames_never_alias_another_frame(self, device):
+        # Frames are keyed block * frames_per_block + frame, so frame 4 of
+        # block 0 would be frame 0 of block 1 if it were not rejected.
+        frames = device.geometry.frames_per_block
+        device.erase_block(1, new_modes={0: CellMode.SLC})
+        assert device.frame_mode(1, 0) is CellMode.SLC
+        assert device.frame_damage(1, 0) == 1.0
+        for block, frame in ((0, frames), (device.geometry.num_blocks, 0),
+                             (-1, 0), (1, -1)):
+            for query in (device.frame_mode, device.frame_damage,
+                          device.raw_bit_errors_at,
+                          device.frame_read_sensitivity):
+                with pytest.raises(IndexError):
+                    query(block, frame)
+        for address in (PageAddress(0, frames, 0),
+                        PageAddress(device.geometry.num_blocks, 0, 0)):
+            with pytest.raises(IndexError):
+                device.read_page(address)
+            with pytest.raises(IndexError):
+                device.program_page(address)
+        assert device.stats.reads == device.stats.programs == 0
+        assert device.block_frame_modes(device.geometry.num_blocks) == \
+            [CellMode.MLC] * frames
+
     def test_oversized_payload_rejected(self, device):
         with pytest.raises(ValueError):
             device.program_page(PageAddress(0, 0, 0),
