@@ -43,7 +43,9 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from typing import Any, Callable
 
 from .experiments import (
     fault_degradation,
@@ -81,22 +83,52 @@ _FIGURES = {
 }
 
 
+def _parse_number(parse: Callable[[str], Any], text: str) -> Any:
+    try:
+        return parse(text)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise argparse.ArgumentTypeError(
+            f"not {kind}: {text!r}") from None
+
+
 def _record_limit(text: str) -> int:
     """``--limit``: a record count, 0 or more."""
-    try:
-        limit = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not an integer: {text!r}") from None
+    limit = _parse_number(int, text)
     if limit < 0:
         raise argparse.ArgumentTypeError(
             f"must be non-negative, got {limit}")
     return limit
 
 
+def _positive_int(text: str) -> int:
+    """Sizes, counts and sample intervals: 1 or more."""
+    value = _parse_number(int, text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _unit_rate(text: str) -> float:
+    """Per-event probabilities and bit error rates: in [0, 1]."""
+    value = _parse_number(float, text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def _non_negative_us(text: str) -> float:
+    """A finite duration in microseconds, 0 or more."""
+    value = _parse_number(float, text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative finite number, got {text}")
+    return value
+
+
 def _add_reliability_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--reliability-rate", type=float, default=0.0,
+        "--reliability-rate", type=_unit_rate, default=0.0,
         help="base raw bit error rate of the error-process model "
              "(0 disables; see ReliabilityConfig.uniform for the "
              "derived retention/disturb/interference rates)")
@@ -104,21 +136,22 @@ def _add_reliability_arguments(parser: argparse.ArgumentParser) -> None:
         "--reliability-seed", type=int, default=0,
         help="seed of the error-process model's RNG streams")
     parser.add_argument(
-        "--scrub-interval", type=float, default=0.0, metavar="US",
+        "--scrub-interval", type=_non_negative_us, default=0.0,
+        metavar="US",
         help="device time (us) between background retention-scrub "
              "passes (0 disables; needs --reliability-rate > 0)")
 
 
 def _add_concurrency_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--queue-depth", type=int, default=1,
+        "--queue-depth", type=_positive_int, default=1,
         help="outstanding-request window size (default 1; any value "
              "above 1 replays timing through the event-driven engine)")
     parser.add_argument(
-        "--channels", type=int, default=1,
+        "--channels", type=_positive_int, default=1,
         help="NAND channels in the device fabric (default 1)")
     parser.add_argument(
-        "--planes", type=int, default=1,
+        "--planes", type=_positive_int, default=1,
         help="planes per channel (default 1)")
 
 
@@ -200,11 +233,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("path")
     run.add_argument("--limit", type=_record_limit, default=None,
                      help="replay at most N records")
-    run.add_argument("--dram-mb", type=int, default=64,
+    run.add_argument("--dram-mb", type=_positive_int, default=64,
                      help="DRAM size in MB (default 64)")
-    run.add_argument("--flash-mb", type=int, default=256,
+    run.add_argument("--flash-mb", type=_positive_int, default=256,
                      help="Flash size in MB (default 256)")
-    run.add_argument("--fault-rate", type=float, default=0.0,
+    run.add_argument("--fault-rate", type=_unit_rate, default=0.0,
                      help="uniform fault-injection rate (0 disables; see "
                           "FaultConfig.uniform for the derived per-class "
                           "rates)")
@@ -215,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--telemetry-out", default=None, metavar="PATH",
                      help="enable telemetry and write the JSON metrics "
                           "report (histograms + time-series) here")
-    run.add_argument("--telemetry-interval", type=int, default=1000,
+    run.add_argument("--telemetry-interval", type=_positive_int,
+                     default=1000,
                      help="requests between time-series samples "
                           "(default 1000)")
 
@@ -226,17 +260,17 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("path")
     stats.add_argument("--limit", type=_record_limit, default=None,
                        help="replay at most N records")
-    stats.add_argument("--dram-mb", type=int, default=64,
+    stats.add_argument("--dram-mb", type=_positive_int, default=64,
                        help="DRAM size in MB (default 64)")
-    stats.add_argument("--flash-mb", type=int, default=256,
+    stats.add_argument("--flash-mb", type=_positive_int, default=256,
                        help="Flash size in MB (default 256)")
-    stats.add_argument("--fault-rate", type=float, default=0.0,
+    stats.add_argument("--fault-rate", type=_unit_rate, default=0.0,
                        help="uniform fault-injection rate (0 disables)")
     stats.add_argument("--fault-seed", type=int, default=0,
                        help="seed of the fault injector's RNG streams")
     _add_reliability_arguments(stats)
     _add_concurrency_arguments(stats)
-    stats.add_argument("--interval", type=int, default=1000,
+    stats.add_argument("--interval", type=_positive_int, default=1000,
                        help="requests between time-series samples "
                             "(default 1000)")
     stats.add_argument("--json", default=None, metavar="PATH",

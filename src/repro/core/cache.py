@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, NoReturn, Optional, Set, Tuple
 
 from ..flash.device import EraseFailure, ProgramFailure
 from ..flash.geometry import PageAddress
@@ -223,19 +223,33 @@ class ScrubOutcome:
 
 
 class _RegionState:
-    """Bookkeeping for one cache region's blocks."""
+    """Bookkeeping for one cache region's blocks.
+
+    ``lru`` maps each content block, least recently used first, to the
+    page capacity booked for it.  Three running totals spare the GC
+    triggers a sum over the region per call: ``lru_capacity`` and
+    ``lru_valid`` (the LRU blocks' capacity and valid pages) and
+    ``invalid_total``.  Blocks enter and leave ``lru`` only through the
+    methods below; an edit of ``invalid`` or of an LRU block's valid set
+    adjusts its total where it happens.
+    :meth:`FlashDiskCache.check_invariants` recomputes all three.
+    """
 
     __slots__ = ("name", "free_blocks", "open_block", "open_free",
-                 "lru", "valid", "invalid", "reserve_block", "reserve_free")
+                 "lru", "valid", "invalid", "reserve_block", "reserve_free",
+                 "lru_capacity", "lru_valid", "invalid_total")
 
     def __init__(self, name: Region) -> None:
         self.name = name
         self.free_blocks: Deque[int] = deque()
         self.open_block: Optional[int] = None
         self.open_free: Deque[PageAddress] = deque()
-        self.lru: "OrderedDict[int, None]" = OrderedDict()
+        self.lru: "OrderedDict[int, int]" = OrderedDict()
         self.valid: Dict[int, Set[PageAddress]] = {}
         self.invalid: Dict[int, int] = {}
+        self.lru_capacity = 0
+        self.lru_valid = 0
+        self.invalid_total = 0
         # The reserve is a persistent GC log: garbage collection compacts
         # victims' valid pages into it across runs, and each emptied victim
         # becomes an allocatable free block.
@@ -243,11 +257,39 @@ class _RegionState:
         # The reserve's free pages during a GC pass; empty between passes.
         self.reserve_free: Deque[PageAddress] = deque()
 
-    def total_invalid(self) -> int:
-        return sum(self.invalid.values())
-
     def blocks_with_content(self) -> List[int]:
         return list(self.lru)
+
+    def enter_lru(self, block: int, capacity: int,
+                  oldest: bool = False) -> None:
+        """(Re)insert ``block`` at the most recently used end, or at the
+        least recently used one when ``oldest``."""
+        self.leave_lru(block)
+        self.lru[block] = capacity
+        if oldest:
+            self.lru.move_to_end(block, last=False)
+        self.lru_capacity += capacity
+        self.lru_valid += len(self.valid.get(block, ()))
+
+    def leave_lru(self, block: int) -> None:
+        capacity = self.lru.pop(block, None)
+        if capacity is not None:
+            self.lru_capacity -= capacity
+            self.lru_valid -= len(self.valid.get(block, ()))
+
+    def reprice(self, block: int, capacity: int) -> None:
+        """Book a reshaped LRU block's new capacity in place."""
+        booked = self.lru.get(block)
+        if booked is not None:
+            self.lru_capacity += capacity - booked
+            self.lru[block] = capacity
+
+    def set_invalid(self, block: int, count: int) -> None:
+        self.invalid_total += count - self.invalid.get(block, 0)
+        self.invalid[block] = count
+
+    def drop_invalid(self, block: int) -> None:
+        self.invalid_total -= self.invalid.pop(block, 0)
 
 
 class FlashDiskCache:
@@ -576,18 +618,24 @@ class FlashDiskCache:
                   region: _RegionState, tag: Region) -> None:
         self.fcht.insert(lba, address)
         self._location[lba] = tag
-        region.valid.setdefault(address.block, set()).add(address)
+        block = address.block
+        region.valid.setdefault(block, set()).add(address)
+        if block in region.lru:
+            region.lru_valid += 1
 
     def _drop_page(self, lba: int, address: PageAddress) -> None:
         """Invalidate a cached page everywhere it is tracked."""
         self.fcht.remove(lba)
         tag = self._location.pop(lba, None)
         region = self._write if tag is Region.WRITE else self._read
-        pages = region.valid.get(address.block)
+        block = address.block
+        pages = region.valid.get(block)
         if pages is not None and address in pages:
             pages.remove(address)
-            region.invalid[address.block] = \
-                region.invalid.get(address.block, 0) + 1
+            if block in region.lru:
+                region.lru_valid -= 1
+            region.invalid[block] = region.invalid.get(block, 0) + 1
+            region.invalid_total += 1
         self.controller.invalidate(address)
         self.stats.invalidations += 1
 
@@ -608,8 +656,10 @@ class FlashDiskCache:
         tag = self._location.pop(lba, None)
         region = self._write if tag is Region.WRITE else self._read
         pages = region.valid.get(address.block)
-        if pages is not None:
-            pages.discard(address)
+        if pages is not None and address in pages:
+            pages.remove(address)
+            if address.block in region.lru:
+                region.lru_valid -= 1
         if lba in self._dirty:
             self._dirty.discard(lba)
             self._orphan_dirty.add(lba)
@@ -648,6 +698,9 @@ class FlashDiskCache:
             if pages:
                 doomed = {a for a in pages if a.frame == frame}
                 pages -= doomed
+                if block in region.lru:
+                    region.lru_valid -= len(doomed)
+            region.reprice(block, self.controller.block_capacity_pages(block))
 
     def _program_with_remap(
             self, region: _RegionState,
@@ -707,9 +760,9 @@ class FlashDiskCache:
                 entry = self.controller.fpst.get(address)
                 if entry is not None and entry.lba is not None:
                     self._fault_drop(entry.lba, address)
+            region.leave_lru(block)
             region.valid.pop(block, None)
-            region.invalid.pop(block, None)
-            region.lru.pop(block, None)
+            region.drop_invalid(block)
             if block in region.free_blocks:
                 region.free_blocks = deque(
                     b for b in region.free_blocks if b != block)
@@ -752,8 +805,7 @@ class FlashDiskCache:
         while not region.open_free:
             if region.open_block is not None:
                 # Open block is full: close it into the LRU set.
-                region.lru[region.open_block] = None
-                region.lru.move_to_end(region.open_block)
+                self._close_block(region, region.open_block)
                 region.open_block = None
             if region.free_blocks:
                 slc = (self.config.write_region_slc
@@ -763,7 +815,7 @@ class FlashDiskCache:
                 continue
             block_capacity = self._nominal_block_pages()
             collected = False
-            if region.total_invalid() >= block_capacity \
+            if region.invalid_total >= block_capacity \
                     or not self.config.allow_eviction_for_space:
                 collected = self._garbage_collect(region)
             if not collected:
@@ -773,6 +825,13 @@ class FlashDiskCache:
                         "disabled (SSD semantics): no space can be reclaimed")
                 flushed.extend(self._evict_block(region))
         return region.open_free.popleft(), flushed
+
+    def _close_block(self, region: _RegionState, block: int,
+                     oldest: bool = False) -> None:
+        """Put a block with content into the region's LRU, priced at its
+        current capacity."""
+        region.enter_lru(block, self.controller.block_capacity_pages(block),
+                         oldest=oldest)
 
     def _gc_move_allowance(self) -> Optional[int]:
         """How many GC page moves the background budget currently allows
@@ -854,22 +913,27 @@ class FlashDiskCache:
         region.reserve_free = deque(reserve_pages)
         if allowance is not None:
             self._gc_credit -= len(region.valid.get(victim, set()))
-        self.stats.gc_runs += 1
-        moves_before = self.stats.gc_page_moves
+        stats = self.stats
+        stats.gc_runs += 1
+        moves_before = stats.gc_page_moves
         elapsed = 0.0
-        for address in sorted(region.valid.get(victim, set()),
-                              key=lambda a: (a.frame, a.subpage)):
-            if self._fault_aware and self.controller.is_retired(victim):
+        controller = self.controller
+        fault_aware = self._fault_aware
+        fpst_entry = controller.fpst.entry
+        read, program = controller.read, controller.program
+        # One block's addresses: tuple order is (frame, subpage) order.
+        for address in sorted(region.valid.get(victim, ())):
+            if fault_aware and controller.is_retired(victim):
                 # The victim retired under us (read-triggered wear-out or
                 # fault); the listener already dropped its leftover pages.
                 break
-            lba = self.controller.fpst.entry(address).lba
-            read_result = self.controller.read(address)
+            lba = fpst_entry(address).lba
+            read_result = read(address)
             elapsed += read_result.latency_us
-            if self._fault_aware and not read_result.recovered:
+            if fault_aware and not read_result.recovered:
                 # The copy is unreadable: dropping it is safe (the disk
                 # has the data) and better than propagating garbage.
-                self.stats.uncorrectable += 1
+                stats.uncorrectable += 1
                 if lba is not None:
                     self._fault_drop(lba, address)
                 continue
@@ -877,10 +941,10 @@ class FlashDiskCache:
             while region.reserve_free:
                 target = region.reserve_free.popleft()
                 try:
-                    elapsed += self.controller.program(target, lba=lba)
+                    elapsed += program(target, lba)
                 except ProgramFailure as failure:
                     elapsed += failure.latency_us
-                    self.stats.remapped_programs += 1
+                    stats.remapped_programs += 1
                     self._abandon_bad_frame(target)
                     continue
                 moved = True
@@ -891,7 +955,7 @@ class FlashDiskCache:
                 if lba is not None:
                     self._fault_drop(lba, address)
                 continue
-            self.stats.gc_page_moves += 1
+            stats.gc_page_moves += 1
             if lba is not None:
                 self.fcht.insert(lba, target)
             region.valid.setdefault(reserve, set()).add(target)
@@ -909,9 +973,9 @@ class FlashDiskCache:
         reserve_alive = region.reserve_block == reserve
         if erase_ok and not (self._fault_aware
                              and self.controller.is_retired(victim)):
-            region.lru.pop(victim, None)
+            region.leave_lru(victim)
             region.valid[victim] = set()
-            region.invalid[victim] = 0
+            region.set_invalid(victim, 0)
             region.reserve_block = victim
         elif reserve_alive:
             # Victim died: the old reserve now carries content, so it must
@@ -923,13 +987,12 @@ class FlashDiskCache:
                 region.open_block = reserve
                 region.open_free = remaining
             else:
-                region.lru[reserve] = None
-                region.lru.move_to_end(reserve)
-                region.invalid[reserve] += len(remaining)
-        self.stats.gc_time_us += elapsed
+                self._close_block(region, reserve)
+                region.set_invalid(reserve,
+                                   region.invalid[reserve] + len(remaining))
+        stats.gc_time_us += elapsed
         if self.telemetry is not None:
-            self.telemetry.gc(elapsed,
-                              self.stats.gc_page_moves - moves_before)
+            self.telemetry.gc(elapsed, stats.gc_page_moves - moves_before)
         return True
 
     def _most_invalid_block(self, region: _RegionState,
@@ -977,9 +1040,9 @@ class FlashDiskCache:
         self.stats.foreground_time_us += erase_latency
         if erase_ok and not (self._fault_aware
                              and self.controller.is_retired(victim)):
-            region.lru.pop(victim, None)
+            region.leave_lru(victim)
             region.valid[victim] = set()
-            region.invalid[victim] = 0
+            region.set_invalid(victim, 0)
             region.free_blocks.append(victim)
         # On erase failure (or a mid-erase retirement) the retire listener
         # already removed the block; its capacity is simply gone.
@@ -1020,8 +1083,7 @@ class FlashDiskCache:
         victim_region = region
         # Migrate newest -> victim; the two blocks swap owners.
         moved: Set[PageAddress] = set()
-        for address in sorted(newest_valid,
-                              key=lambda a: (a.frame, a.subpage)):
+        for address in sorted(newest_valid):
             lba = self.controller.fpst.entry(address).lba
             read_result = self.controller.read(address)
             elapsed += read_result.latency_us
@@ -1061,23 +1123,24 @@ class FlashDiskCache:
             # moved into it was already dropped by the retire listener.
             return None
         # Victim block now carries the newest block's content and takes its
-        # place in the newest block's region LRU.
-        newest_region.lru.pop(newest, None)
-        newest_region.lru[victim] = None
+        # place in the newest block's region LRU.  Within one region the
+        # victim leaves the LRU instead and drops out of every block list:
+        # a known capacity leak (ROADMAP item 1).
+        newest_region.leave_lru(newest)
+        victim_region.leave_lru(victim)
         newest_region.valid[victim] = moved
-        newest_region.invalid[victim] = 0
-        victim_region.lru.pop(victim, None)
+        newest_region.set_invalid(victim, 0)
         if newest_region is not victim_region:
             victim_region.valid.pop(victim, None)
-            victim_region.invalid.pop(victim, None)
+            victim_region.drop_invalid(victim)
+            self._close_block(newest_region, victim)
         # The newest block is erased by the caller as the actual victim; it
         # joins the requesting region at the LRU end.
         newest_region.valid.pop(newest, None)
-        newest_region.invalid.pop(newest, None)
-        victim_region.lru[newest] = None
-        victim_region.lru.move_to_end(newest, last=False)
+        newest_region.drop_invalid(newest)
         victim_region.valid[newest] = set()
-        victim_region.invalid[newest] = 0
+        victim_region.set_invalid(newest, 0)
+        self._close_block(victim_region, newest, oldest=True)
         return newest
 
     def _global_newest_block(self, exclude: Set[int]) -> Optional[int]:
@@ -1103,15 +1166,11 @@ class FlashDiskCache:
 
     def _maybe_gc_read_region(self) -> None:
         region = self._read
-        capacity = sum(
-            self.controller.block_capacity_pages(block)
-            for block in region.lru
-        )
+        capacity = region.lru_capacity
         if capacity == 0:
             return
-        valid = sum(len(region.valid.get(block, set())) for block in region.lru)
-        if valid / capacity < self.config.gc_read_watermark \
-                and region.total_invalid() >= self._nominal_block_pages():
+        if region.lru_valid / capacity < self.config.gc_read_watermark \
+                and region.invalid_total >= self._nominal_block_pages():
             self._garbage_collect(region)
 
     # -- hot-page promotion (section 5.2.2) ----------------------------------------------
@@ -1180,8 +1239,7 @@ class FlashDiskCache:
         block = region.free_blocks.popleft()
         # Close the current open block before switching to the SLC one.
         if region.open_block is not None:
-            region.lru[region.open_block] = None
-            region.lru.move_to_end(region.open_block)
+            self._close_block(region, region.open_block)
         if not self._open_block(region, block, slc=True):
             return None  # formatting failed; skip the promotion
         return region.open_free.popleft()
@@ -1200,3 +1258,63 @@ class FlashDiskCache:
 
     def is_dirty(self, lba: int) -> bool:
         return lba in self._dirty
+
+    # -- consistency ------------------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` naming the first broken invariant.
+
+        Recomputes from scratch what the cache keeps incrementally: the
+        regions' running totals, the FCHT<->FPST back-pointers, one
+        region per LBA, dirty LBAs being cached, and region valid sets
+        against FPST valid bits.  A degraded cache has shed its mapping,
+        so only that is checked.  Blocks a fault-aware cache retired
+        have left every region and are skipped.  Cost is linear in the
+        cache size: a test tool.
+        """
+        def fail(message: str) -> NoReturn:
+            raise AssertionError(f"cache invariant broken: {message}")
+
+        capacity_of = self.controller.block_capacity_pages
+        for region in self._regions():
+            kept = (region.lru_capacity, region.lru_valid,
+                    region.invalid_total)
+            recount = (sum(capacity_of(block) for block in region.lru),
+                       sum(len(region.valid.get(block, ()))
+                           for block in region.lru),
+                       sum(region.invalid.values()))
+            if kept != recount:
+                fail(f"{region.name.value} region totals (LRU capacity, "
+                     f"LRU valid, invalid) read {kept}, recount {recount}")
+        mapped = dict(self.fcht.items())
+        if self.degraded:
+            if mapped or self._location or self._dirty:
+                fail("a degraded cache still maps or dirties LBAs")
+            return
+        fpst = self.controller.fpst
+        for lba, address in mapped.items():
+            entry = fpst.get(address)
+            if entry is None or not entry.valid or entry.lba != lba:
+                fail(f"FCHT maps {lba} to {address}, FPST has {entry}")
+        if self._location.keys() != mapped.keys():
+            fail("region tags and the FCHT track different LBAs")
+        if not self._dirty <= mapped.keys():
+            fail(f"dirty LBAs {sorted(self._dirty - mapped.keys())} "
+                 f"are not cached")
+        tracked: Set[PageAddress] = set()
+        for region in self._regions():
+            for block, pages in region.valid.items():
+                for address in pages:
+                    entry = fpst.get(address)
+                    lba = entry.lba if entry is not None else None
+                    if address.block != block or address in tracked \
+                            or lba is None or mapped.get(lba) != address \
+                            or self._region_of(lba) is not region:
+                        fail(f"{address} in the {region.name.value} "
+                             f"region's valid set: FPST has {entry}")
+                    tracked.add(address)
+        for address, entry in fpst:
+            if entry.valid and address not in tracked and not (
+                    self._fault_aware
+                    and self.controller.is_retired(address.block)):
+                fail(f"{address} is valid in the FPST but in no region")

@@ -199,6 +199,11 @@ class ProgrammableFlashController:
         self._program_fail_counts: Dict[int, int] = {}
         self._decode_cache: Dict[int, float] = {}
         self._encode_cache: Dict[int, float] = {}
+        # Bound once for the per-page paths; a span tracer patches the
+        # classes before any controller is built, so these are traced.
+        self._fpst_entry = self.fpst.entry
+        self._read_page = device.read_page
+        self._program_page = device.program_page
 
     # -- descriptor plumbing --------------------------------------------------
 
@@ -231,20 +236,21 @@ class ProgrammableFlashController:
         uncorrectable read into a recovered one.  Every retry costs a full
         NAND read plus decode, charged to the returned latency.
         """
-        entry = self.fpst.entry(address)
-        raw = self.device.read_page(address)
-        entry.mode = raw.mode  # FPST reflects the physical frame mode
-        latency = raw.latency_us + self._decode_us(entry.ecc_strength) \
-            + CRC_CHECK_US
+        entry = self._fpst_entry(address)
+        raw_us, errors, _, mode = self._read_page(address)
+        entry.mode = mode  # FPST reflects the physical frame mode
+        decode_us = self._decode_cache.get(entry.ecc_strength)
+        if decode_us is None:
+            decode_us = self._decode_us(entry.ecc_strength)
+        latency = raw_us + decode_us + CRC_CHECK_US
         self.stats.reads += 1
 
-        errors = raw.raw_bit_errors
         retries = 0
         while errors > entry.ecc_strength \
                 and retries < self.config.read_retry_max:
             retries += 1
             self.stats.read_retries += 1
-            resense = self.device.read_page(address)
+            resense = self._read_page(address)
             latency += resense.latency_us \
                 + self._decode_us(entry.ecc_strength) + CRC_CHECK_US
             errors = min(errors, resense.raw_bit_errors)
@@ -281,18 +287,21 @@ class ProgrammableFlashController:
         caller is expected to remap the data to a fresh page.
         """
         try:
-            result = self.device.program_page(address, data)
+            program_us, mode = self._program_page(address, data)
         except ProgramFailure:
             self.stats.programs += 1
             self._note_program_failure(address)
             raise
-        entry = self.fpst.entry(address)
-        entry.mode = result.mode
+        entry = self._fpst_entry(address)
+        entry.mode = mode
         entry.valid = True
         entry.lba = lba
         entry.access_count = 0
         self.stats.programs += 1
-        latency = result.latency_us + self._encode_us(entry.ecc_strength)
+        encode_us = self._encode_cache.get(entry.ecc_strength)
+        if encode_us is None:
+            encode_us = self._encode_us(entry.ecc_strength)
+        latency = program_us + encode_us
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.flash_program(latency)
@@ -348,31 +357,8 @@ class ProgrammableFlashController:
         fbst_entry = self.fbst.entry(block)
         fbst_entry.erase_count = result.erase_count
         modes = self.device.block_frame_modes(block)
-        live_subpages = {mode: self.device.geometry.pages_per_frame(mode)
-                         for mode in CellMode}
-        initial_strength = self.config.initial_ecc_strength
-        fpst = self.fpst
-        # ECC strength and density mode describe the *physical* page's wear
-        # state, so they persist across the erase; contents-related fields
-        # (validity, LBA, hotness) reset.
-        total_ecc = 0
-        for address in stale_pages:
-            mode = modes[address.frame]
-            if address.subpage >= live_subpages[mode]:
-                fpst.drop(address)
-                continue
-            entry = fpst.get(address)
-            if entry is None:
-                continue
-            entry.valid = False
-            entry.lba = None
-            entry.access_count = 0
-            entry.mode = mode
-            # The wear signal is strength *added* over the lifetime
-            # default, matching the incremental accounting done when a
-            # reconfiguration happens between erases.
-            total_ecc += max(entry.ecc_strength - initial_strength, 0)
-        fbst_entry.total_ecc = total_ecc
+        fbst_entry.total_ecc = self.fpst.reset_erased(
+            stale_pages, modes, self.config.initial_ecc_strength)
         fbst_entry.total_slc_pages = modes.count(CellMode.SLC)
         self.stats.erases += 1
         return result.latency_us

@@ -21,7 +21,7 @@ estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 from ..flash.geometry import PageAddress
 from ..flash.timing import CellMode
@@ -81,6 +81,39 @@ class FlashPageStatusTable:
 
     def drop(self, address: PageAddress) -> None:
         self._entries.pop(address, None)
+
+    def reset_erased(self, pages: Iterable[PageAddress],
+                     modes: Sequence[CellMode],
+                     initial_strength: int) -> int:
+        """Reset the entries of an erased block; returns its TotalECC.
+
+        ``pages`` is the block's pre-erase layout and ``modes`` its
+        post-erase frame modes.  A frame now in SLC mode has one page,
+        so its subpage-1 entry drops.  ECC strength and density mode
+        describe the *physical* page's wear state, so they persist;
+        contents-related fields (validity, LBA, hotness) reset.  The
+        returned wear signal is strength *added* over
+        ``initial_strength``, matching the incremental accounting done
+        when a reconfiguration happens between erases.
+        """
+        entries = self._entries
+        slc = CellMode.SLC
+        total_ecc = 0
+        for address in pages:
+            _, frame, subpage = address
+            mode = modes[frame]
+            if subpage and mode is slc:
+                entries.pop(address, None)
+                continue
+            entry = entries.get(address)
+            if entry is None:
+                continue
+            entry.valid = False
+            entry.lba = None
+            entry.access_count = 0
+            entry.mode = mode
+            total_ecc += max(entry.ecc_strength - initial_strength, 0)
+        return total_ecc
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -75,6 +75,8 @@ class DeviceOp(NamedTuple):
     latency_us: float
 
 
+_SLC = CellMode.SLC
+
 #: Effective-damage multiplier for MLC reads: MLC sensing margins are ~10x
 #: tighter, which is exactly the Table 1 endurance ratio (100k/10k).
 MLC_READ_SENSITIVITY = 10.0
@@ -280,6 +282,23 @@ class FlashDevice:
         # a page op builds no key tuple.
         self._frames_per_block = geometry.frames_per_block
         self._frames: Dict[int, _Frame] = {}
+        # Per-mode constants of the page ops and the erase, fixed at
+        # construction: the hot paths pick one by testing ``mode is
+        # _SLC``.  A page op's pair is (latency, energy), the energy
+        # being the same ``active_w * latency * 1e-6`` the op books.
+        mlc = CellMode.MLC
+
+        def cost(latency_us: float) -> tuple[float, float]:
+            return latency_us, power.active_w * latency_us * 1e-6
+
+        self._slc_read = cost(timing.read_us(_SLC))
+        self._mlc_read = cost(timing.read_us(mlc))
+        self._slc_write = cost(timing.write_us(_SLC))
+        self._mlc_write = cost(timing.write_us(mlc))
+        self._slc_erase_us = timing.erase_us(_SLC)
+        self._mlc_erase_us = timing.erase_us(mlc)
+        self._slc_pages = geometry.pages_per_frame(_SLC)
+        self._mlc_pages = geometry.pages_per_frame(mlc)
 
     # -- non-blocking entry points ---------------------------------------------
 
@@ -407,14 +426,18 @@ class FlashDevice:
     def read_page(self, address: PageAddress) -> ReadResult:
         """Read one page: returns latency, raw bit errors, optional data."""
         block, index, subpage = address
-        frame = self._live_frame(address)
+        frame = (self._frames.get(block * self._frames_per_block + index)
+                 if index < self._frames_per_block else None)
+        if frame is None or subpage >= len(frame.states):
+            # Not created yet, or out of range: the validating path.
+            frame = self._live_frame(address)
         mode = frame.mode
-        latency = self.timing.read_us(mode)
+        latency, energy = self._slc_read if mode is _SLC else self._mlc_read
         stats = self.stats
         stats.reads += 1
         stats.busy_us += latency
         stats.read_busy_us += latency
-        stats.energy_j += self.power.active_w * latency * 1e-6
+        stats.energy_j += energy
         self.clock_us += latency
         log = self.op_log
         if log is not None:
@@ -454,7 +477,10 @@ class FlashDevice:
         erase before any retry) and costs the full program latency.
         """
         block, index, subpage = address
-        frame = self._live_frame(address)
+        frame = (self._frames.get(block * self._frames_per_block + index)
+                 if index < self._frames_per_block else None)
+        if frame is None or subpage >= len(frame.states):
+            frame = self._live_frame(address)
         if frame.states[subpage] != PageState.ERASED:
             raise ProgramError(
                 f"page {address} is not erased; NAND requires a block erase "
@@ -466,7 +492,7 @@ class FlashDevice:
                 f"{self.geometry.page_data_bytes}"
             )
         mode = frame.mode
-        latency = self.timing.write_us(mode)
+        latency, energy = self._slc_write if mode is _SLC else self._mlc_write
         injector = self.fault_injector
         if injector is not None and (
                 injector.block_dead(block)
@@ -492,7 +518,7 @@ class FlashDevice:
         stats.programs += 1
         stats.busy_us += latency
         stats.program_busy_us += latency
-        stats.energy_j += self.power.active_w * latency * 1e-6
+        stats.energy_j += energy
         self.clock_us += latency
         log = self.op_log
         if log is not None:
@@ -538,20 +564,33 @@ class FlashDevice:
             if telemetry is not None:
                 telemetry.nand_fault("erase")
             raise EraseFailure(block, latency_us=latency)
-        latencies = []
-        for frame_index in range(self.geometry.frames_per_block):
-            frame = self._frame(block, frame_index)
-            latencies.append(self.timing.erase_us(frame.mode))
+        frames = self._frames
+        frames_per_block = self._frames_per_block
+        first = block * frames_per_block
+        store_data = self.store_data
+        erased = PageState.ERASED
+        slc_frames = 0
+        for index in range(frames_per_block):
+            frame = frames.get(first + index)
+            if frame is None:
+                frame = self._frame(block, index)
+            if frame.mode is _SLC:
+                slc_frames += 1
             frame.damage += 1.0
-            if new_modes and frame_index in new_modes:
-                frame.mode = new_modes[frame_index]
-            pages = self.geometry.pages_per_frame(frame.mode)
-            frame.states = [PageState.ERASED] * pages
-            if self.store_data:
+            if new_modes and index in new_modes:
+                frame.mode = new_modes[index]
+            pages = self._slc_pages if frame.mode is _SLC else self._mlc_pages
+            frame.states = [erased] * pages
+            if store_data:
                 frame.data = [None] * pages
         # The block erases as one pulse train; its latency is set by the
         # slowest frame mode present (MLC needs the longer staircase).
-        latency = max(latencies)
+        if slc_frames == frames_per_block:
+            latency = self._slc_erase_us
+        elif slc_frames:
+            latency = max(self._slc_erase_us, self._mlc_erase_us)
+        else:
+            latency = self._mlc_erase_us
         self._erase_counts[block] += 1
         self.stats.erases += 1
         self.stats.record(latency, self.power.active_w, kind="erase")

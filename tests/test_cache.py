@@ -3,10 +3,17 @@ eviction, the read/write split, wear-leveling (sections 3.5, 3.6, 5.1)."""
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import FlashCacheConfig, Region
+from repro.core.cache import FlashCacheConfig, FlashDiskCache, Region
+from repro.core.controller import ControllerConfig, ProgrammableFlashController
+from repro.core.hierarchy import build_flash_system
+from repro.faults import FaultConfig, FaultInjector
+from repro.flash.device import FlashDevice
+from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import CellMode
 
 from .conftest import make_cache
@@ -259,7 +266,80 @@ class TestInvariants:
                     cache.insert_clean(lba)
             else:
                 cache.flush()
+            cache.check_invariants()
         self.check(cache)
+
+    def test_invariants_hold_after_every_request_under_faults(self):
+        """A GC-heavy run with an SLC write log, program/erase faults
+        and read disturb: frames go bad, blocks retire, and the check
+        runs after every request."""
+        system = build_flash_system(
+            dram_bytes=64 << 10, flash_bytes=4 << 20, seed=5,
+            cache_config=FlashCacheConfig(write_region_slc=True,
+                                          read_fraction=0.75),
+            fault_config=FaultConfig(program_fail_rate=0.004,
+                                     erase_fail_rate=0.02,
+                                     read_disturb_rate=0.02, seed=1))
+        cache = system.flash
+        rng = Random(1)
+        for _ in range(3000):
+            if rng.random() < 0.5:
+                system.read(rng.randrange(1200))
+            elif rng.random() < 0.7:
+                system.write(rng.randrange(500))
+            else:
+                system.write(rng.randrange(1200))
+            cache.check_invariants()
+        assert cache.stats.gc_runs > 0
+        assert cache.stats.retired_blocks > 0
+        assert cache.stats.remapped_programs > 0
+        assert cache.controller.stats.erase_faults > 0
+        assert not cache.degraded
+
+    def test_open_block_left_in_lru_by_failed_slc_format(self):
+        """A promotion whose SLC format erase fails closes the open block
+        into the LRU but keeps appending to it: pages registered there
+        and a frame going bad there must still reach the LRU totals."""
+        injector = FaultInjector(FaultConfig())
+        device = FlashDevice(
+            geometry=FlashGeometry(frames_per_block=4, num_blocks=8),
+            initial_mode=CellMode.MLC, fault_injector=injector)
+        controller = ProgrammableFlashController(
+            device, config=ControllerConfig(counter_max=2))
+        cache = FlashDiskCache(controller, FlashCacheConfig())
+        cache.insert_clean(0)
+        open_block = cache._read.open_block
+        injector.erase_fault = lambda block: True
+        for _ in range(2):
+            cache.read(0)  # saturates the counter: promotion fails
+        del injector.erase_fault
+        assert cache.stats.slc_promotions == 0
+        assert cache.stats.retired_blocks == 1
+        assert cache._read.open_block == open_block
+        assert open_block in cache._read.lru
+        cache.check_invariants()
+        cache.insert_clean(1)
+        cache.check_invariants()
+        shots = iter([True])
+        injector.program_fault = lambda block, frame: next(shots, False)
+        cache.insert_clean(2)
+        assert cache.stats.remapped_programs == 1
+        assert controller.block_capacity_pages(open_block) == 6
+        cache.check_invariants()
+
+    def test_check_invariants_catches_drift(self):
+        cache = make_cache(num_blocks=8)
+        for lba in range(40):
+            cache.write(lba % 13)
+            cache.insert_clean(100 + lba)
+        cache.check_invariants()
+        cache._read.lru_valid += 1
+        with pytest.raises(AssertionError, match="region totals"):
+            cache.check_invariants()
+        cache._read.lru_valid -= 1
+        cache._dirty.add(999)
+        with pytest.raises(AssertionError, match="not cached"):
+            cache.check_invariants()
 
     @settings(max_examples=10, deadline=None)
     @given(lbas=st.lists(st.integers(min_value=0, max_value=50),

@@ -52,6 +52,36 @@ class TestRunCommand:
         assert excinfo.value.code == 2
         assert "argument --limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--dram-mb", "0"), ("--flash-mb", "0"), ("--flash-mb", "-5"),
+        ("--dram-mb", "x"),
+        ("--fault-rate", "2"), ("--fault-rate", "-1"),
+        ("--fault-rate", "nan"),
+        ("--reliability-rate", "-1"), ("--reliability-rate", "2"),
+        ("--scrub-interval", "-5"), ("--scrub-interval", "inf"),
+        ("--queue-depth", "0"), ("--channels", "0"), ("--planes", "-1"),
+    ])
+    def test_bad_numeric_flag_is_a_usage_error(self, trace_path, capsys,
+                                               command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, trace_path, flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"repro {command}: error: argument {flag}:")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--telemetry-interval", "0"],
+        ["stats", "--interval", "0"],
+    ])
+    def test_zero_sample_interval_is_a_usage_error(self, trace_path, capsys,
+                                                   argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], trace_path, *argv[1:]])
+        assert excinfo.value.code == 2
+        assert f"argument {argv[1]}: must be positive, got 0" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["profile", "run", "stats"])
     @pytest.mark.parametrize("source", ["empty file", "limit 0"])
     def test_empty_trace_is_a_usage_error(self, trace_path, tmp_path,

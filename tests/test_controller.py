@@ -112,6 +112,99 @@ class TestDensityChangeAtErase:
         assert len(controller.pages_of_block(0)) == 7
 
 
+class TestEraseContract:
+    """What one ``controller.erase`` does to the FPST, the FBST and the
+    device, with pended SLC frames and raised ECC strengths in play."""
+
+    def make(self):
+        geometry = FlashGeometry(frames_per_block=4, num_blocks=4)
+        device = FlashDevice(geometry=geometry, initial_mode=CellMode.MLC,
+                             store_data=True, seed=3)
+        return ProgrammableFlashController(
+            device, config=ControllerConfig(initial_ecc_strength=2))
+
+    def test_erase_resets_contents_and_keeps_wear_state(self):
+        controller = self.make()
+        device, fpst = controller.device, controller.fpst
+        timing = device.timing
+        # Program every page of block 1 but (1, 3, 0), which never gets
+        # an FPST entry.
+        for frame in range(4):
+            for subpage in (0, 1):
+                address = PageAddress(1, frame, subpage)
+                if address == PageAddress(1, 3, 0):
+                    continue
+                controller.program(address, lba=10 * frame + subpage,
+                                   data=b"x%d" % frame)
+                fpst.entry(address).access_count = 7
+        fpst.entry(PageAddress(1, 0, 0)).ecc_strength = 5
+        fpst.entry(PageAddress(1, 2, 1)).ecc_strength = 4
+        fpst.entry(PageAddress(1, 0, 1)).ecc_strength = 1  # below initial
+        fpst.entry(PageAddress(1, 1, 1)).ecc_strength = 9  # dropped below
+        controller.request_slc(PageAddress(1, 1, 0))
+        controller.request_slc(PageAddress(1, 3, 0))
+
+        latency = controller.erase(1)
+
+        # Pre-erase modes were all MLC: the slowest mode sets the pulse.
+        assert latency == timing.mlc_erase_us
+        for frame in (1, 3):
+            assert fpst.get(PageAddress(1, frame, 1)) is None
+            assert device.frame_mode(1, frame) is CellMode.SLC
+        assert fpst.get(PageAddress(1, 3, 0)) is None
+        expected_strength = {(0, 0): 5, (0, 1): 1, (1, 0): 2, (2, 0): 2,
+                             (2, 1): 4}
+        for (frame, subpage), strength in expected_strength.items():
+            entry = fpst.get(PageAddress(1, frame, subpage))
+            assert entry is not None
+            assert not entry.valid
+            assert entry.lba is None
+            assert entry.access_count == 0
+            assert entry.ecc_strength == strength
+            assert entry.mode is device.frame_mode(1, frame)
+        fbst = controller.fbst.entry(1)
+        # Strength added over the initial 2: 3 + 0 + 0 + 0 + 2; the
+        # dropped (1, 1, 1) entry no longer counts.
+        assert fbst.total_ecc == 5
+        assert fbst.total_slc_pages == 2
+        assert fbst.erase_count == 1
+        assert controller.stats.erases == 1
+        for frame in range(4):
+            assert device.frame_damage(1, frame) == 1.0
+        # store_data: the erase dropped every payload.
+        for address in controller.pages_of_block(1):
+            assert device.read_page(address).data is None
+        assert controller.pages_of_block(1) == (
+            PageAddress(1, 0, 0), PageAddress(1, 0, 1), PageAddress(1, 1, 0),
+            PageAddress(1, 2, 0), PageAddress(1, 2, 1), PageAddress(1, 3, 0))
+        with pytest.raises(IndexError):
+            device.read_page(PageAddress(1, 1, 1))
+
+    def test_erase_latency_is_the_slowest_frame_mode(self):
+        controller = self.make()
+        timing = controller.device.timing
+        # Untouched block: every frame materialises in the initial mode.
+        assert controller.erase(2) == timing.mlc_erase_us
+        for frame in range(4):
+            assert controller.device.frame_damage(2, frame) == 1.0
+        for frame in (0, 1):
+            controller.request_slc(PageAddress(2, frame, 0))
+        # Mixed SLC/MLC before the pulse: MLC still sets it.
+        assert controller.erase(2) == timing.mlc_erase_us
+        for frame in (2, 3):
+            controller.request_slc(PageAddress(2, frame, 0))
+        assert controller.erase(2) == timing.mlc_erase_us
+        # Every frame SLC before the pulse: the shorter SLC staircase.
+        assert controller.erase(2) == timing.slc_erase_us
+        entry = controller.fbst.entry(2)
+        assert entry.erase_count == 4
+        assert entry.total_slc_pages == 4
+        assert controller.device.stats.erase_busy_us == \
+            3 * timing.mlc_erase_us + timing.slc_erase_us
+        for frame in range(4):
+            assert controller.device.frame_damage(2, frame) == 4.0
+
+
 class TestLayoutMemo:
     def test_repeated_calls_return_the_same_tuple(self):
         controller = make_controller()

@@ -104,6 +104,9 @@ class TestDensityModes:
         device.program_page(PageAddress(0, 0, 0))
         with pytest.raises(IndexError):
             device.read_page(PageAddress(0, 0, 1))
+        with pytest.raises(IndexError):
+            device.program_page(PageAddress(0, 0, 1))
+        assert device.stats.reads == 0 and device.stats.programs == 1
 
     def test_block_capacity_reflects_modes(self, device):
         full_mlc = device.block_capacity_pages(0)

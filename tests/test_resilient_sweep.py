@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -486,6 +487,15 @@ class TestRunSweepResume:
 # ---------------------------------------------------------------------------
 
 
+def _group_alive(pgid: int) -> bool:
+    """True while any process (zombies too) is left in group ``pgid``."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestParentKillChaos:
     ARGS = ["--figures", "fig1b", "--scale", "quick", "--workers", "2",
             "--quiet"]
@@ -494,9 +504,11 @@ class TestParentKillChaos:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        # Its own session: the CLI's pid names a process group holding
+        # its pool workers too, so one killpg reaches all of them.
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "sweep", *self.ARGS, *extra],
-            cwd=REPO_ROOT, env=env,
+            cwd=REPO_ROOT, env=env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
     def test_sigkilled_sweep_resumes_byte_identical(self, tmp_path):
@@ -507,8 +519,8 @@ class TestParentKillChaos:
         proc = self._cli("--out", str(reference))
         assert proc.wait(timeout=300) == 0
 
-        # Interrupted run: SIGKILL the whole process once the journal
-        # shows at least one completed task (header + >=1 entry).
+        # Interrupted run: SIGKILL the CLI and its workers once the
+        # journal shows at least one completed task (header + >=1 entry).
         proc = self._cli("--journal", str(journal), "--out", "/dev/null")
         deadline = time.monotonic() + 300
         try:
@@ -522,8 +534,16 @@ class TestParentKillChaos:
             else:
                 pytest.fail("journal never accumulated a completed task")
         finally:
-            proc.kill()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the whole group already exited
+                pass
             proc.wait(timeout=60)
+        deadline = time.monotonic() + 60
+        while _group_alive(proc.pid):
+            if time.monotonic() > deadline:
+                pytest.fail("a process of the killed sweep's group survived")
+            time.sleep(0.05)
 
         proc = self._cli("--resume", str(journal), "--out", str(resumed))
         assert proc.wait(timeout=300) == 0
