@@ -1005,7 +1005,7 @@ class EventHandlerTimeRule(Rule):
 
     The concurrent engine's determinism rests on a single time
     authority: :class:`repro.sim.events.EventLoop` advances ``now_us``
-    as it pops events, and every handler reads it from there.  A handler
+    as it pops events and hands it to every handler.  A handler
     that reads a wall clock, calls ``advance_clock`` on a device, or
     writes a ``clock_us``/``now_us`` attribute forks the timeline —
     the same trace would replay with different timings depending on
@@ -1047,8 +1047,8 @@ class EventHandlerTimeRule(Rule):
                 handler.ctx, handler.node,
                 f"event handler {handler.name}() reaches "
                 f"{trace.source.detail} ({trace.source.kind}) via "
-                f"{trace.summary()}; handlers take time from "
-                "loop.now_us only — model latency as event delays",
+                f"{trace.summary()}; handlers take time only from the "
+                "loop's now_us argument — model latency as event delays",
                 chain=trace.chain())
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -1100,8 +1100,8 @@ class EventHandlerTimeRule(Rule):
                     yield self.finding(
                         ctx, node,
                         f"{name}() inside event handler "
-                        f"{func.name}(): handlers take time from "
-                        "loop.now_us, never from the host clock")
+                        f"{func.name}(): handlers take time from the "
+                        "loop's now_us argument, never from the host clock")
                 elif (isinstance(node.func, ast.Attribute)
                       and node.func.attr == "advance_clock"):
                     yield self.finding(

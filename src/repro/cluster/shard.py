@@ -47,8 +47,10 @@ Accounting invariants, asserted at the end of every run::
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, cast
+import math
+from collections import defaultdict, deque
+from typing import Any, DefaultDict, Deque, Dict, List, Optional, Sequence, \
+    Tuple
 
 from ..core.hierarchy import build_flash_system, FlashBackedSystem, \
     PendingRequest
@@ -57,28 +59,27 @@ from ..flash.channels import ChannelConfig
 from ..parallel import derive_seed
 from ..reliability import ReliabilityConfig
 from ..sim.concurrent import EventEngine
-from ..sim.events import Event, EventType
+from ..sim.events import EventType
 from ..telemetry import LatencyHistogram, Telemetry, TraceSampler
 from .arrivals import Arrival
 
 __all__ = ["run_shard"]
 
-#: What ``_admit_arrival`` stores as a request's context: the arrival and
-#: whether it is background sync traffic.  Subscripted once here: a
-#: ``Tuple[...]`` subscript in the completion handler would pay a
-#: typing-cache lookup on every completion.
-_Context = Tuple[Arrival, bool]
+#: Posted as plain ints, which index the loop's tables fastest.
+_ARRIVE = int(EventType.ARRIVE)
+_SYNC = int(EventType.SYNC)
 
 
 class _ShardEngine(EventEngine):
     """One shard run's event-loop state (not reusable).
 
-    Handlers take simulated time only from ``loop.now_us`` (simlint
-    SIM010); ties resolve in posting order.  Arrivals chain: each ARRIVE
-    handler posts the next arrival at its absolute instant, so the heap
-    holds one future arrival at a time (the sync stream chains the same
-    way through SYNC events).  Admission and dispatch are the concurrent
-    engine's (:class:`repro.sim.concurrent.EventEngine`).
+    Handlers take simulated time only from the loop, which passes it as
+    their first argument (simlint SIM010); ties resolve in posting
+    order.  Arrivals chain: each ARRIVE handler posts the next arrival
+    at its absolute instant, so the heap holds one future arrival at a
+    time (the sync stream chains the same way through SYNC events).
+    Admission and dispatch are the concurrent engine's
+    (:class:`repro.sim.concurrent.EventEngine`).
     """
 
     def __init__(self, system: FlashBackedSystem,
@@ -95,6 +96,8 @@ class _ShardEngine(EventEngine):
         self.queue_depth = queue_depth
         self.shed_queue = shed_queue
         self.fail_at_us = fail_at_us
+        #: ``fail_at_us`` with ``+inf`` for "never": one compare per event.
+        self._fail_us = math.inf if fail_at_us is None else fail_at_us
         self.retire_on_degraded = retire_on_degraded
         self.bucket_us = bucket_us
         self.rejoin_at_us = rejoin_at_us
@@ -103,6 +106,9 @@ class _ShardEngine(EventEngine):
         self.response = LatencyHistogram("response_us")
         self.queue_delay = LatencyHistogram("queue_delay_us")
         self.service_latency = LatencyHistogram("service_latency_us")
+        self._observe_response = self.response.observe
+        self._observe_queue_delay = self.queue_delay.observe
+        self._observe_service = self.service_latency.observe
         self.wait: Deque[PendingRequest] = deque()
         self.slots = 0
         self.arrived = 0
@@ -124,42 +130,34 @@ class _ShardEngine(EventEngine):
         self.sync_skipped = 0
         self._source = iter(arrivals)
         self._sync_source = iter(sync_arrivals)
-        #: Per-time-bucket rows: [arrivals, completed, shed, lost,
-        #: redirected, response_sum_us, response_max_us].
-        self.buckets: Dict[int, List[float]] = {}
+        #: Per-time-bucket rows, keyed by ``int(time_us // bucket_us)``:
+        #: [arrivals, completed, shed, lost, redirected, response_sum_us,
+        #: response_max_us].
+        self.buckets: DefaultDict[int, List[float]] = defaultdict(
+            lambda: [0, 0, 0, 0, 0, 0.0, 0.0])
         loop = self.loop
         loop.register(EventType.ARRIVE, self._on_arrive)
         loop.register(EventType.COMPLETE, self._on_complete)
         loop.register(EventType.SYNC, self._on_sync)
         loop.register(EventType.REJOIN, self._on_rejoin)
 
-    def _bucket(self, time_us: float) -> List[float]:
-        index = int(time_us // self.bucket_us)
-        row = self.buckets.get(index)
-        if row is None:
-            row = self.buckets[index] = [0, 0, 0, 0, 0, 0.0, 0.0]
-        return row
-
     def _post_next_arrival(self) -> None:
         arrival = next(self._source, None)
         if arrival is not None:
-            self.loop.post_at(arrival[0], Event(EventType.ARRIVE, arrival))
+            self._post_at(arrival[0], _ARRIVE, arrival)
 
     def _post_next_sync(self) -> None:
         arrival = next(self._sync_source, None)
         if arrival is not None:
-            self.loop.post_at(arrival[0], Event(EventType.SYNC, arrival))
+            self._post_at(arrival[0], _SYNC, arrival)
 
     # -- event handlers ------------------------------------------------------
 
-    def _on_arrive(self, event: Event) -> None:
-        arrival: Arrival = event.payload
-        now_us = self.loop.now_us
+    def _on_arrive(self, now_us: float, arrival: Arrival) -> None:
         self.arrived += 1
-        bucket = self._bucket(now_us)
+        bucket = self.buckets[int(now_us // self.bucket_us)]
         bucket[0] += 1
-        if (self.retired_at_us is None and self.fail_at_us is not None
-                and now_us >= self.fail_at_us):
+        if self.retired_at_us is None and now_us >= self._fail_us:
             self.retired_at_us = self.fail_at_us
         if self.retired_at_us is not None:
             # The shard is out of the cluster; hand the request back to
@@ -171,29 +169,28 @@ class _ShardEngine(EventEngine):
             self.shed += 1
             bucket[2] += 1
         else:
-            self._admit_arrival(arrival)
+            self._admit_arrival(now_us, arrival)
         self._post_next_arrival()
 
-    def _on_sync(self, event: Event) -> None:
-        arrival: Arrival = event.payload
+    def _on_sync(self, now_us: float, arrival: Arrival) -> None:
         self.sync_arrived += 1
         if self.retired_at_us is not None:
             # A sync source that has itself left the cluster cannot
             # stream pages; the orchestrator's plan was optimistic.
             self.sync_skipped += 1
         else:
-            self._admit_arrival(arrival, background=True)
+            self._admit_arrival(now_us, arrival, background=True)
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.sync_page(arrival[3])
         self._post_next_sync()
 
-    def _on_rejoin(self, event: Event) -> None:
+    def _on_rejoin(self, now_us: float, shard_id: int) -> None:
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.rejoin()
 
-    def _admit_arrival(self, arrival: Arrival,
+    def _admit_arrival(self, now_us: float, arrival: Arrival,
                        background: bool = False) -> None:
         _, _, page, is_read = arrival
         # Functional execution at admission, in arrival order — the same
@@ -202,7 +199,7 @@ class _ShardEngine(EventEngine):
         # the window full the request waits in the host queue,
         # undispatched.
         slot_free = self.slots < self.queue_depth
-        pending = self._admit(page, is_read, slot_free)
+        pending = self._admit(now_us, page, is_read, slot_free)
         pending.context = (arrival, background)
         if slot_free:
             self.slots += 1
@@ -213,22 +210,20 @@ class _ShardEngine(EventEngine):
         if (not background and self.retire_on_degraded
                 and self.retired_at_us is None
                 and self.system.flash.degraded):
-            self.retired_at_us = self.loop.now_us
+            self.retired_at_us = now_us
 
-    def _on_complete(self, event: Event) -> None:
-        pending: PendingRequest = event.payload
-        now_us = self.loop.now_us
+    def _on_complete(self, now_us: float, pending: PendingRequest) -> None:
         pending.finish_us = now_us
-        self.system.complete_request(pending)
-        arrival, background = cast(_Context, pending.context)
+        self._complete_request(pending)
+        arrival, background = pending.context
         if background:
-            if self.fail_at_us is not None and now_us > self.fail_at_us:
+            if now_us > self._fail_us:
                 self.sync_lost += 1
             else:
                 self.sync_completed += 1
         else:
-            bucket = self._bucket(now_us)
-            if self.fail_at_us is not None and now_us > self.fail_at_us:
+            bucket = self.buckets[int(now_us // self.bucket_us)]
+            if now_us > self._fail_us:
                 # In flight when the shard died: the work happened, the
                 # response never left the building.  A lost *read* is
                 # recoverable on another replica — report it with its
@@ -244,10 +239,10 @@ class _ShardEngine(EventEngine):
             else:
                 self.completed += 1
                 response_us = now_us - pending.arrive_us
-                self.response.observe(response_us)
-                self.queue_delay.observe(
+                self._observe_response(response_us)
+                self._observe_queue_delay(
                     response_us - pending.service_us - self._cpu_us)
-                self.service_latency.observe(pending.service_us)
+                self._observe_service(pending.service_us)
                 bucket[1] += 1
                 bucket[5] += response_us
                 if response_us > bucket[6]:
@@ -257,15 +252,15 @@ class _ShardEngine(EventEngine):
             # The freed slot picks up the oldest waiter; it pays the
             # same host CPU step an immediately-admitted request does.
             self.slots += 1
-            self._dispatch(self.wait.popleft())
+            self._dispatch(now_us, self.wait.popleft())
 
     # -- driving -------------------------------------------------------------
 
     def run(self) -> float:
         """Chain arrivals through the loop; returns the makespan (us)."""
         if self.rejoin_at_us is not None:
-            self.loop.post_at(self.rejoin_at_us,
-                              Event(EventType.REJOIN, self.shard_id))
+            self.loop.post_at(self.rejoin_at_us, EventType.REJOIN,
+                              self.shard_id)
         self._post_next_arrival()
         self._post_next_sync()
         span_us = self._run_loop()

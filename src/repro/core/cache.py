@@ -1237,9 +1237,12 @@ class FlashDiskCache:
         if not region.free_blocks:
             return None
         block = region.free_blocks.popleft()
-        # Close the current open block before switching to the SLC one.
+        # Close the current open block before switching to the SLC one;
+        # if the format fails, the region is left with no open block.
         if region.open_block is not None:
             self._close_block(region, region.open_block)
+            region.open_block = None
+            region.open_free.clear()
         if not self._open_block(region, block, slc=True):
             return None  # formatting failed; skip the promotion
         return region.open_free.popleft()

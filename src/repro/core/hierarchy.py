@@ -25,7 +25,7 @@ miss rates of Figure 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
 from ..dram.model import DramModel
 from ..dram.page_cache import PrimaryDiskCache
@@ -128,8 +128,6 @@ class PendingRequest:
     ops: List[DeviceOp] = field(default_factory=list)
     #: Background flash (GC) time this request generated.
     gc_us: float = 0.0
-    #: Background time (flash fills, flushes) this request generated.
-    background_delta_us: float = 0.0
     # -- stamped by the event engine ---------------------------------------
     arrive_us: float = 0.0
     dispatch_us: float = 0.0
@@ -137,7 +135,7 @@ class PendingRequest:
     #: Opaque engine bookkeeping slot (the cluster engine parks the
     #: originating arrival tuple here so a request in flight when its
     #: shard dies can be retried on a surviving replica).
-    context: Optional[object] = None
+    context: Any = None
 
     @property
     def queue_delay_us(self) -> float:
@@ -241,10 +239,8 @@ class _SystemBase:
         return self._submit(page, False)
 
     def _submit(self, page: int, is_read: bool) -> PendingRequest:
-        background_before_us = self.background_us
         service_us = self.read(page) if is_read else self.write(page)
-        return PendingRequest(page, is_read, service_us, [], 0.0,
-                              self.background_us - background_before_us)
+        return PendingRequest(page, is_read, service_us, [])
 
     def complete_request(self, pending: PendingRequest) -> float:
         """Close out a submitted request once the engine stamped its
@@ -370,7 +366,6 @@ class FlashBackedSystem(_SystemBase):
         device = self.flash.controller.device
         cache_stats = self.flash.stats
         gc_before_us = cache_stats.gc_time_us
-        background_before_us = self.background_us
         outer = device.op_log
         ops: List[DeviceOp] = []
         device.op_log = ops
@@ -381,8 +376,7 @@ class FlashBackedSystem(_SystemBase):
             if outer is not None:
                 outer.extend(ops)
         return PendingRequest(page, is_read, service_us, ops,
-                              cache_stats.gc_time_us - gc_before_us,
-                              self.background_us - background_before_us)
+                              cache_stats.gc_time_us - gc_before_us)
 
     def _fill_from_below(self, page: int) -> float:
         outcome = self._flash_read(page)

@@ -122,21 +122,31 @@ class NandScheduler:
         before it ends, the first at ``ready_us``.
 
         Equivalent to one :meth:`schedule` call per op, without building
-        a :class:`ScheduledOp` for each.  Returns ``(end_us, wait_us,
-        stalls)``: when the last op ends, the total time the chain
-        waited for planes, and how many of its ops waited at all.
+        a :class:`ScheduledOp` for each; :meth:`_pick`'s scan runs
+        inline.  Returns ``(end_us, wait_us, stalls)``: when the last
+        op ends, the total time the chain waited for planes, and how
+        many of its ops waited at all.
         """
         free_at = self._free_at_us
         busy_us = self.channel_busy_us
         planes = self.config.planes
-        pick = self._pick
+        later_planes = range(1, len(free_at))
         wait_us = 0.0
         stalls = 0
         for op in ops:
             latency_us = op.latency_us
             if latency_us < 0:
                 raise ValueError("latency_us must be non-negative")
-            index, free_us = pick(ready_us)
+            # _pick, inline: the same early-stopping scan and tie rule.
+            index = 0
+            free_us = free_at[0]
+            for candidate in later_planes:
+                candidate_free_us = free_at[candidate]
+                if candidate_free_us < free_us:
+                    free_us = candidate_free_us
+                    index = candidate
+                if free_us <= ready_us:
+                    break
             if free_us > ready_us:
                 wait_us += free_us - ready_us
                 stalls += 1
@@ -144,7 +154,7 @@ class NandScheduler:
             ready_us += latency_us
             free_at[index] = ready_us
             busy_us[index // planes] += latency_us
-            self.ops_scheduled += 1
+        self.ops_scheduled += len(ops)
         return ready_us, wait_us, stalls
 
     def horizon_us(self) -> float:

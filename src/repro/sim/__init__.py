@@ -3,7 +3,7 @@ event-driven concurrent), server model, aging."""
 
 from .config import PlatformConfig, TABLE3_PLATFORM
 from .engine import QueueingStats, SimulationReport, run_trace
-from .events import Event, EventLoop, EventType
+from .events import EventLoop, EventType
 from .concurrent import run_trace_concurrent
 from .server import ServerModel
 from .lifetime import (
@@ -20,7 +20,6 @@ __all__ = [
     "QueueingStats",
     "SimulationReport",
     "run_trace",
-    "Event",
     "EventLoop",
     "EventType",
     "run_trace_concurrent",

@@ -49,13 +49,14 @@ from ..telemetry import LatencyHistogram, Telemetry, TraceSampler
 from ..workloads.trace import Trace, TraceRecord
 from .engine import QueueingStats, SimulationReport, run_trace, \
     summarise_system
-from .events import Event, EventLoop, EventType
+from .events import EventLoop, EventType
 from .server import ServerModel
 
 __all__ = ["run_trace_concurrent"]
 
-#: Bound once: an enum member lookup through its class is a slow path.
-_COMPLETE = EventType.COMPLETE
+#: Posted as a plain int: an enum member lookup through its class, and
+#: a list index by an ``IntEnum``, are slow paths.
+_COMPLETE = int(EventType.COMPLETE)
 
 
 class EventEngine:
@@ -83,6 +84,7 @@ class EventEngine:
         self.scrub_events = 0
         self._submit_read = system.submit_read
         self._submit_write = system.submit_write
+        self._complete_request = system.complete_request
         # One constant per system: the ordering argument needs it.
         self._cpu_us = system.config.cpu_us_per_request
         self._place_chain = self.scheduler.place_chain
@@ -92,16 +94,16 @@ class EventEngine:
         self._last_scrub_passes = (0 if scrubber is None
                                    else scrubber.stats.passes)
 
-    def _admit(self, page: int, is_read: bool,
+    def _admit(self, now_us: float, page: int, is_read: bool,
                dispatch: bool = True) -> PendingRequest:
-        """Run one request's functional work now, in admission order —
-        the determinism anchor (see the module docstring) — and
+        """Run one request's functional work at ``now_us``, in admission
+        order — the determinism anchor (see the module docstring) — and
         dispatch it unless it must wait for a window slot."""
         if is_read:
             pending = self._submit_read(page)
         else:
             pending = self._submit_write(page)
-        pending.arrive_us = self.loop.now_us
+        pending.arrive_us = now_us
         self.position += 1
         sampler = self.sampler
         if sampler is not None and self.position >= sampler.next_at:
@@ -114,14 +116,15 @@ class EventEngine:
             self._last_scrub_passes = scrub_stats.passes
             self.scrub_events += 1
         if dispatch:
-            self._dispatch(pending)
+            self._dispatch(now_us, pending)
         return pending
 
-    def _dispatch(self, pending: PendingRequest) -> None:
-        """Place the request's op chain on the fabric; post COMPLETE."""
+    def _dispatch(self, now_us: float, pending: PendingRequest) -> None:
+        """Place the request's op chain on the fabric at ``now_us``;
+        post COMPLETE."""
         # Host CPU/network time precedes storage dispatch (the same
         # per-system constant the serial wall clock charges).
-        dispatch_us = self.loop.now_us + self._cpu_us
+        dispatch_us = now_us + self._cpu_us
         pending.dispatch_us = dispatch_us
         # Response = service as charged by the serial model, plus every
         # wait the op chain suffered.  Background op *latency* (GC,
@@ -134,12 +137,13 @@ class EventEngine:
             if stalls:
                 self.channel_stalls += stalls
                 finish_us += wait_us
-        self._post_at(finish_us, Event(_COMPLETE, pending))
+        self._post_at(finish_us, _COMPLETE, pending)
 
     def _run_loop(self) -> float:
         """Drain the loop; returns the makespan (us), which covers the
         fabric's last op even when no event sits at its time."""
         loop_end_us = self.loop.run()
+        self.loop.close()
         horizon_us = self.scheduler.horizon_us()
         return loop_end_us if loop_end_us >= horizon_us else horizon_us
 
@@ -156,16 +160,14 @@ class _ConcurrentEngine(EventEngine):
         self.queue_delay = LatencyHistogram("queue_delay_us")
         self.service_latency = LatencyHistogram("service_latency_us")
         self.position = system.stats.requests
-        self._complete_request = system.complete_request
         self._observe_queue_delay = self.queue_delay.observe
         self._observe_service = self.service_latency.observe
         self.loop.register(EventType.COMPLETE, self._on_complete)
 
-    # -- event handlers (time comes from self.loop.now_us; SIM010) -----------
+    # -- event handlers (the loop hands them the time; SIM010) ---------------
 
-    def _on_complete(self, event: Event) -> None:
-        pending: PendingRequest = event.payload
-        pending.finish_us = self.loop.now_us
+    def _on_complete(self, now_us: float, pending: PendingRequest) -> None:
+        pending.finish_us = now_us
         service_us = pending.service_us
         # PendingRequest.queue_delay_us, from complete_request's response.
         queue_delay_us = self._complete_request(pending) - service_us
@@ -176,14 +178,15 @@ class _ConcurrentEngine(EventEngine):
         # The freed slot admits the next request at this instant.
         request = next(self.source, None)
         if request is not None:
-            self._admit(*request)
+            self._admit(now_us, *request)
 
     # -- driving ---------------------------------------------------------------
 
     def run(self) -> float:
         """Fill the window, drain the loop; returns the makespan (us)."""
+        now_us = self.loop.now_us
         for request in islice(self.source, self.queue_depth):
-            self._admit(*request)
+            self._admit(now_us, *request)
         return self._run_loop()
 
 

@@ -7,8 +7,10 @@ the primitive: a :class:`EventLoop` whose priority queue is ordered by
 ``(time_us, seq)`` — the sequence number is assigned at post time, so
 two events scheduled for the same instant always fire in posting order.
 Nothing here reads the wall clock (simlint SIM001) and nothing here may
-advance device clocks behind the loop's back (simlint SIM010): handlers
-receive the event and take the current time from ``loop.now_us``.
+advance device clocks behind the loop's back (simlint SIM010): a heap
+entry is the plain tuple ``(time_us, seq, kind, payload)`` — no object
+per event — and handlers are called as ``handler(now_us, payload)``,
+taking the current time from the loop that popped the entry.
 
 Events exist only for things that happen at a simulated instant the
 handler needs (DESIGN.md section 14); everything else — NAND op
@@ -28,9 +30,9 @@ from __future__ import annotations
 
 from enum import IntEnum
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["EventType", "Event", "EventLoop"]
+__all__ = ["EventType", "EventLoop"]
 
 
 class EventType(IntEnum):
@@ -42,14 +44,8 @@ class EventType(IntEnum):
     SYNC = 3
 
 
-class Event(NamedTuple):
-    """One typed occurrence at one simulated instant."""
-
-    type: EventType
-    payload: Any = None
-
-
-Handler = Callable[[Event], None]
+#: Called as ``handler(now_us, payload)``.
+Handler = Callable[[float, Any], None]
 
 
 class EventLoop:
@@ -62,13 +58,16 @@ class EventLoop:
       order, never by payload identity, hash order, or wall clock;
     * time is monotonic: posting into the past raises, and ``now_us``
       only moves when the loop pops an event;
-    * handlers take the current time from :attr:`now_us`; they must not
-      read wall clocks or advance device clocks directly (simlint
-      SIM001/SIM010).
+    * handlers receive the current time as their first argument; they
+      must not read wall clocks or advance device clocks directly
+      (simlint SIM001/SIM010).
+
+    :meth:`run` dispatches through :meth:`step`, one call per event
+    (the per-layer benchmark spans count events through it).
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, int, Any]] = []
         self._seq = 0
         self._now_us = 0.0
         # Indexed by EventType value: a list lookup per event, no hashing.
@@ -98,36 +97,49 @@ class EventLoop:
                 f"handler already registered for {event_type.name}")
         self._handlers[event_type] = handler
 
-    def post(self, delay_us: float, event: Event) -> None:
-        """Schedule ``event`` ``delay_us`` after the current time."""
+    def close(self) -> None:
+        """Drop every handler.  Handlers bound to an engine that owns the
+        loop form a cycle only the cyclic GC frees; a finished engine
+        breaks it, so its system is freed with the engine's last
+        reference instead of at some later collection."""
+        self._handlers = [None] * len(EventType)
+
+    def post(self, delay_us: float, kind: int, payload: Any = None) -> None:
+        """Schedule a ``kind`` event ``delay_us`` after the current time."""
         if delay_us < 0:
             raise ValueError("delay_us must be non-negative")
-        self.post_at(self._now_us + delay_us, event)
+        self.post_at(self._now_us + delay_us, kind, payload)
 
-    def post_at(self, time_us: float, event: Event) -> None:
-        """Schedule ``event`` at an absolute simulated time."""
+    def post_at(self, time_us: float, kind: int, payload: Any = None) -> None:
+        """Schedule a ``kind`` event at an absolute simulated time.
+
+        ``kind`` is an :class:`EventType` or its int value; engines post
+        the plain int, which indexes the loop's tables fastest.
+        """
         if time_us < self._now_us:
             raise ValueError(
                 f"cannot post into the past ({time_us} < {self._now_us})")
-        heappush(self._heap, (time_us, self._seq, event))
+        heappush(self._heap, (time_us, self._seq, kind, payload))
         self._seq += 1
 
-    def step(self) -> Optional[Event]:
-        """Pop and dispatch one event; ``None`` when the queue is empty."""
-        if not self._heap:
-            return None
-        time_us, _, event = heappop(self._heap)
+    def step(self) -> bool:
+        """Pop and dispatch one event; ``False`` when the queue is empty."""
+        try:
+            time_us, _, kind, payload = heappop(self._heap)
+        except IndexError:
+            return False
         self._now_us = time_us
-        kind = event.type
         self._counts[kind] += 1
         handler = self._handlers[kind]
         if handler is None:
-            raise KeyError(f"no handler registered for {kind.name}")
-        handler(event)
-        return event
+            raise KeyError(
+                f"no handler registered for {EventType(kind).name}")
+        handler(time_us, payload)
+        return True
 
     def run(self) -> float:
         """Dispatch until the queue drains; returns the final time (us)."""
-        while self.step() is not None:
+        step = self.step
+        while step():
             pass
         return self._now_us

@@ -297,9 +297,10 @@ class TestInvariants:
         assert not cache.degraded
 
     def test_open_block_left_in_lru_by_failed_slc_format(self):
-        """A promotion whose SLC format erase fails closes the open block
-        into the LRU but keeps appending to it: pages registered there
-        and a frame going bad there must still reach the LRU totals."""
+        """A promotion whose SLC format erase fails has already closed
+        the open block into the LRU: the block must stop being open, so
+        later appends and a frame going bad land on a fresh open block
+        while the LRU totals stay exact."""
         injector = FaultInjector(FaultConfig())
         device = FlashDevice(
             geometry=FlashGeometry(frames_per_block=4, num_blocks=8),
@@ -315,16 +316,21 @@ class TestInvariants:
         del injector.erase_fault
         assert cache.stats.slc_promotions == 0
         assert cache.stats.retired_blocks == 1
-        assert cache._read.open_block == open_block
+        # The open block was closed into the LRU and is no longer open.
+        assert cache._read.open_block is None
+        assert not cache._read.open_free
         assert open_block in cache._read.lru
         cache.check_invariants()
         cache.insert_clean(1)
         cache.check_invariants()
+        fresh_block = cache._read.open_block
+        assert fresh_block not in (None, open_block)
         shots = iter([True])
         injector.program_fault = lambda block, frame: next(shots, False)
         cache.insert_clean(2)
         assert cache.stats.remapped_programs == 1
-        assert controller.block_capacity_pages(open_block) == 6
+        assert controller.block_capacity_pages(fresh_block) == 6
+        assert controller.block_capacity_pages(open_block) == 8
         cache.check_invariants()
 
     def test_check_invariants_catches_drift(self):

@@ -26,9 +26,11 @@ Covers DESIGN.md section 15's contracts:
 from __future__ import annotations
 
 import bisect
+import gc
 import hashlib
 import json
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,7 @@ from repro.cluster import (
     write_feed_csv,
     write_feed_jsonl,
 )
+from repro.cluster import shard as shard_module
 from repro.cluster.arrivals import intensity, sample_arrival_times
 from repro.cluster.cluster import _Planner, _plan_streams, _plan_sync
 
@@ -338,6 +341,33 @@ class TestRunCluster:
         pooled = run_cluster(scenario, workers=3)
         assert feed_lines(serial) == feed_lines(pooled)
         assert serial.as_dict() == pooled.as_dict()
+
+    def test_finished_shard_frees_its_system_without_cyclic_gc(
+            self, monkeypatch):
+        # Handlers bound to the shard engine must not keep it (and its
+        # whole hierarchy) alive past the run: with shards run one
+        # after another, a finished shard's system would stay resident
+        # until a later collection and raise the cluster's peak memory.
+        built = []
+        build = shard_module.build_flash_system
+
+        def keep(*args, **kwargs):
+            system = build(*args, **kwargs)
+            built.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(shard_module, "build_flash_system", keep)
+        arrivals = build_arrivals("steady", 4000.0, 0.1, "specweb99",
+                                  4096, 1)
+        gc.disable()
+        try:
+            outcome = shard_module.run_shard(
+                0, arrivals, 1 << 20, 4 << 20, 8, 2, 2, 64, None, False,
+                0.0, 0.0, 50_000.0, 1000, 1)
+            assert outcome["completed"] > 0
+            assert len(built) == 1 and built[0]() is None
+        finally:
+            gc.enable()
 
     def test_kill_one_shard_keeps_serving(self):
         result = run_cluster(_kill_scenario(), workers=1)

@@ -10,6 +10,10 @@ controller, device and reliability counters, the cached LBA set, and
 the telemetry sampler's time series.  This is the net under the
 concurrent engine's admission path, including the fabric skip for
 requests that issue no NAND ops.
+
+The cluster side runs one shard with R=1, no chaos and a host queue
+that never sheds, and replays the routed request sequence through the
+serial engine: the open-loop shard engine must do the same work too.
 """
 
 from __future__ import annotations
@@ -19,10 +23,15 @@ from dataclasses import asdict
 import pytest
 
 from repro import build_flash_system, build_workload
+from repro.cluster import cluster as cluster_module
+from repro.cluster import shard as cluster_shard
+from repro.cluster.cluster import ClusterScenario, run_cluster
+from repro.cluster.shard import run_shard
 from repro.reliability import ReliabilityConfig, ScrubConfig
 from repro.sim.concurrent import run_trace_concurrent
 from repro.sim.engine import run_trace
 from repro.telemetry import Telemetry
+from repro.workloads.trace import OP_READ, OP_WRITE, TraceRecord
 
 #: (queue_depth, channels, planes) settings the concurrent side runs at.
 SETTINGS = [(2, 1, 2), (16, 4, 2), (64, 8, 4)]
@@ -44,6 +53,20 @@ def _system(aged: bool):
         scrub_config=ScrubConfig(interval_us=2e5, min_age_us=4e5))
 
 
+def _functional_state(system):
+    flash = system.flash
+    return {
+        "requests": asdict(system.stats),
+        "pdc": asdict(system.pdc.stats),
+        "flash": asdict(flash.stats),
+        "controller": asdict(flash.controller.stats),
+        "device": asdict(flash.controller.device.stats),
+        "disk": (system.disk.reads, system.disk.writes,
+                 system.disk.busy_us),
+        "cached_lbas": flash.cached_lbas(),
+    }
+
+
 def _run(aged: bool, setting=None):
     """Run the stream on a fresh system; returns its functional state."""
     system = _system(aged)
@@ -56,17 +79,9 @@ def _run(aged: bool, setting=None):
             system, _records(), queue_depth=queue_depth,
             channels=channels, planes=planes, telemetry=telemetry)
         assert report.queueing is not None
-    flash = system.flash
-    device = flash.controller.device
-    state = {
-        "requests": asdict(system.stats),
-        "pdc": asdict(system.pdc.stats),
-        "flash": asdict(flash.stats),
-        "controller": asdict(flash.controller.stats),
-        "device": asdict(device.stats),
-        "cached_lbas": flash.cached_lbas(),
-    }
+    state = _functional_state(system)
     if aged:
+        device = system.flash.controller.device
         state["reliability"] = asdict(device.reliability.stats)
         state["scrub"] = asdict(system.scrubber.stats)
         state["series"] = {name: series.as_dict() for name, series
@@ -94,3 +109,47 @@ def test_concurrent_engine_matches_serial(serial_states, aged, setting):
     # PDC hits issue no NAND ops, so they take the fabric skip.
     assert expected["pdc"]["read_hits"] > 0
     assert _run(aged, setting) == expected
+
+
+def test_cluster_shard_matches_serial(monkeypatch):
+    """A one-shard, R=1, no-chaos cluster run whose host queue never
+    sheds does the serial engine's functional work: replaying the
+    routed ``(page, is_read)`` sequence through ``run_trace`` on a
+    system built the same way leaves identical counters."""
+    built = []
+    routed = []
+
+    def keep_system(*args, **kwargs):
+        system = build_flash_system(*args, **kwargs)
+        built.append((args, kwargs, system))
+        return system
+
+    def keep_arrivals(**kwargs):
+        routed.append(kwargs["arrivals"])
+        return run_shard(**kwargs)
+
+    monkeypatch.setattr(cluster_shard, "build_flash_system", keep_system)
+    monkeypatch.setattr(cluster_module, "run_shard", keep_arrivals)
+    shed_queue = 1 << 20
+    scenario = ClusterScenario(
+        shards=1, replicas=1, pattern="steady", rate_rps=8000.0,
+        duration_s=0.5, workload="financial1", footprint_pages=4096,
+        dram_bytes=1 << 20, flash_bytes=2 << 20, queue_depth=16,
+        channels=4, planes=2, shed_queue=shed_queue, seed=7)
+    result = run_cluster(scenario)
+    assert len(built) == 1 and len(routed) == 1
+    (arrivals,) = routed
+    assert 0 < len(arrivals) < shed_queue
+    assert result.completed == len(arrivals)
+    assert (result.shed, result.lost, result.redirected) == (0, 0, 0)
+    args, kwargs, shard_system = built[0]
+    expected = _functional_state(shard_system)
+    # The run must exercise GC and the PDC-hit fabric skip.
+    assert expected["flash"]["gc_time_us"] > 0
+    assert expected["pdc"]["read_hits"] > 0
+
+    replay_system = build_flash_system(*args, **kwargs)
+    records = [TraceRecord(page, OP_READ if is_read else OP_WRITE)
+               for _, _, page, is_read in arrivals]
+    run_trace(replay_system, records, drain=False)
+    assert _functional_state(replay_system) == expected

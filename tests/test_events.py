@@ -17,7 +17,7 @@ from repro.flash.geometry import PageAddress
 from repro.parallel import sweep
 from repro.sim.concurrent import _ConcurrentEngine, run_trace_concurrent
 from repro.sim.engine import QueueingStats, run_trace
-from repro.sim.events import Event, EventLoop, EventType
+from repro.sim.events import EventLoop, EventType
 from repro.telemetry import LatencyHistogram, metrics
 from repro.workloads.macro import build_workload
 from repro.workloads.postpdc import derive_disk_trace
@@ -28,65 +28,162 @@ class TestEventLoop:
     def test_orders_by_time(self):
         loop = EventLoop()
         seen = []
-        loop.register(EventType.ARRIVE, lambda e: seen.append(e.payload))
-        loop.post(5.0, Event(EventType.ARRIVE, "late"))
-        loop.post(1.0, Event(EventType.ARRIVE, "early"))
+        loop.register(EventType.ARRIVE,
+                      lambda now_us, payload: seen.append(payload))
+        loop.post(5.0, EventType.ARRIVE, "late")
+        loop.post(1.0, EventType.ARRIVE, "early")
         loop.run()
         assert seen == ["early", "late"]
 
     def test_ties_break_in_post_order(self):
         loop = EventLoop()
         seen = []
-        loop.register(EventType.ARRIVE, lambda e: seen.append(e.payload))
+        loop.register(EventType.ARRIVE,
+                      lambda now_us, payload: seen.append(payload))
         for i in range(20):
-            loop.post(3.0, Event(EventType.ARRIVE, i))
+            loop.post(3.0, EventType.ARRIVE, i)
         loop.run()
         assert seen == list(range(20))
 
     def test_now_advances_only_on_pop(self):
         loop = EventLoop()
         times = []
-        loop.register(EventType.ARRIVE, lambda e: times.append(loop.now_us))
-        loop.post(2.0, Event(EventType.ARRIVE, None))
-        loop.post(7.0, Event(EventType.ARRIVE, None))
+        handed = []
+
+        def handler(now_us, payload):
+            times.append(loop.now_us)
+            handed.append(now_us)
+
+        loop.register(EventType.ARRIVE, handler)
+        loop.post(2.0, EventType.ARRIVE)
+        loop.post(7.0, EventType.ARRIVE)
         assert loop.now_us == 0.0
         end = loop.run()
         assert times == [2.0, 7.0]
+        assert handed == times
         assert end == 7.0
 
     def test_posting_into_the_past_raises(self):
         loop = EventLoop()
-        loop.register(EventType.ARRIVE, lambda e: None)
-        loop.post(5.0, Event(EventType.ARRIVE, None))
-        while loop.step() is not None:
+        loop.register(EventType.ARRIVE, lambda now_us, payload: None)
+        loop.post(5.0, EventType.ARRIVE)
+        while loop.step():
             pass
         with pytest.raises(ValueError):
-            loop.post_at(1.0, Event(EventType.ARRIVE, None))
+            loop.post_at(1.0, EventType.ARRIVE)
         with pytest.raises(ValueError):
-            loop.post(-1.0, Event(EventType.ARRIVE, None))
+            loop.post(-1.0, EventType.ARRIVE)
 
     def test_duplicate_registration_rejected(self):
         loop = EventLoop()
-        loop.register(EventType.REJOIN, lambda e: None)
+        loop.register(EventType.REJOIN, lambda now_us, payload: None)
         with pytest.raises(ValueError):
-            loop.register(EventType.REJOIN, lambda e: None)
+            loop.register(EventType.REJOIN, lambda now_us, payload: None)
 
     def test_unhandled_event_type_raises(self):
         loop = EventLoop()
-        loop.post(0.0, Event(EventType.SYNC, None))
+        loop.post(0.0, EventType.SYNC)
         with pytest.raises(KeyError):
             loop.run()
 
     def test_dispatch_counts(self):
         loop = EventLoop()
-        loop.register(EventType.ARRIVE, lambda e: None)
-        loop.register(EventType.COMPLETE, lambda e: None)
-        loop.post(0.0, Event(EventType.ARRIVE, None))
-        loop.post(1.0, Event(EventType.ARRIVE, None))
-        loop.post(2.0, Event(EventType.COMPLETE, None))
+        loop.register(EventType.ARRIVE, lambda now_us, payload: None)
+        loop.register(EventType.COMPLETE, lambda now_us, payload: None)
+        loop.post(0.0, EventType.ARRIVE)
+        loop.post(1.0, EventType.ARRIVE)
+        loop.post(2.0, int(EventType.COMPLETE))
         loop.run()
         assert loop.dispatched[EventType.ARRIVE] == 2
         assert loop.dispatched[EventType.COMPLETE] == 1
+
+    def test_run_dispatches_through_step(self, monkeypatch):
+        # The per-layer benchmark spans count events by wrapping step:
+        # run must call it once per event, plus once to see the drain.
+        calls = []
+        step = EventLoop.step
+
+        def counted(loop):
+            calls.append(loop.now_us)
+            return step(loop)
+
+        monkeypatch.setattr(EventLoop, "step", counted)
+        loop = EventLoop()
+
+        def count_down(now_us, left):
+            if left:
+                loop.post(1.0, EventType.ARRIVE, left - 1)
+
+        loop.register(EventType.ARRIVE, count_down)
+        loop.post(0.0, EventType.ARRIVE, 4)
+        loop.post(0.5, EventType.ARRIVE, 0)
+        assert loop.run() == 4.0
+        assert len(calls) == sum(loop.dispatched.values()) + 1 == 7
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(roots=st.lists(st.tuples(st.integers(0, 6).map(float),
+                                    st.sampled_from(list(EventType))),
+                          min_size=1, max_size=12),
+           children=st.lists(st.lists(st.tuples(
+               st.integers(0, 3).map(float),
+               st.sampled_from(list(EventType))), max_size=3),
+               max_size=25))
+    def test_dispatch_order_is_time_then_post_order(self, roots, children):
+        """Random posts — ties, and posts made from inside handlers —
+        dispatch in ``(time, post order)``, matching a linear-scan
+        reference; time never goes back and a past post raises."""
+        def spec(ident):
+            return children[ident] if ident < len(children) else []
+
+        # Reference: a list scanned for its minimum (time, post order).
+        queue = [(time_us, ident, kind)
+                 for ident, (time_us, kind) in enumerate(roots)]
+        posted = len(queue)
+        expected = []
+        while queue:
+            entry = min(queue)
+            queue.remove(entry)
+            expected.append(entry)
+            for delay_us, kind in spec(entry[1]):
+                queue.append((entry[0] + delay_us, posted, kind))
+                posted += 1
+
+        loop = EventLoop()
+        seen = []
+        next_ident = [len(roots)]
+
+        def handler(now_us, payload):
+            kind, ident = payload
+            assert now_us == loop.now_us
+            if seen:
+                assert now_us >= seen[-1][0]
+            seen.append((now_us, ident, kind))
+            if now_us > 0:
+                pending = loop.pending
+                with pytest.raises(ValueError):
+                    loop.post_at(now_us - 0.5, kind, None)
+                with pytest.raises(ValueError):
+                    loop.post(-0.5, kind, None)
+                assert loop.pending == pending
+            for delay_us, child_kind in spec(ident):
+                loop.post(delay_us, child_kind,
+                          (child_kind, next_ident[0]))
+                next_ident[0] += 1
+
+        for kind in EventType:
+            loop.register(kind, handler)
+        for ident, (time_us, kind) in enumerate(roots):
+            loop.post_at(time_us, kind, (kind, ident))
+        end_us = loop.run()
+
+        assert seen == expected
+        assert end_us == expected[-1][0]
+        counts = {}
+        for _, _, kind in expected:
+            counts[kind] = counts.get(kind, 0) + 1
+        assert loop.dispatched == counts
+        assert loop.pending == 0
 
 
 class TestNandScheduler:
@@ -119,6 +216,13 @@ class TestNandScheduler:
         assert (placed.channel, placed.plane) == (0, 1)
         assert placed.wait_us == 0.0
         assert sched._free_at_us == [5.0, 12.0, 1.0]
+        # place_chain runs the same scan inline.
+        chained = NandScheduler(ChannelConfig(channels=1, planes=3))
+        for latency_us in (5.0, 3.0, 1.0):
+            chained.place_chain(0.0, [DeviceOp("read", 0, latency_us)])
+        assert chained.place_chain(10.0, [DeviceOp("read", 0, 2.0)]) == (
+            12.0, 0.0, 0)
+        assert chained._free_at_us == [5.0, 12.0, 1.0]
 
     @settings(max_examples=200, deadline=None)
     @given(channels=st.integers(1, 8), planes=st.integers(1, 4),
