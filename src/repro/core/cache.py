@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, NoReturn, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import (Any, Deque, Dict, List, NamedTuple, NoReturn, Optional,
+                    Set, Tuple)
 
 from ..flash.device import EraseFailure, ProgramFailure
 from ..flash.geometry import PageAddress
@@ -185,16 +186,14 @@ class CacheStats:
         return self.gc_time_us / self.foreground_time_us
 
 
-@dataclass(frozen=True)
-class FlashReadOutcome:
+class FlashReadOutcome(NamedTuple):
     """Result of a Flash cache read hit."""
 
     latency_us: float
     recovered: bool
 
 
-@dataclass(frozen=True)
-class WriteOutcome:
+class WriteOutcome(NamedTuple):
     """Result of a write into the cache.
 
     ``flushed_lbas`` are dirty pages pushed to disk by a write-region
@@ -339,6 +338,13 @@ class FlashDiskCache:
                 unified.free_blocks.append(block)
             self._read = unified
             self._write = unified
+        self._region_list: Tuple[_RegionState, ...] = (
+            (self._read,) if self._read is self._write
+            else (self._read, self._write))
+        #: An LBA the last read missed and nothing has mapped since, so
+        #: the fill that follows the miss skips its FCHT lookup.
+        self._missed_lba: Optional[int] = None
+        self._fgst = controller.fgst
         # One erased block per region is held back as the GC reserve.
         for region in self._regions():
             region.reserve_block = region.free_blocks.popleft()
@@ -349,10 +355,8 @@ class FlashDiskCache:
         self.controller.retire_listener = self._on_block_retired
         self._initial_pages = self.total_pages()
 
-    def _regions(self) -> List[_RegionState]:
-        if self._read is self._write:
-            return [self._read]
-        return [self._read, self._write]
+    def _regions(self) -> Tuple[_RegionState, ...]:
+        return self._region_list
 
     # -- capacity queries ----------------------------------------------------
 
@@ -415,50 +419,58 @@ class FlashDiskCache:
         disk.  In the degraded (DRAM+disk bypass) state every read is an
         immediate miss.
         """
+        stats = self.stats
         if self.degraded:
-            self.stats.bypass_reads += 1
-            self.stats.read_misses += 1
+            stats.bypass_reads += 1
+            stats.read_misses += 1
             return None
         accrual = self._gc_accrual
         if accrual is not None:
             self._gc_credit += accrual
-        address = self.fcht.lookup(lba)
-        lookup_us = self.fcht.lookup_cost_us()
+        # The FCHT's lookup and lookup_cost_us, inline.
+        fcht = self.fcht
+        mapping = fcht.mapping
+        address = mapping.get(lba)
+        expected_chain = len(mapping) / fcht.buckets
+        if expected_chain < 1.0:
+            expected_chain = 1.0
+        lookup_us = fcht.BASE_COST_US + fcht.PROBE_COST_US * expected_chain
         if address is None:
-            self.stats.read_misses += 1
-            self.controller.fgst.record_miss(4200.0)
-            self.stats.foreground_time_us += lookup_us
+            stats.read_misses += 1
+            self._fgst.record_miss(4200.0)
+            stats.foreground_time_us += lookup_us
+            self._missed_lba = lba
             return None
 
         result = self.controller.read(address)
         latency = lookup_us + result.latency_us
-        self.stats.foreground_time_us += latency
+        stats.foreground_time_us += latency
         if not result.recovered:
-            self.stats.uncorrectable += 1
+            stats.uncorrectable += 1
             self._drop_page(lba, address)
             if lba in self._dirty:
                 self._dirty.discard(lba)
-                self.stats.unrecovered_faults += 1
+                stats.unrecovered_faults += 1
                 if self._fault_aware:
                     # The Flash copy was newer than the disk's; route the
                     # LBA through the next flush so write-back accounting
                     # stays balanced.
                     self._orphan_dirty.add(lba)
             else:
-                self.stats.recovered_faults += 1
-            self.stats.read_misses += 1
-            self.controller.fgst.record_miss(4200.0)
-            return FlashReadOutcome(latency_us=latency, recovered=False)
+                stats.recovered_faults += 1
+            stats.read_misses += 1
+            self._fgst.record_miss(4200.0)
+            return FlashReadOutcome(latency, False)
 
-        self.stats.read_hits += 1
-        self.controller.fgst.record_hit(result.latency_us)
+        stats.read_hits += 1
+        self._fgst.record_hit(result.latency_us)
         self._touch_block(address.block)
         if result.hot_promotion and self.config.hot_promotion:
             self._promote_to_slc(lba, address)
-        return FlashReadOutcome(latency_us=latency, recovered=True)
+        return FlashReadOutcome(latency, True)
 
     def _touch_block(self, block: int) -> None:
-        for region in self._regions():
+        for region in self._region_list:
             if block in region.lru:
                 region.lru.move_to_end(block)
                 return
@@ -477,12 +489,30 @@ class FlashDiskCache:
         accrual = self._gc_accrual
         if accrual is not None:
             self._gc_credit += accrual
-        old = self.fcht.lookup(lba)
-        if old is not None:
-            self._drop_page(lba, old)
+        if lba == self._missed_lba:
+            self._missed_lba = None  # the miss's lookup: not cached
+        else:
+            old = self.fcht.mapping.get(lba)
+            if old is not None:
+                self._drop_page(lba, old)
+        region = self._read
+        free = region.open_free
+        if free and not self._fault_aware:
+            # The common case: the open block has a free page and no
+            # fault injector can fail its program, so the page is taken,
+            # programmed and registered here.  The open block is never
+            # in the LRU (check_invariants checks it), so no LRU total
+            # moves.
+            address = free.popleft()
+            latency = self.controller.program(address, lba)
+            self.fcht.mapping[lba] = address
+            self._location[lba] = Region.READ
+            region.valid[address.block].add(address)
+            self.stats.fills += 1
+            return latency
         try:
             address, latency, flushed = \
-                self._program_with_remap(self._read, lba)
+                self._program_with_remap(region, lba)
         except CacheDegradedError:
             if not self.config.allow_eviction_for_space:
                 raise
@@ -493,7 +523,7 @@ class FlashDiskCache:
             # read region never produces them (unified mode drops them,
             # preserving the historical accounting).
             self.stats.flushed_pages += len(flushed)
-        self._register(lba, address, self._read, Region.READ)
+        self._register(lba, address, region, Region.READ)
         self.stats.fills += 1
         return latency
 
@@ -618,6 +648,7 @@ class FlashDiskCache:
                   region: _RegionState, tag: Region) -> None:
         self.fcht.insert(lba, address)
         self._location[lba] = tag
+        self._missed_lba = None
         block = address.block
         region.valid.setdefault(block, set()).add(address)
         if block in region.lru:
@@ -1289,6 +1320,15 @@ class FlashDiskCache:
             if kept != recount:
                 fail(f"{region.name.value} region totals (LRU capacity, "
                      f"LRU valid, invalid) read {kept}, recount {recount}")
+            # insert_clean's fast path fills from open_free without
+            # touching the LRU totals or creating a valid set.
+            open_block = region.open_block
+            if region.open_free and (
+                    open_block in region.lru or open_block not in region.valid
+                    or any(a.block != open_block for a in region.open_free)):
+                fail(f"{region.name.value} region's free pages are not "
+                     f"all in its open block {open_block}, or that block "
+                     f"is in the LRU or has no valid set")
         mapped = dict(self.fcht.items())
         if self.degraded:
             if mapped or self._location or self._dirty:

@@ -201,7 +201,10 @@ class ProgrammableFlashController:
         self._encode_cache: Dict[int, float] = {}
         # Bound once for the per-page paths; a span tracer patches the
         # classes before any controller is built, so these are traced.
+        # The FPST's entry dict is indexed directly; ``entry`` creates.
+        self._fpst_entries = self.fpst.entries
         self._fpst_entry = self.fpst.entry
+        self._counter_max = self.config.counter_max
         self._read_page = device.read_page
         self._program_page = device.program_page
 
@@ -236,7 +239,7 @@ class ProgrammableFlashController:
         uncorrectable read into a recovered one.  Every retry costs a full
         NAND read plus decode, charged to the returned latency.
         """
-        entry = self._fpst_entry(address)
+        entry = self._fpst_entries.get(address) or self._fpst_entry(address)
         raw_us, errors, _, mode = self._read_page(address)
         entry.mode = mode  # FPST reflects the physical frame mode
         decode_us = self._decode_cache.get(entry.ecc_strength)
@@ -265,16 +268,22 @@ class ProgrammableFlashController:
             # At (or past) the correction limit: reconfigure per 5.2.1.
             reconfig = self._respond_to_faults(address, entry)
 
-        hot = entry.touch(self.config.counter_max) \
-            and entry.mode is CellMode.MLC
+        # FPSTEntry.touch, inline: bump the saturating counter.
+        count = entry.access_count
+        counter_max = self._counter_max
+        if count < counter_max:
+            count += 1
+            entry.access_count = count
+        hot = count >= counter_max and entry.mode is CellMode.MLC
         if hot:
             self.stats.hot_promotions += 1
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.flash_read(latency)
+        strength = entry.ecc_strength
         return ControllerReadResult(
-            latency, min(errors, entry.ecc_strength), recovered, reconfig,
-            hot)
+            latency, errors if errors < strength else strength, recovered,
+            reconfig, hot)
 
     def program(self, address: PageAddress, lba: Optional[int] = None,
                 data: Optional[bytes] = None) -> float:
@@ -292,7 +301,7 @@ class ProgrammableFlashController:
             self.stats.programs += 1
             self._note_program_failure(address)
             raise
-        entry = self._fpst_entry(address)
+        entry = self._fpst_entries.get(address) or self._fpst_entry(address)
         entry.mode = mode
         entry.valid = True
         entry.lba = lba

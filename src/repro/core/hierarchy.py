@@ -137,11 +137,6 @@ class PendingRequest:
     #: shard dies can be retried on a surviving replica).
     context: Any = None
 
-    @property
-    def queue_delay_us(self) -> float:
-        """Waiting time beyond the serial service latency."""
-        return max(self.finish_us - self.dispatch_us - self.service_us, 0.0)
-
 
 class _SystemBase:
     """Shared request-loop plumbing of both hierarchies."""

@@ -40,7 +40,7 @@ __all__ = [
 ACCESS_COUNTER_MAX = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class FPSTEntry:
     """Flash page status: ECC strength, density mode, hotness, validity."""
 
@@ -67,20 +67,22 @@ class FlashPageStatusTable:
 
     def __init__(self, default_ecc_strength: int = 1) -> None:
         self.default_ecc_strength = default_ecc_strength
-        self._entries: Dict[PageAddress, FPSTEntry] = {}
+        #: Address -> entry.  The controller's page paths index it
+        #: directly and fall back to :meth:`entry` to create one.
+        self.entries: Dict[PageAddress, FPSTEntry] = {}
 
     def entry(self, address: PageAddress) -> FPSTEntry:
-        existing = self._entries.get(address)
+        existing = self.entries.get(address)
         if existing is None:
             existing = FPSTEntry(ecc_strength=self.default_ecc_strength)
-            self._entries[address] = existing
+            self.entries[address] = existing
         return existing
 
     def get(self, address: PageAddress) -> Optional[FPSTEntry]:
-        return self._entries.get(address)
+        return self.entries.get(address)
 
     def drop(self, address: PageAddress) -> None:
-        self._entries.pop(address, None)
+        self.entries.pop(address, None)
 
     def reset_erased(self, pages: Iterable[PageAddress],
                      modes: Sequence[CellMode],
@@ -96,7 +98,7 @@ class FlashPageStatusTable:
         ``initial_strength``, matching the incremental accounting done
         when a reconfiguration happens between erases.
         """
-        entries = self._entries
+        entries = self.entries
         slc = CellMode.SLC
         total_ecc = 0
         for address in pages:
@@ -116,10 +118,10 @@ class FlashPageStatusTable:
         return total_ecc
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[tuple[PageAddress, FPSTEntry]]:
-        return iter(self._entries.items())
+        return iter(self.entries.items())
 
 
 @dataclass
@@ -211,17 +213,20 @@ class FlashGlobalStatus:
     def record_hit(self, latency_us: float) -> None:
         self.hits += 1
         self.total_accesses += 1
-        self.avg_hit_latency_us = self._blend(self.avg_hit_latency_us, latency_us)
+        current = self.avg_hit_latency_us
+        alpha = self.ewma_alpha
+        self.avg_hit_latency_us = (
+            latency_us if current == 0.0
+            else (1.0 - alpha) * current + alpha * latency_us)
 
     def record_miss(self, penalty_us: float) -> None:
         self.misses += 1
         self.total_accesses += 1
-        self.avg_miss_penalty_us = self._blend(self.avg_miss_penalty_us, penalty_us)
-
-    def _blend(self, current: float, sample: float) -> float:
-        if current == 0.0:
-            return sample
-        return (1.0 - self.ewma_alpha) * current + self.ewma_alpha * sample
+        current = self.avg_miss_penalty_us
+        alpha = self.ewma_alpha
+        self.avg_miss_penalty_us = (
+            penalty_us if current == 0.0
+            else (1.0 - alpha) * current + alpha * penalty_us)
 
     @property
     def miss_rate(self) -> float:
@@ -253,30 +258,32 @@ class FlashCacheHashTable:
         if buckets < 1:
             raise ValueError("FCHT needs at least one bucket")
         self.buckets = buckets
-        self._map: Dict[int, PageAddress] = {}
+        #: LBA -> address.  The cache's read and fill paths index it
+        #: directly.
+        self.mapping: Dict[int, PageAddress] = {}
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self.mapping)
 
     def __contains__(self, lba: int) -> bool:
-        return lba in self._map
+        return lba in self.mapping
 
     def lookup(self, lba: int) -> Optional[PageAddress]:
-        return self._map.get(lba)
+        return self.mapping.get(lba)
 
     def insert(self, lba: int, address: PageAddress) -> None:
-        self._map[lba] = address
+        self.mapping[lba] = address
 
     def remove(self, lba: int) -> Optional[PageAddress]:
-        return self._map.pop(lba, None)
+        return self.mapping.pop(lba, None)
 
     def lookup_cost_us(self) -> float:
         """Expected software lookup latency for the current occupancy."""
-        expected_chain = max(1.0, len(self._map) / self.buckets)
+        expected_chain = max(1.0, len(self.mapping) / self.buckets)
         return self.BASE_COST_US + self.PROBE_COST_US * expected_chain
 
     def items(self) -> Iterator[tuple[int, PageAddress]]:
-        return iter(self._map.items())
+        return iter(self.mapping.items())
 
 
 def metadata_overhead_bytes(flash_bytes: int, page_bytes: int = 2048,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 __all__ = ["PdcStats", "Eviction", "PrimaryDiskCache"]
 
@@ -48,8 +48,7 @@ class PdcStats:
         return misses / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class Eviction:
+class Eviction(NamedTuple):
     """A page pushed out of the PDC; ``dirty`` pages must be written back."""
 
     page: int

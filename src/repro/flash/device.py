@@ -299,6 +299,7 @@ class FlashDevice:
         self._mlc_erase_us = timing.erase_us(mlc)
         self._slc_pages = geometry.pages_per_frame(_SLC)
         self._mlc_pages = geometry.pages_per_frame(mlc)
+        self._initial_pages = geometry.pages_per_frame(initial_mode)
 
     # -- non-blocking entry points ---------------------------------------------
 
@@ -334,15 +335,11 @@ class FlashDevice:
         existing = self._frames.get(key)
         if existing is not None:
             return existing
+        pages = self._initial_pages
         created = _Frame(
             mode=self.initial_mode,
-            states=[PageState.ERASED] * self.geometry.pages_per_frame(
-                self.initial_mode
-            ),
-            data=(
-                [None] * self.geometry.pages_per_frame(self.initial_mode)
-                if self.store_data else None
-            ),
+            states=[PageState.ERASED] * pages,
+            data=[None] * pages if self.store_data else None,
         )
         self._frames[key] = created
         return created

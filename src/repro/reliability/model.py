@@ -265,12 +265,6 @@ class ReliabilityModel:
                 (row[frame + 1] or _touch(row, frame + 1)) \
                     .neighbor_programs += 1
 
-    def note_read(self, block: int, frame: int) -> None:
-        """Count one read toward the frame's read disturb without drawing
-        errors (:meth:`read_errors` counts its own read)."""
-        row = self._row(block)
-        (row[frame] or _touch(row, frame)).reads_since_program += 1
-
     def note_erase(self, block: int, now_us: float, frames: int) -> None:
         """A block erase wipes every frame's accumulated error history."""
         row = self._rows.get(block)

@@ -169,7 +169,7 @@ class _ConcurrentEngine(EventEngine):
     def _on_complete(self, now_us: float, pending: PendingRequest) -> None:
         pending.finish_us = now_us
         service_us = pending.service_us
-        # PendingRequest.queue_delay_us, from complete_request's response.
+        # Queue delay: the response beyond the serial service latency.
         queue_delay_us = self._complete_request(pending) - service_us
         if queue_delay_us < 0.0:
             queue_delay_us = 0.0

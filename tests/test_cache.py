@@ -13,7 +13,7 @@ from repro.core.controller import ControllerConfig, ProgrammableFlashController
 from repro.core.hierarchy import build_flash_system
 from repro.faults import FaultConfig, FaultInjector
 from repro.flash.device import FlashDevice
-from repro.flash.geometry import FlashGeometry
+from repro.flash.geometry import FlashGeometry, PageAddress
 from repro.flash.timing import CellMode
 
 from .conftest import make_cache
@@ -63,6 +63,18 @@ class TestBasicCaching:
         assert split_cache.fcht.lookup(3) != read_address
         entry = split_cache.controller.fpst.entry(read_address)
         assert not entry.valid
+
+    def test_read_charges_the_fcht_lookup_cost(self):
+        # read() prices its FCHT lookup inline; lookup_cost_us is the
+        # reference, below one entry per bucket and above it.
+        cache = make_cache(num_blocks=8, fcht_buckets=4)
+        for lba in range(12):
+            expected = cache.fcht.lookup_cost_us()
+            before = cache.stats.foreground_time_us
+            assert cache.read(lba) is None
+            assert cache.stats.foreground_time_us == before + expected
+            cache.insert_clean(lba)
+        assert len(cache.fcht) / cache.fcht.buckets > 2
 
     def test_miss_rate_accounting(self, split_cache):
         for lba in range(4):
@@ -346,6 +358,26 @@ class TestInvariants:
         cache._dirty.add(999)
         with pytest.raises(AssertionError, match="not cached"):
             cache.check_invariants()
+        cache._dirty.discard(999)
+        region = cache._read
+        region.open_free.append(PageAddress(region.open_block + 1, 0, 0))
+        with pytest.raises(AssertionError, match="open block"):
+            cache.check_invariants()
+
+    def test_fill_after_a_miss_rechecks_what_was_mapped_since(self):
+        """insert_clean skips its FCHT lookup for the LBA the last read
+        missed.  A write or a fill of that LBA in between must end the
+        skip, or the older copy stays valid beside the new one."""
+        cache = make_cache(num_blocks=8)
+        assert cache.read(5) is None
+        cache.write(5)
+        cache.insert_clean(5)
+        cache.check_invariants()
+        assert cache.read(6) is None
+        cache.insert_clean(6)
+        cache.insert_clean(6)
+        cache.check_invariants()
+        assert cache.stats.invalidations == 2
 
     @settings(max_examples=10, deadline=None)
     @given(lbas=st.lists(st.integers(min_value=0, max_value=50),

@@ -393,7 +393,8 @@ class TestEngineHistogramDrain:
 
         def recording_complete(pending):
             response_us = complete_request(pending)
-            delays.append(pending.queue_delay_us)
+            delays.append(max(pending.finish_us - pending.dispatch_us
+                              - pending.service_us, 0.0))
             services.append(pending.service_us)
             return response_us
 
@@ -429,7 +430,8 @@ class TestHierarchySubmit:
         pending.finish_us = 10.0 + pending.service_us
         assert system.complete_request(pending) == pytest.approx(
             pending.service_us)
-        assert pending.queue_delay_us == 0.0
+        assert max(pending.finish_us - pending.dispatch_us
+                   - pending.service_us, 0.0) == 0.0
 
     def test_complete_before_dispatch_rejected(self):
         system = build_flash_system(dram_bytes=1 << 20,

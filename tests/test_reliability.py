@@ -260,7 +260,8 @@ class TestErrorPhysics:
         model.note_program(3, 1, 0.0)
         base = model.expected_rber(3, 1, 0.0, CellMode.SLC, 0.0)
         for _ in range(1000):
-            model.note_read(3, 1)
+            # Each read draws its errors, then counts toward disturb.
+            model.read_errors(3, 1, 0.0, CellMode.SLC, 0.0, 4096)
         disturbed = model.expected_rber(3, 1, 0.0, CellMode.SLC, 0.0)
         assert disturbed > base
         model.note_erase(3, 0.0, frames=4)

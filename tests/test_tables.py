@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.tables import (
     ACCESS_COUNTER_MAX,
@@ -99,6 +101,40 @@ class TestFGST:
         fgst.record_hit(1.0)
         fgst.record_hit(1.0)
         assert fgst.relative_frequency(1) == pytest.approx(0.5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(alpha=st.sampled_from([0.01, 0.5]) | st.floats(
+               0.001, 0.999, allow_nan=False),
+           samples=st.lists(st.tuples(
+               st.booleans(),
+               st.sampled_from([0.0, 25.0, 4200.0]) | st.floats(
+                   0.0, 1e6, allow_nan=False, allow_infinity=False)),
+               max_size=60))
+    def test_ewma_matches_two_step_blend(self, alpha, samples):
+        # The FGST feeds the reconfiguration cost model, so its averages
+        # must equal, bit for bit, the blend it was defined by: take the
+        # first sample (or any sample while the average reads 0.0), then
+        # (1 - alpha) * current + alpha * sample.
+        def blend(current, sample):
+            if current == 0.0:
+                return sample
+            return (1.0 - alpha) * current + alpha * sample
+
+        fgst = FlashGlobalStatus(ewma_alpha=alpha)
+        hit_avg = miss_avg = 0.0
+        for is_hit, value in samples:
+            if is_hit:
+                fgst.record_hit(value)
+                hit_avg = blend(hit_avg, value)
+            else:
+                fgst.record_miss(value)
+                miss_avg = blend(miss_avg, value)
+        assert fgst.avg_hit_latency_us.hex() == hit_avg.hex()
+        assert fgst.avg_miss_penalty_us.hex() == miss_avg.hex()
+        hits = sum(1 for is_hit, _ in samples if is_hit)
+        assert (fgst.hits, fgst.misses, fgst.total_accesses) \
+            == (hits, len(samples) - hits, len(samples))
 
 
 class TestFCHT:
