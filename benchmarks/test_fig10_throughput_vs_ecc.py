@@ -2,26 +2,27 @@
 
 from __future__ import annotations
 
-from repro.experiments.fig10_ecc_throughput import run_ecc_throughput_sweep
+from repro.experiments.fig10_ecc_throughput import combine, tasks
+from repro.parallel import sweep
 
 STRENGTHS = (0, 1, 5, 15, 30, 50)
 
 
 def _run(workload, bench_scale):
-    return run_ecc_throughput_sweep(
+    return combine(sweep(tasks(
         workload,
         strengths=STRENGTHS,
         scale_divisor=bench_scale["scale_divisor"],
         num_records=max(bench_scale["num_records"] // 3, 20_000),
-    )
+    )))
 
 
 def test_fig10_both_workloads(benchmark, bench_scale):
-    def sweep():
+    def run_both():
         return {name: _run(name, bench_scale)
                 for name in ("specweb99", "dbt2")}
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
 
     for name, points in results.items():
         print(f"\nFigure 10 ({name}): relative bandwidth vs BCH strength")

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 from repro.experiments.fig11_reconfig import (
     FIG11_WORKLOADS,
-    run_reconfig_breakdown,
+    combine,
+    tasks,
 )
+from repro.parallel import sweep
 
 
 def test_fig11_reconfig_breakdown(benchmark, bench_scale):
     rows = benchmark.pedantic(
-        lambda: run_reconfig_breakdown(
+        lambda: combine(sweep(tasks(
             workloads=FIG11_WORKLOADS,
             num_blocks=bench_scale["aging_blocks"],
-            frames_per_block=bench_scale["aging_frames"]),
+            frames_per_block=bench_scale["aging_frames"]))),
         rounds=1, iterations=1)
 
     print("\nFigure 11: page reconfiguration events")

@@ -5,16 +5,18 @@ from __future__ import annotations
 from repro.experiments.fig12_lifetime import (
     FIG12_WORKLOADS,
     average_improvement,
-    run_lifetime_comparison,
+    combine,
+    tasks,
 )
+from repro.parallel import sweep
 
 
 def test_fig12_lifetime(benchmark, bench_scale):
     rows = benchmark.pedantic(
-        lambda: run_lifetime_comparison(
+        lambda: combine(sweep(tasks(
             workloads=FIG12_WORKLOADS,
             num_blocks=bench_scale["aging_blocks"],
-            frames_per_block=bench_scale["aging_frames"]),
+            frames_per_block=bench_scale["aging_frames"]))),
         rounds=1, iterations=1)
 
     print("\nFigure 12: normalized lifetime")

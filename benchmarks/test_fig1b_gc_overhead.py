@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from repro.experiments.fig1b_gc import run_gc_overhead_sweep
+from repro.experiments.fig1b_gc import combine, tasks
+from repro.parallel import sweep
 
 
 def test_fig1b_gc_overhead(benchmark):
     points = benchmark.pedantic(
-        lambda: run_gc_overhead_sweep(
+        lambda: combine(sweep(tasks(
             occupancies=(0.10, 0.30, 0.50, 0.70, 0.80, 0.90, 0.95),
-            flash_blocks=32),
+            flash_blocks=32))),
         rounds=1, iterations=1)
 
     print("\nFigure 1(b): normalized GC overhead vs used Flash space")

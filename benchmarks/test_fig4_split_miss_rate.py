@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from repro.experiments.fig4_split import run_split_sweep
+from repro.experiments.fig4_split import combine, tasks
+from repro.parallel import sweep
 
 
 def test_fig4_split_vs_unified(benchmark, bench_scale):
     points = benchmark.pedantic(
-        lambda: run_split_sweep(
+        lambda: combine(sweep(tasks(
             flash_sizes_mb=(128, 384, 640),
             scale_divisor=bench_scale["scale_divisor"],
-            num_records=bench_scale["num_records"] * 5),
+            num_records=bench_scale["num_records"] * 5))),
         rounds=1, iterations=1)
 
     print("\nFigure 4: dbt2 Flash miss rate")

@@ -10,11 +10,16 @@ from __future__ import annotations
 import random
 
 from repro.ecc.bch import design_code_for_page
-from repro.experiments.fig6_ecc import run_decode_latency_series
+from repro.experiments.fig6_ecc import (
+    combine_decode_latency,
+    decode_latency_tasks,
+)
+from repro.parallel import sweep
 
 
 def test_fig6a_accelerator_latency(benchmark):
-    series = benchmark(run_decode_latency_series)
+    series = benchmark(
+        lambda: combine_decode_latency(sweep(decode_latency_tasks())))
 
     print("\nFigure 6(a): accelerator decode latency (us)")
     for point in series:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from repro.experiments.fig6_ecc import run_tolerable_cycles_series
+from repro.experiments.fig6_ecc import (
+    combine_tolerable_cycles,
+    tolerable_cycles_tasks,
+)
+from repro.parallel import sweep
 
 
 def test_fig6b_tolerable_cycles(benchmark):
-    series = benchmark(run_tolerable_cycles_series)
+    series = benchmark(
+        lambda: combine_tolerable_cycles(sweep(tolerable_cycles_tasks())))
 
     print("\nFigure 6(b): max tolerable W/E cycles")
     for frac, points in series.items():

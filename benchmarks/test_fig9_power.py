@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.experiments.fig9_power import run_power_comparison
+from repro.experiments.fig9_power import combine, tasks
+from repro.parallel import sweep
 
 
 def _print_panel(result):
@@ -18,9 +19,9 @@ def _print_panel(result):
 
 def test_fig9_dbt2(benchmark, bench_scale):
     result = benchmark.pedantic(
-        lambda: run_power_comparison(
+        lambda: combine(sweep(tasks(
             "dbt2", scale_divisor=bench_scale["scale_divisor"],
-            num_records=bench_scale["num_records"]),
+            num_records=bench_scale["num_records"]))),
         rounds=1, iterations=1)
     _print_panel(result)
     # Shape: the Flash configuration saves memory+disk power while
@@ -33,9 +34,9 @@ def test_fig9_dbt2(benchmark, bench_scale):
 
 def test_fig9_specweb99(benchmark, bench_scale):
     result = benchmark.pedantic(
-        lambda: run_power_comparison(
+        lambda: combine(sweep(tasks(
             "specweb99", scale_divisor=bench_scale["scale_divisor"],
-            num_records=bench_scale["num_records"]),
+            num_records=bench_scale["num_records"]))),
         rounds=1, iterations=1)
     _print_panel(result)
     assert result.power_ratio > 1.2

@@ -106,10 +106,9 @@ def test_full_fig10_grid_parallel(bench_scale):
     behind REPRO_BENCH_FULL=1)."""
     if not full_scale():
         pytest.skip("heavy grid: set REPRO_BENCH_FULL=1")
-    points = fig10_ecc_throughput.run_ecc_throughput_sweep(
+    grid = fig10_ecc_throughput.tasks(
         "dbt2", scale_divisor=bench_scale["scale_divisor"],
-        num_records=bench_scale["num_records"], workers=4)
-    serial = fig10_ecc_throughput.run_ecc_throughput_sweep(
-        "dbt2", scale_divisor=bench_scale["scale_divisor"],
-        num_records=bench_scale["num_records"], workers=1)
+        num_records=bench_scale["num_records"])
+    points = fig10_ecc_throughput.combine(sweep(grid, workers=4))
+    serial = fig10_ecc_throughput.combine(sweep(grid, workers=1))
     assert points == serial

@@ -1031,15 +1031,16 @@ class EventHandlerTimeRule(Rule):
         ``self._on_x`` methods registered from another module) and walks
         its transitive callees for wall-clock reads, ``advance_clock``
         calls, and clock-attribute writes.  Chains start at depth 1 so
-        direct violations stay with the file-local check; pragma'd
-        sources are reviewed decisions and do not taint.
+        direct violations stay with the file-local check; a source
+        pragma'd ``ignore[SIM010]`` is a reviewed decision and does not
+        taint (an ``ignore[SIM001]`` orchestration-timing pragma waives
+        only the read, not a handler reaching it).
         """
         analysis = project.analysis()
         for handler in analysis.event_handlers(_EVENT_LOOP_PACKAGES):
             trace = analysis.trace(
                 handler,
-                lambda s: analysis.time_sources(s, codes=("SIM010",
-                                                          "SIM001")),
+                lambda s: analysis.time_sources(s, codes=("SIM010",)),
                 min_depth=1)
             if trace is None:
                 continue

@@ -50,7 +50,7 @@ from typing import (Any, Deque, Dict, List, NamedTuple, NoReturn, Optional,
 from ..flash.device import EraseFailure, ProgramFailure
 from ..flash.geometry import PageAddress
 from ..flash.timing import CellMode
-from .controller import ControllerReadResult, ProgrammableFlashController
+from .controller import ProgrammableFlashController
 from .errors import (
     CacheCapacityError,
     CacheDegradedError,
@@ -649,10 +649,9 @@ class FlashDiskCache:
         self.fcht.insert(lba, address)
         self._location[lba] = tag
         self._missed_lba = None
-        block = address.block
-        region.valid.setdefault(block, set()).add(address)
-        if block in region.lru:
-            region.lru_valid += 1
+        # Pages land only in an open block, which is never in the LRU
+        # (check_invariants), so lru_valid does not move here.
+        region.valid.setdefault(address.block, set()).add(address)
 
     def _drop_page(self, lba: int, address: PageAddress) -> None:
         """Invalidate a cached page everywhere it is tracked."""

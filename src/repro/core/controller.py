@@ -29,7 +29,7 @@ conventional BCH-1 controller Figure 12 compares against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Set,
                     Tuple)
 
@@ -207,6 +207,9 @@ class ProgrammableFlashController:
         self._counter_max = self.config.counter_max
         self._read_page = device.read_page
         self._program_page = device.program_page
+        # Both modes' page counts, taken once for the per-frame paths.
+        self._slc_pages = device.geometry.pages_per_frame(CellMode.SLC)
+        self._mlc_pages = device.geometry.pages_per_frame(CellMode.MLC)
 
     # -- descriptor plumbing --------------------------------------------------
 
@@ -268,7 +271,7 @@ class ProgrammableFlashController:
             # At (or past) the correction limit: reconfigure per 5.2.1.
             reconfig = self._respond_to_faults(address, entry)
 
-        # FPSTEntry.touch, inline: bump the saturating counter.
+        # Bump the page's saturating access counter (section 5.2.2).
         count = entry.access_count
         counter_max = self._counter_max
         if count < counter_max:
@@ -546,14 +549,17 @@ class ProgrammableFlashController:
         """
         layout = self._block_layout.get(block)
         if layout is None:
-            pages_per_frame = self.device.geometry.pages_per_frame
+            slc = CellMode.SLC
+            slc_pages = self._slc_pages
+            mlc_pages = self._mlc_pages
             bad_frames = self._bad_frames
             layout = tuple(
                 PageAddress(block, frame, subpage)
                 for frame, mode in enumerate(
                     self.device.block_frame_modes(block))
                 if (block, frame) not in bad_frames
-                for subpage in range(pages_per_frame(mode)))
+                for subpage in range(slc_pages if mode is slc
+                                     else mlc_pages))
             self._block_layout[block] = layout
         return layout
 
@@ -566,13 +572,10 @@ class ProgrammableFlashController:
         if self._bad_frames:
             modes = [mode for frame, mode in enumerate(modes)
                      if (block, frame) not in self._bad_frames]
-        # Two modes exist; counting one of them prices the whole block
-        # with two pages_per_frame lookups instead of one per frame.
-        geometry = self.device.geometry
+        # Two modes exist; counting one of them prices the whole block.
         slc = modes.count(CellMode.SLC)
-        capacity = (slc * geometry.pages_per_frame(CellMode.SLC)
-                    + (len(modes) - slc)
-                    * geometry.pages_per_frame(CellMode.MLC))
+        capacity = (slc * self._slc_pages
+                    + (len(modes) - slc) * self._mlc_pages)
         self._block_capacity[block] = capacity
         return capacity
 

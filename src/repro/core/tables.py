@@ -20,7 +20,7 @@ estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 from ..flash.geometry import PageAddress
@@ -49,12 +49,6 @@ class FPSTEntry:
     access_count: int = 0
     valid: bool = False
     lba: Optional[int] = None  # reverse map used by garbage collection
-
-    def touch(self, counter_max: int = ACCESS_COUNTER_MAX) -> bool:
-        """Bump the saturating counter; True when it (just) saturates."""
-        if self.access_count < counter_max:
-            self.access_count += 1
-        return self.access_count >= counter_max
 
     def saturate(self, counter_max: int = ACCESS_COUNTER_MAX) -> None:
         """Set the counter to its ceiling (used after an SLC migration,

@@ -1,72 +1,47 @@
 """Experiment runners: one module per paper table/figure.
 
-Each module exposes a ``run_*`` function returning structured rows and a
-``main()`` that prints the same rows the paper's figure plots.  The
-benchmark suite under ``benchmarks/`` wraps these runners with
-pytest-benchmark and asserts the paper's qualitative shapes.
+Each ``fig*`` module exposes ``tasks()``, which builds the figure's grid
+as :class:`~repro.parallel.SweepTask`\\ s, and ``combine()``, which turns
+the ordered results into the figure's rows; ``combine(sweep(tasks()))``
+regenerates the figure at any worker count, and each module's ``main()``
+prints those rows the way the paper's figure plots them.
+:data:`~repro.experiments.sweeps.SWEEPS` sizes every grid from a
+:class:`~repro.experiments.sweeps.ReportScale` for ``repro sweep`` and
+``repro report``.  The benchmark suite under ``benchmarks/`` runs the
+same grids with pytest-benchmark and asserts the paper's qualitative
+shapes.
 """
 
-from .fig1b_gc import GcPoint, run_gc_overhead_sweep
+from .fig1b_gc import GcPoint
 from .fig4_split import (
     SplitMissPoint,
-    run_split_sweep,
     replay_disk_trace,
     PAPER_FLASH_SIZES_MB,
 )
-from .fig6_ecc import (
-    Fig6aPoint,
-    run_decode_latency_series,
-    run_tolerable_cycles_series,
-)
+from .fig6_ecc import Fig6aPoint
 from .fig7_density import Fig7Series, run_density_partition, FIG7_WORKLOADS
-from .fig9_power import (
-    Fig9Config,
-    Fig9Result,
-    FIG9_CONFIGS,
-    run_power_comparison,
-)
-from .fig10_ecc_throughput import (
-    ThroughputPoint,
-    run_ecc_throughput_sweep,
-    PAPER_STRENGTHS,
-)
-from .fig11_reconfig import (
-    ReconfigBreakdown,
-    run_reconfig_breakdown,
-    FIG11_WORKLOADS,
-)
-from .fig12_lifetime import (
-    LifetimeRow,
-    run_lifetime_comparison,
-    average_improvement,
-    FIG12_WORKLOADS,
-)
+from .fig9_power import Fig9Config, Fig9Result, FIG9_CONFIGS
+from .fig10_ecc_throughput import ThroughputPoint, PAPER_STRENGTHS
+from .fig11_reconfig import ReconfigBreakdown, FIG11_WORKLOADS
+from .fig12_lifetime import LifetimeRow, average_improvement, FIG12_WORKLOADS
 
 __all__ = [
     "GcPoint",
-    "run_gc_overhead_sweep",
     "SplitMissPoint",
-    "run_split_sweep",
     "replay_disk_trace",
     "PAPER_FLASH_SIZES_MB",
     "Fig6aPoint",
-    "run_decode_latency_series",
-    "run_tolerable_cycles_series",
     "Fig7Series",
     "run_density_partition",
     "FIG7_WORKLOADS",
     "Fig9Config",
     "Fig9Result",
     "FIG9_CONFIGS",
-    "run_power_comparison",
     "ThroughputPoint",
-    "run_ecc_throughput_sweep",
     "PAPER_STRENGTHS",
     "ReconfigBreakdown",
-    "run_reconfig_breakdown",
     "FIG11_WORKLOADS",
     "LifetimeRow",
-    "run_lifetime_comparison",
     "average_improvement",
     "FIG12_WORKLOADS",
 ]

@@ -35,8 +35,7 @@ from ..sim.server import ServerModel
 from ..workloads.macro import build_workload
 from ..workloads.trace import PAGE_BYTES
 
-__all__ = ["ThroughputPoint", "run_ecc_throughput_sweep",
-           "PAPER_STRENGTHS", "tasks", "combine"]
+__all__ = ["ThroughputPoint", "PAPER_STRENGTHS", "tasks", "combine"]
 
 #: The x axis of Figure 10 (0 = ECC disabled reference point).
 PAPER_STRENGTHS = (0, 1, 5, 10, 15, 20, 30, 40, 50)
@@ -140,27 +139,11 @@ def combine(results: Sequence[SweepResult],
     return points
 
 
-def run_ecc_throughput_sweep(
-    workload: str = "specweb99",
-    strengths: Sequence[int] = PAPER_STRENGTHS,
-    scale_divisor: int = 64,
-    num_records: int = 60_000,
-    seed: int = 17,
-    server: ServerModel | None = None,
-    workers: int = 1,
-) -> List[ThroughputPoint]:
-    """Figure 10 sweep for one workload."""
-    return combine(
-        sweep(tasks(workload, strengths, scale_divisor, num_records, seed),
-              workers=workers),
-        server=server)
-
-
 def main() -> None:
     for workload in ("specweb99", "dbt2"):
         print(f"Figure 10 ({workload}): relative bandwidth vs BCH strength")
         print(f"{'t':>3} {'latency us':>11} {'busy/req us':>12} {'rel bw':>7}")
-        for point in run_ecc_throughput_sweep(workload):
+        for point in combine(sweep(tasks(workload))):
             print(f"{point.strength:>3} {point.average_latency_us:11.1f} "
                   f"{point.flash_busy_us_per_request:12.1f} "
                   f"{point.relative_bandwidth:7.3f}")

@@ -19,13 +19,12 @@ figure always ran.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..parallel import SweepResult, SweepTask, sweep
 from ..sim.lifetime import AgingConfig, LifetimeSimulator
 
-__all__ = ["ReconfigBreakdown", "run_reconfig_breakdown", "FIG11_WORKLOADS",
-           "tasks", "combine"]
+__all__ = ["ReconfigBreakdown", "FIG11_WORKLOADS", "tasks", "combine"]
 
 #: The x axis of Figure 11, in paper order.
 FIG11_WORKLOADS = (
@@ -65,7 +64,8 @@ def tasks(
     seed: int = 42,
     **config_overrides,
 ) -> List[SweepTask]:
-    """The Figure 11 grid, one task per workload."""
+    """The Figure 11 grid, one task per workload: its aging simulation's
+    early (near-first-failure) decision mix, as the paper measures."""
     return [SweepTask(key=f"fig11:{workload}", fn=_breakdown_task,
                       kwargs={"workload": workload, "seed": seed,
                               "config_overrides": dict(config_overrides)})
@@ -76,22 +76,10 @@ def combine(results: Sequence[SweepResult]) -> List[ReconfigBreakdown]:
     return [result.unwrap() for result in results]
 
 
-def run_reconfig_breakdown(
-    workloads: Sequence[str] = FIG11_WORKLOADS,
-    seed: int = 42,
-    workers: int = 1,
-    **config_overrides,
-) -> List[ReconfigBreakdown]:
-    """Run the aging simulation per workload and report the early
-    (near-first-failure) decision mix, as the paper measures."""
-    return combine(sweep(tasks(workloads, seed, **config_overrides),
-                         workers=workers))
-
-
 def main() -> None:
     print("Figure 11: descriptor update breakdown (near first failures)")
     print(f"{'workload':>12} {'code strength':>14} {'density':>9}")
-    for row in run_reconfig_breakdown():
+    for row in combine(sweep(tasks())):
         print(f"{row.workload:>12} {row.code_strength_fraction:14.0%} "
               f"{row.density_fraction:9.0%}")
 

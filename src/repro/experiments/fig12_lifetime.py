@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..parallel import SweepResult, SweepTask, sweep
 from ..sim.lifetime import simulate_lifetime
 
-__all__ = ["LifetimeRow", "run_lifetime_comparison", "FIG12_WORKLOADS",
-           "tasks", "combine"]
+__all__ = ["LifetimeRow", "FIG12_WORKLOADS", "tasks", "combine",
+           "average_improvement"]
 
 #: The x axis of Figure 12 (the paper omits exp2 in this figure).
 FIG12_WORKLOADS = (
@@ -98,24 +98,13 @@ def combine(results: Sequence[SweepResult]) -> List[LifetimeRow]:
     ]
 
 
-def run_lifetime_comparison(
-    workloads: Sequence[str] = FIG12_WORKLOADS,
-    seed: int = 42,
-    workers: int = 1,
-    **config_overrides,
-) -> List[LifetimeRow]:
-    """The full Figure 12 sweep."""
-    return combine(sweep(tasks(workloads, seed, **config_overrides),
-                         workers=workers))
-
-
 def average_improvement(rows: Sequence[LifetimeRow]) -> float:
     """The paper's "factor of 20 on average" summary metric."""
     return mean(row.improvement for row in rows)
 
 
 def main() -> None:
-    rows = run_lifetime_comparison()
+    rows = combine(sweep(tasks()))
     print("Figure 12: normalized lifetime (programmable vs BCH-1)")
     print(f"{'workload':>12} {'programmable':>13} {'BCH-1':>10} {'gain':>7}")
     for row in rows:

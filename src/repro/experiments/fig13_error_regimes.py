@@ -32,8 +32,7 @@ from ..parallel import SweepResult, SweepTask, sweep
 from ..reliability import ScrubConfig
 from ..sim.lifetime import simulate_regime, standard_regimes
 
-__all__ = ["RegimeRow", "FIG13_REGIMES", "tasks", "combine",
-           "run_error_regimes"]
+__all__ = ["RegimeRow", "FIG13_REGIMES", "tasks", "combine"]
 
 #: The x axis: the canonical regimes of the fig13 sweep.
 FIG13_REGIMES = ("archival_cold", "write_hot", "aged_device")
@@ -118,19 +117,8 @@ def combine(results: Sequence[SweepResult]) -> List[RegimeRow]:
     return rows
 
 
-def run_error_regimes(
-    regimes: Sequence[str] = FIG13_REGIMES,
-    seed: int = 42,
-    workers: int = 1,
-    **config_overrides,
-) -> List[RegimeRow]:
-    """The full fig13 sweep."""
-    return combine(sweep(tasks(regimes, seed, **config_overrides),
-                         workers=workers))
-
-
 def main() -> None:
-    rows = run_error_regimes()
+    rows = combine(sweep(tasks()))
     print("Figure 13: controller robustness across error regimes")
     print(f"{'regime':>14} {'variant':>19} {'alive':>6} {'host acc':>10} "
           f"{'uncorr':>7} {'UBER':>9} {'scrubbed':>9}")

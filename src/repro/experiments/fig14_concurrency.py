@@ -35,7 +35,7 @@ from ..workloads.macro import build_workload
 from ..workloads.trace import PAGE_BYTES
 
 __all__ = ["ConcurrencyPoint", "PAPER_QUEUE_DEPTHS", "PAPER_CHANNELS",
-           "tasks", "combine", "run_concurrency_sweep"]
+           "tasks", "combine"]
 
 #: The figure's axes: window sizes x channel counts (planes fixed at 2,
 #: a common small-SSD configuration).
@@ -157,23 +157,6 @@ def combine(results: Sequence[SweepResult]) -> List[ConcurrencyPoint]:
     ) for row in rows]
 
 
-def run_concurrency_sweep(
-    workload: str = "specweb99",
-    queue_depths: Sequence[int] = PAPER_QUEUE_DEPTHS,
-    channel_counts: Sequence[int] = PAPER_CHANNELS,
-    planes: int = PLANES,
-    scale_divisor: int = 64,
-    num_records: int = 40_000,
-    seed: int = 17,
-    workers: int = 1,
-) -> List[ConcurrencyPoint]:
-    """Figure 14 sweep (identical output at any worker count)."""
-    return combine(sweep(
-        tasks(workload, queue_depths, channel_counts, planes,
-              scale_divisor, num_records, seed),
-        workers=workers))
-
-
 def as_rows(points: Sequence[ConcurrencyPoint]) -> List[Dict[str, Any]]:
     """JSON-ready form of the combined grid."""
     return [asdict(point) for point in points]
@@ -184,7 +167,7 @@ def main() -> None:
     print(f"{'qd':>3} {'ch':>3} {'rps':>9} {'speedup':>8} "
           f"{'svc p50/p95/p99 us':>21} {'qdelay p50/p95/p99 us':>22} "
           f"{'util':>6}")
-    for point in run_concurrency_sweep():
+    for point in combine(sweep(tasks())):
         utilization = (sum(point.channel_utilization)
                        / len(point.channel_utilization))
         print(f"{point.queue_depth:>3} {point.channels:>3} "

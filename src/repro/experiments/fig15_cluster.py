@@ -30,7 +30,7 @@ from ..cluster import ClusterScenario, run_cluster
 from ..parallel import SweepResult, SweepTask, sweep
 
 __all__ = ["ClusterPoint", "PAPER_SHARD_COUNTS", "PAPER_RATES_RPS",
-           "tasks", "combine", "run_cluster_sweep", "as_rows"]
+           "tasks", "combine", "as_rows"]
 
 #: The figure's axes: fleet sizes x offered cluster-wide arrival rates.
 PAPER_SHARD_COUNTS = (1, 2, 4)
@@ -110,25 +110,6 @@ def combine(results: Sequence[SweepResult]) -> List[ClusterPoint]:
     return [ClusterPoint(**result.unwrap()) for result in results]
 
 
-def run_cluster_sweep(
-    shard_counts: Sequence[int] = PAPER_SHARD_COUNTS,
-    rates_rps: Sequence[float] = PAPER_RATES_RPS,
-    pattern: str = "steady",
-    duration_s: float = 0.5,
-    workload: str = "specweb99",
-    footprint_pages: int = 8192,
-    queue_depth: int = 4,
-    shed_queue: int = 16,
-    seed: int = 23,
-    workers: int = 1,
-) -> List[ClusterPoint]:
-    """Figure 15 sweep (identical output at any worker count)."""
-    return combine(sweep(
-        tasks(shard_counts, rates_rps, pattern, duration_s, workload,
-              footprint_pages, queue_depth, shed_queue, seed),
-        workers=workers))
-
-
 def as_rows(points: Sequence[ClusterPoint]) -> List[Dict[str, Any]]:
     """JSON-ready form of the combined grid."""
     return [asdict(point) for point in points]
@@ -138,7 +119,7 @@ def main() -> None:
     print("Figure 15: cluster capacity and tail latency vs shards x rate")
     print(f"{'shards':>6} {'rate':>7} {'done':>6} {'shed%':>6} "
           f"{'rps':>8} {'p50':>8} {'p95':>9} {'p99 us':>9}")
-    for point in run_cluster_sweep():
+    for point in combine(sweep(tasks())):
         print(f"{point.shards:>6} {point.rate_rps:>7.0f} "
               f"{point.completed:>6} {100 * point.shed_fraction:>6.2f} "
               f"{point.throughput_rps:>8.0f} "

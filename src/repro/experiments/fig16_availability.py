@@ -34,7 +34,7 @@ from ..cluster import ClusterScenario, run_cluster
 from ..parallel import SweepResult, SweepTask, sweep
 
 __all__ = ["AvailabilityPoint", "PAPER_REPLICAS", "tasks", "combine",
-           "run_availability_sweep", "as_rows"]
+           "as_rows"]
 
 #: The figure's axis: replication factors replayed over one timeline.
 PAPER_REPLICAS = (1, 2, 3)
@@ -130,25 +130,6 @@ def combine(results: Sequence[SweepResult]) -> List[AvailabilityPoint]:
     return [AvailabilityPoint(**result.unwrap()) for result in results]
 
 
-def run_availability_sweep(
-    replicas: Sequence[int] = PAPER_REPLICAS,
-    shards: int = 5,
-    rate_rps: float = 9000.0,
-    duration_s: float = 0.4,
-    workload: str = "specweb99",
-    footprint_pages: int = 4096,
-    queue_depth: int = 4,
-    shed_queue: int = 16,
-    seed: int = 23,
-    workers: int = 1,
-) -> List[AvailabilityPoint]:
-    """Figure 16 sweep (identical output at any worker count)."""
-    return combine(sweep(
-        tasks(replicas, shards, rate_rps, duration_s, workload,
-              footprint_pages, queue_depth, shed_queue, seed),
-        workers=workers))
-
-
 def as_rows(points: Sequence[AvailabilityPoint]) -> List[Dict[str, Any]]:
     """JSON-ready form of the combined axis."""
     return [asdict(point) for point in points]
@@ -159,7 +140,7 @@ def main() -> None:
           "kill→cascade→repair")
     print(f"{'R':>2} {'ops':>6} {'done':>6} {'shed':>5} {'lostR':>5} "
           f"{'lostW':>5} {'redir':>5} {'sync':>5} {'p99 us':>9}")
-    for point in run_availability_sweep():
+    for point in combine(sweep(tasks())):
         print(f"{point.replicas:>2} {point.planned_ops:>6} "
               f"{point.completed:>6} {point.shed:>5} "
               f"{point.lost_reads:>5} {point.lost_writes:>5} "

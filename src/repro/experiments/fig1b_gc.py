@@ -27,7 +27,7 @@ from ..flash.geometry import FlashGeometry
 from ..flash.timing import CellMode
 from ..parallel import SweepResult, SweepTask, sweep
 
-__all__ = ["GcPoint", "run_gc_overhead_sweep", "tasks", "combine"]
+__all__ = ["GcPoint", "tasks", "combine"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class GcPoint:
 
     used_fraction: float
     gc_overhead: float          # gc time / foreground time
-    normalized_overhead: float  # relative to the 10%-occupancy point
+    normalized_overhead: float  # gc_overhead / 0.10 (see combine)
     gc_runs: int
     gc_page_moves: int
 
@@ -98,7 +98,12 @@ def tasks(
 
 
 def combine(results: Sequence[SweepResult]) -> List[GcPoint]:
-    """Assemble task results (in task order) into the figure series."""
+    """Assemble task results (in task order) into the figure series.
+
+    ``normalized_overhead`` follows the paper's axis ("normalized to an
+    overhead of 10%"): a value of 1 means GC consumes 10% as much time as
+    foreground service.
+    """
     points: List[GcPoint] = []
     for result in results:
         occupancy, overhead, runs, moves = result.unwrap()
@@ -112,29 +117,10 @@ def combine(results: Sequence[SweepResult]) -> List[GcPoint]:
     return points
 
 
-def run_gc_overhead_sweep(
-    occupancies: Sequence[float] = (0.10, 0.20, 0.30, 0.40, 0.50,
-                                    0.60, 0.70, 0.80, 0.90, 0.95),
-    flash_blocks: int = 32,
-    writes_per_page: float = 4.0,
-    seed: int = 7,
-    workers: int = 1,
-) -> List[GcPoint]:
-    """Sweep occupancy and report the Figure 1(b) series.
-
-    ``normalized_overhead`` follows the paper's axis ("normalized to an
-    overhead of 10%"): a value of 1 means GC consumes 10% as much time as
-    foreground service.
-    """
-    return combine(sweep(
-        tasks(occupancies, flash_blocks, writes_per_page, seed),
-        workers=workers))
-
-
 def main() -> None:
     print("Figure 1(b): GC overhead vs used Flash space")
     print(f"{'used':>6} {'gc/fg':>8} {'norm':>8} {'gc runs':>8} {'moves':>8}")
-    for point in run_gc_overhead_sweep():
+    for point in combine(sweep(tasks())):
         print(f"{point.used_fraction:6.0%} {point.gc_overhead:8.3f} "
               f"{point.normalized_overhead:8.2f} {point.gc_runs:8d} "
               f"{point.gc_page_moves:8d}")

@@ -34,9 +34,9 @@ from ..workloads.macro import build_workload
 from ..workloads.postpdc import derive_disk_trace
 from ..workloads.trace import PAGE_BYTES, TraceRecord
 
-__all__ = ["SplitMissPoint", "replay_disk_trace", "run_split_sweep",
-           "run_split_timeline", "PAPER_FLASH_SIZES_MB", "SCALE_DIVISOR",
-           "tasks", "combine", "timeline_tasks", "combine_timeline"]
+__all__ = ["SplitMissPoint", "replay_disk_trace", "PAPER_FLASH_SIZES_MB",
+           "SCALE_DIVISOR", "tasks", "combine", "timeline_tasks",
+           "combine_timeline"]
 
 #: The x axis of Figure 4.
 PAPER_FLASH_SIZES_MB = (128, 256, 384, 512, 640)
@@ -161,7 +161,8 @@ def tasks(
     num_records: int = 600_000,
     seed: int = 11,
 ) -> List[SweepTask]:
-    """The Figure 4 grid: one task per (size, organisation) pair."""
+    """The Figure 4 grid: one task per (size, organisation) pair, each
+    replaying the same dbt2 disk trace."""
     return [
         SweepTask(key=f"fig4:{size_mb}mb:{'split' if split else 'unified'}",
                   fn=_miss_rate_task,
@@ -189,19 +190,6 @@ def combine(results: Sequence[SweepResult]) -> List[SplitMissPoint]:
     return points
 
 
-def run_split_sweep(
-    flash_sizes_mb: Sequence[int] = PAPER_FLASH_SIZES_MB,
-    scale_divisor: int = SCALE_DIVISOR,
-    num_records: int = 600_000,
-    seed: int = 11,
-    workers: int = 1,
-) -> List[SplitMissPoint]:
-    """The Figure 4 sweep: dbt2 disk trace, unified vs split, per size."""
-    return combine(sweep(
-        tasks(flash_sizes_mb, scale_divisor, num_records, seed),
-        workers=workers))
-
-
 def _timeline_task(flash_mb: int, split: bool, scale_divisor: int,
                    num_records: int, seed: int,
                    sample_interval: int) -> Telemetry:
@@ -221,7 +209,15 @@ def timeline_tasks(
     seed: int = 11,
     sample_interval: int = 10_000,
 ) -> List[SweepTask]:
-    """One task per organisation; each returns its own telemetry handle."""
+    """Miss-rate-over-trace-position view of the Figure 4 story.
+
+    One task per organisation, each replaying the same disk trace against
+    a cache of one size and returning its own telemetry handle, which
+    samples the cumulative miss rate as the caches warm and the unified
+    organisation's invalid holes accumulate.  Series (after
+    :func:`combine_timeline`): ``unified_miss_rate``, ``split_miss_rate``
+    (plus the matching ``*_used_fraction``).
+    """
     return [
         SweepTask(key=f"fig4tl:{'split' if split else 'unified'}",
                   fn=_timeline_task,
@@ -244,36 +240,14 @@ def combine_timeline(results: Sequence[SweepResult]) -> Telemetry:
     return merge_telemetry(result.unwrap() for result in results)
 
 
-def run_split_timeline(
-    flash_mb: int = 256,
-    scale_divisor: int = SCALE_DIVISOR,
-    num_records: int = 120_000,
-    seed: int = 11,
-    sample_interval: int = 10_000,
-    workers: int = 1,
-) -> Telemetry:
-    """Miss-rate-over-trace-position view of the Figure 4 story.
-
-    Replays the same disk trace against a unified and a split cache of
-    one size, sampling the cumulative miss rate as the caches warm and
-    the unified organisation's invalid holes accumulate.  Series:
-    ``unified_miss_rate``, ``split_miss_rate`` (plus the matching
-    ``*_used_fraction``).
-    """
-    return combine_timeline(sweep(
-        timeline_tasks(flash_mb, scale_divisor, num_records, seed,
-                       sample_interval),
-        workers=workers))
-
-
 def main() -> None:
     print("Figure 4: dbt2 Flash miss rate, unified vs split")
     print(f"{'flash':>8} {'unified':>9} {'split':>9} {'delta':>8}")
-    for point in run_split_sweep():
+    for point in combine(sweep(tasks())):
         print(f"{point.flash_mb_paper_scale:>6}MB "
               f"{point.unified_miss_rate:9.3%} {point.split_miss_rate:9.3%} "
               f"{point.improvement:8.3%}")
-    telemetry = run_split_timeline()
+    telemetry = combine_timeline(sweep(timeline_tasks()))
     unified = telemetry.timeseries["unified_miss_rate"]
     split = telemetry.timeseries["split_miss_rate"]
     print()

@@ -21,8 +21,7 @@ from ..ecc.latency import BCHLatencyModel, DecodeLatency
 from ..flash.wear import CellLifetimeModel
 from ..parallel import SweepResult, SweepTask, sweep
 
-__all__ = ["run_decode_latency_series", "run_tolerable_cycles_series",
-           "Fig6aPoint", "decode_latency_tasks", "combine_decode_latency",
+__all__ = ["Fig6aPoint", "decode_latency_tasks", "combine_decode_latency",
            "tolerable_cycles_tasks", "combine_tolerable_cycles",
            "tasks", "combine"]
 
@@ -56,7 +55,8 @@ def _tolerable_cycles_task(stdev_frac: float,
 
 def decode_latency_tasks(
         t_values: Sequence[int] = tuple(range(2, 12))) -> List[SweepTask]:
-    """The Figure 6(a) grid, one task per ECC strength."""
+    """The Figure 6(a) grid, one task per ECC strength: decode latency
+    split into syndrome + Chien components."""
     return [SweepTask(key=f"fig6a:t={t}", fn=_decode_latency_task,
                       kwargs={"t": t})
             for t in t_values]
@@ -71,7 +71,8 @@ def tolerable_cycles_tasks(
     t_values: Sequence[int] = tuple(range(0, 11)),
     stdev_fracs: Sequence[float] = (0.0, 0.05, 0.10, 0.20),
 ) -> List[SweepTask]:
-    """The Figure 6(b) grid, one task per oxide-variation curve."""
+    """The Figure 6(b) grid, one task per oxide-variation curve: max
+    tolerable W/E cycles per ECC strength."""
     return [SweepTask(key=f"fig6b:stdev={frac}", fn=_tolerable_cycles_task,
                       kwargs={"stdev_frac": frac,
                               "t_values": tuple(t_values)})
@@ -103,34 +104,16 @@ def combine(results: Sequence[SweepResult]) -> Dict[str, object]:
     }
 
 
-def run_decode_latency_series(
-        t_values: Sequence[int] = tuple(range(2, 12)),
-        workers: int = 1) -> List[Fig6aPoint]:
-    """Figure 6(a): decode latency split into syndrome + Chien components."""
-    return combine_decode_latency(
-        sweep(decode_latency_tasks(t_values), workers=workers))
-
-
-def run_tolerable_cycles_series(
-    t_values: Sequence[int] = tuple(range(0, 11)),
-    stdev_fracs: Sequence[float] = (0.0, 0.05, 0.10, 0.20),
-    workers: int = 1,
-) -> Dict[float, List[tuple]]:
-    """Figure 6(b): max tolerable W/E cycles per ECC strength and stdev."""
-    return combine_tolerable_cycles(
-        sweep(tolerable_cycles_tasks(t_values, stdev_fracs),
-              workers=workers))
-
-
 def main() -> None:
+    combined = combine(sweep(tasks()))
     print("Figure 6(a): BCH decode latency (us)")
     print(f"{'t':>3} {'syndrome':>9} {'chien':>9} {'total':>9}")
-    for point in run_decode_latency_series():
+    for point in combined["decode_latency"]:
         print(f"{point.t:>3} {point.syndrome_us:9.1f} {point.chien_us:9.1f} "
               f"{point.total_us:9.1f}")
     print()
     print("Figure 6(b): max tolerable W/E cycles")
-    series = run_tolerable_cycles_series()
+    series = combined["tolerable_cycles"]
     ts = [t for t, _ in next(iter(series.values()))]
     header = "stdev " + " ".join(f"t={t:<8d}" for t in ts)
     print(header)

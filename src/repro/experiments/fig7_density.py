@@ -21,14 +21,13 @@ registry is never written to from any task.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..core.density import DensityPartitionOptimizer, DensityPartitionPoint
-from ..parallel import SweepResult, SweepTask, sweep
+from ..parallel import SweepResult, SweepTask
 from ..workloads.macro import MACRO_WORKLOADS
 
-__all__ = ["Fig7Series", "run_density_partition",
-           "run_density_partition_suite", "FIG7_WORKLOADS",
+__all__ = ["Fig7Series", "run_density_partition", "FIG7_WORKLOADS",
            "tasks", "combine"]
 
 FIG7_WORKLOADS = ("financial2", "websearch1")
@@ -97,18 +96,6 @@ def tasks(
 
 def combine(results: Sequence[SweepResult]) -> List[Fig7Series]:
     return [result.unwrap() for result in results]
-
-
-def run_density_partition_suite(
-    workloads: Sequence[str] = FIG7_WORKLOADS,
-    area_fractions: Sequence[float] = (0.05, 0.10, 0.25, 0.50, 0.75,
-                                       1.00, 1.50, 2.00, 2.20),
-    grid_points: int = 51,
-    workers: int = 1,
-) -> List[Fig7Series]:
-    """All Figure 7 panels, in workload order."""
-    return combine(sweep(tasks(workloads, area_fractions, grid_points),
-                         workers=workers))
 
 
 def main() -> None:

@@ -43,8 +43,7 @@ from ..sim.engine import SimulationReport, run_trace
 from ..workloads.macro import build_workload
 from ..workloads.trace import PAGE_BYTES
 
-__all__ = ["Fig9Config", "Fig9Result", "FIG9_CONFIGS",
-           "run_power_comparison", "tasks", "combine"]
+__all__ = ["Fig9Config", "Fig9Result", "FIG9_CONFIGS", "tasks", "combine"]
 
 
 @dataclass(frozen=True)
@@ -177,21 +176,9 @@ def combine(results: Sequence[SweepResult]) -> Fig9Result:
     )
 
 
-def run_power_comparison(workload: str = "dbt2",
-                         scale_divisor: int = 64,
-                         num_records: int = 150_000,
-                         warmup_records: int = 100_000,
-                         seed: int = 13,
-                         workers: int = 1) -> Fig9Result:
-    """Run one Figure 9 panel (both platform configurations)."""
-    return combine(sweep(
-        tasks(workload, scale_divisor, num_records, warmup_records, seed),
-        workers=workers))
-
-
 def main() -> None:
     for workload in FIG9_CONFIGS:
-        result = run_power_comparison(workload)
+        result = combine(sweep(tasks(workload)))
         print(f"Figure 9 ({workload})")
         for label, power in (("DRAM-only", result.baseline),
                              ("DRAM+Flash", result.flash)):

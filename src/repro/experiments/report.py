@@ -3,95 +3,65 @@
 ``python -m repro report`` (or :func:`generate_report`) regenerates every
 figure at a chosen scale and renders one document with all the series —
 the data behind EXPERIMENTS.md, reproducible in a single command.
+
+Each section runs its figure's registered grid
+(:data:`~repro.experiments.sweeps.SWEEPS`) and renders that figure's own
+``combine()`` output, so the report and ``repro sweep`` compute the very
+same tasks at any scale; this module only formats them.
 """
 
 from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
-from .fig1b_gc import run_gc_overhead_sweep
-from .fig4_split import run_split_sweep
-from .fig6_ecc import run_decode_latency_series, run_tolerable_cycles_series
-from .fig7_density import run_density_partition_suite
-from .fig9_power import run_power_comparison
-from .fig10_ecc_throughput import run_ecc_throughput_sweep
-from .fig11_reconfig import run_reconfig_breakdown
-from .fig12_lifetime import average_improvement, run_lifetime_comparison
+from ..parallel import SweepResult, sweep
+from . import (
+    fig1b_gc,
+    fig4_split,
+    fig6_ecc,
+    fig7_density,
+    fig9_power,
+    fig10_ecc_throughput,
+    fig11_reconfig,
+    fig12_lifetime,
+)
+from .sweeps import SWEEPS, ReportScale, _group
 
 __all__ = ["ReportScale", "generate_report", "SECTIONS"]
 
 
-@dataclass(frozen=True)
-class ReportScale:
-    """Knobs trading report fidelity for runtime."""
-
-    scale_divisor: int = 64
-    trace_records: int = 120_000
-    aging_blocks: int = 8
-    aging_frames: int = 4
-
-    @classmethod
-    def quick(cls) -> "ReportScale":
-        return cls(scale_divisor=128, trace_records=40_000,
-                   aging_blocks=8, aging_frames=4)
-
-    @classmethod
-    def full(cls) -> "ReportScale":
-        return cls(scale_divisor=32, trace_records=600_000,
-                   aging_blocks=16, aging_frames=8)
-
-    def fingerprint(self) -> str:
-        """Stable text identity, folded into sweep journal ids so a
-        journal written at one scale cannot resume another."""
-        return (f"scale={self.scale_divisor}:{self.trace_records}:"
-                f"{self.aging_blocks}:{self.aging_frames}")
-
-
-def _section_fig1b(out: io.StringIO, scale: ReportScale,
-                   workers: int = 1) -> None:
+def _section_fig1b(out: io.StringIO, results: Sequence[SweepResult]) -> None:
     out.write("| used | normalized GC overhead |\n|---|---|\n")
-    for point in run_gc_overhead_sweep(
-            occupancies=(0.1, 0.3, 0.5, 0.7, 0.8, 0.9),
-            flash_blocks=16 if scale.scale_divisor > 64 else 32,
-            workers=workers):
+    for point in fig1b_gc.combine(results):
         out.write(f"| {point.used_fraction:.0%} "
                   f"| {point.normalized_overhead:.2f} |\n")
 
 
-def _section_fig4(out: io.StringIO, scale: ReportScale,
-                  workers: int = 1) -> None:
+def _section_fig4(out: io.StringIO, results: Sequence[SweepResult]) -> None:
     out.write("| flash | unified miss | split miss |\n|---|---|---|\n")
-    for point in run_split_sweep(flash_sizes_mb=(128, 384, 640),
-                                 scale_divisor=scale.scale_divisor,
-                                 num_records=scale.trace_records * 5,
-                                 workers=workers):
+    for point in fig4_split.combine(results):
         out.write(f"| {point.flash_mb_paper_scale}MB "
                   f"| {point.unified_miss_rate:.3%} "
                   f"| {point.split_miss_rate:.3%} |\n")
 
 
-def _section_fig6(out: io.StringIO, scale: ReportScale,
-                  workers: int = 1) -> None:
+def _section_fig6(out: io.StringIO, results: Sequence[SweepResult]) -> None:
+    combined = fig6_ecc.combine(results)
     out.write("Decode latency (us): ")
-    out.write(", ".join(
-        f"t={p.t}:{p.total_us:.0f}"
-        for p in run_decode_latency_series((2, 5, 8, 11), workers=workers)))
+    out.write(", ".join(f"t={p.t}:{p.total_us:.0f}"
+                        for p in combined["decode_latency"]
+                        if p.t in (2, 5, 8, 11)))
     out.write("\n\nTolerable W/E cycles at t=10: ")
-    series = run_tolerable_cycles_series(t_values=(0, 10), workers=workers)
-    out.write(", ".join(f"stdev {frac:.0%}: {points[-1][1]:.2e}"
-                        for frac, points in series.items()))
+    out.write(", ".join(f"stdev {frac:.0%}: {dict(points)[10]:.2e}"
+                        for frac, points
+                        in combined["tolerable_cycles"].items()))
     out.write("\n")
 
 
-def _section_fig7(out: io.StringIO, scale: ReportScale,
-                  workers: int = 1) -> None:
-    for series in run_density_partition_suite(
-            workloads=("financial2", "websearch1"),
-            area_fractions=(0.25, 0.5, 1.0, 2.0), grid_points=41,
-            workers=workers):
+def _section_fig7(out: io.StringIO, results: Sequence[SweepResult]) -> None:
+    for series in fig7_density.combine(results):
         out.write(f"\n**{series.workload}** "
                   f"(WSS {series.working_set_mb:.0f}MB): ")
         out.write(", ".join(
@@ -100,63 +70,46 @@ def _section_fig7(out: io.StringIO, scale: ReportScale,
         out.write("\n")
 
 
-def _section_fig9(out: io.StringIO, scale: ReportScale,
-                  workers: int = 1) -> None:
+def _section_fig9(out: io.StringIO, results: Sequence[SweepResult]) -> None:
     out.write("| workload | baseline W | flash W | ratio | rel. bw |\n"
               "|---|---|---|---|---|\n")
-    for workload in ("dbt2", "specweb99"):
-        result = run_power_comparison(
-            workload, scale_divisor=scale.scale_divisor,
-            num_records=scale.trace_records,
-            warmup_records=max(scale.trace_records * 2 // 3, 10_000),
-            workers=workers)
-        out.write(f"| {workload} | {result.baseline.total_w:.2f} "
+    for panel in _group(results).values():
+        result = fig9_power.combine(panel)
+        out.write(f"| {result.workload} | {result.baseline.total_w:.2f} "
                   f"| {result.flash.total_w:.2f} "
                   f"| {result.power_ratio:.2f}x "
                   f"| {result.relative_bandwidth:.2f} |\n")
 
 
-def _section_fig10(out: io.StringIO, scale: ReportScale,
-                   workers: int = 1) -> None:
-    out.write("| t | specweb99 | dbt2 |\n|---|---|---|\n")
-    sweeps = {
-        name: {p.strength: p.relative_bandwidth
-               for p in run_ecc_throughput_sweep(
-                   name, strengths=(0, 5, 15, 50),
-                   scale_divisor=scale.scale_divisor,
-                   num_records=max(scale.trace_records // 3, 20_000),
-                   workers=workers)}
-        for name in ("specweb99", "dbt2")
-    }
-    for t in (0, 5, 15, 50):
-        out.write(f"| {t} | {sweeps['specweb99'][t]:.3f} "
-                  f"| {sweeps['dbt2'][t]:.3f} |\n")
+def _section_fig10(out: io.StringIO, results: Sequence[SweepResult]) -> None:
+    panels = {workload: fig10_ecc_throughput.combine(panel)
+              for workload, panel in _group(results).items()}
+    out.write(f"| t | {' | '.join(panels)} |\n"
+              f"|---|{'---|' * len(panels)}\n")
+    for row in zip(*panels.values()):
+        out.write(f"| {row[0].strength} | "
+                  + " | ".join(f"{p.relative_bandwidth:.3f}" for p in row)
+                  + " |\n")
 
 
-def _section_fig11(out: io.StringIO, scale: ReportScale,
-                   workers: int = 1) -> None:
+def _section_fig11(out: io.StringIO, results: Sequence[SweepResult]) -> None:
     out.write("| workload | code strength | density |\n|---|---|---|\n")
-    for row in run_reconfig_breakdown(
-            num_blocks=scale.aging_blocks,
-            frames_per_block=scale.aging_frames,
-            workers=workers):
+    for row in fig11_reconfig.combine(results):
         out.write(f"| {row.workload} | {row.code_strength_fraction:.0%} "
                   f"| {row.density_fraction:.0%} |\n")
 
 
-def _section_fig12(out: io.StringIO, scale: ReportScale,
-                   workers: int = 1) -> None:
-    rows = run_lifetime_comparison(num_blocks=scale.aging_blocks,
-                                   frames_per_block=scale.aging_frames,
-                                   workers=workers)
+def _section_fig12(out: io.StringIO, results: Sequence[SweepResult]) -> None:
+    rows = fig12_lifetime.combine(results)
     out.write("| workload | gain |\n|---|---|\n")
     for row in rows:
         out.write(f"| {row.workload} | {row.improvement:.1f}x |\n")
-    out.write(f"\naverage improvement: **{average_improvement(rows):.1f}x** "
+    out.write("\naverage improvement: "
+              f"**{fig12_lifetime.average_improvement(rows):.1f}x** "
               "(paper: ~20x)\n")
 
 
-SECTIONS: Dict[str, Callable[..., None]] = {
+SECTIONS: Dict[str, Callable[[io.StringIO, Sequence[SweepResult]], None]] = {
     "fig1b": _section_fig1b,
     "fig4": _section_fig4,
     "fig6": _section_fig6,
@@ -165,17 +118,6 @@ SECTIONS: Dict[str, Callable[..., None]] = {
     "fig10": _section_fig10,
     "fig11": _section_fig11,
     "fig12": _section_fig12,
-}
-
-_TITLES = {
-    "fig1b": "Figure 1(b) — GC overhead vs occupancy",
-    "fig4": "Figure 4 — split vs unified miss rate (dbt2)",
-    "fig6": "Figure 6 — BCH latency and tolerable W/E cycles",
-    "fig7": "Figure 7 — optimal SLC/MLC partition",
-    "fig9": "Figure 9 — power breakdown and bandwidth",
-    "fig10": "Figure 10 — throughput vs BCH strength",
-    "fig11": "Figure 11 — reconfiguration breakdown",
-    "fig12": "Figure 12 — lifetime extension",
 }
 
 
@@ -202,8 +144,10 @@ def generate_report(scale: ReportScale | None = None,
         # wall-clock *about* the run, never simulated time, so SIM001 is
         # waived here explicitly (and perf_counter is immune to NTP steps).
         started = time.perf_counter()  # simlint: ignore[SIM001] -- report footnote timing
-        out.write(f"\n## {_TITLES[name]}\n\n")
-        SECTIONS[name](out, scale, workers=workers)
+        number = "1(b)" if name == "fig1b" else name.removeprefix("fig")
+        out.write(f"\n## Figure {number} — {SWEEPS[name].description}\n\n")
+        SECTIONS[name](out, sweep(SWEEPS[name].build(scale),
+                                  workers=workers))
         elapsed = time.perf_counter() - started  # simlint: ignore[SIM001] -- report footnote timing
         out.write(f"\n_({elapsed:.1f}s)_\n")
     return out.getvalue()

@@ -2,12 +2,14 @@
 
 Each figure's ``tasks()``/``combine()`` pair (see the ``fig*`` modules)
 is registered here with a builder that sizes its grid from a
-:class:`~repro.experiments.report.ReportScale` and a combiner that
-reduces the ordered :class:`~repro.parallel.SweepResult` list to plain
-JSON-ready data.  ``repro sweep`` flattens the selected grids into one
-task list, fans it out through :func:`repro.parallel.sweep`, and writes
-the aggregated document — so a 4-worker run of the full selection
-produces byte-identical JSON to ``--workers 1``.
+:class:`ReportScale` and a combiner that reduces the ordered
+:class:`~repro.parallel.SweepResult` list to plain JSON-ready data.
+This registry is the only place a scale becomes a grid: ``repro sweep``
+flattens the selected grids into one task list, fans it out through
+:func:`repro.parallel.sweep`, and writes the aggregated document — so a
+4-worker run of the full selection produces byte-identical JSON to
+``--workers 1`` — and ``repro report`` renders the same grids as
+markdown (:mod:`repro.experiments.report`).
 
 Resilience (DESIGN.md section 12): the flattened task list and the
 scale/figure selection define a stable ``sweep_id``; with
@@ -47,9 +49,34 @@ from . import (
     fig15_cluster,
     fig16_availability,
 )
-from .report import ReportScale
 
-__all__ = ["SweepSpec", "SWEEPS", "run_sweep"]
+__all__ = ["ReportScale", "SweepSpec", "SWEEPS", "run_sweep"]
+
+
+@dataclass(frozen=True)
+class ReportScale:
+    """Knobs trading report fidelity for runtime."""
+
+    scale_divisor: int = 64
+    trace_records: int = 120_000
+    aging_blocks: int = 8
+    aging_frames: int = 4
+
+    @classmethod
+    def quick(cls) -> "ReportScale":
+        return cls(scale_divisor=128, trace_records=40_000,
+                   aging_blocks=8, aging_frames=4)
+
+    @classmethod
+    def full(cls) -> "ReportScale":
+        return cls(scale_divisor=32, trace_records=600_000,
+                   aging_blocks=16, aging_frames=8)
+
+    def fingerprint(self) -> str:
+        """Stable text identity, folded into sweep journal ids so a
+        journal written at one scale cannot resume another."""
+        return (f"scale={self.scale_divisor}:{self.trace_records}:"
+                f"{self.aging_blocks}:{self.aging_frames}")
 
 
 @dataclass(frozen=True)
@@ -115,18 +142,18 @@ def _fig9_build(scale: ReportScale) -> List[SweepTask]:
     return tasks
 
 
-def _group(results: Sequence[SweepResult],
-           panel: Callable[[SweepResult], str]) -> Dict[str, List[SweepResult]]:
-    """Partition a flattened grid back into per-panel result lists,
-    preserving task order within each panel."""
+def _group(results: Sequence[SweepResult]) -> Dict[str, List[SweepResult]]:
+    """Partition a flattened grid back into per-workload panels (the
+    key's second field, ``figN:<workload>:...``), preserving task order
+    within each panel."""
     panels: Dict[str, List[SweepResult]] = {}
     for result in results:
-        panels.setdefault(panel(result), []).append(result)
+        panels.setdefault(result.key.split(":")[1], []).append(result)
     return panels
 
 
 def _fig9_combine(results: Sequence[SweepResult]) -> Any:
-    panels = _group(results, lambda r: r.key.split(":")[1])
+    panels = _group(results)
     out = {}
     for workload, panel_results in panels.items():
         combined = fig9_power.combine(panel_results)
@@ -150,7 +177,7 @@ def _fig10_build(scale: ReportScale) -> List[SweepTask]:
 
 
 def _fig10_combine(results: Sequence[SweepResult]) -> Any:
-    panels = _group(results, lambda r: r.key.split(":")[1])
+    panels = _group(results)
     return {workload: [asdict(p)
                        for p in fig10_ecc_throughput.combine(panel_results)]
             for workload, panel_results in panels.items()}

@@ -1166,6 +1166,31 @@ class TestTransitiveTaint:
         assert "_bump" in sim010[0].message
         assert any("advance_clock" in hop for hop in sim010[0].chain)
 
+    def test_sim010_helper_clock_with_sim001_pragma_still_flags(
+            self, tmp_path):
+        # An orchestration-timing pragma names SIM001 only: it waives the
+        # wall-clock read itself, not an event handler reaching it.
+        findings = lint_fixture(tmp_path, "repro/cluster/hz.py", """
+            import time
+            from enum import Enum
+
+            class EventType(Enum):
+                COMPLETE = "complete"
+
+            class Shard:
+                def __init__(self, loop):
+                    loop.register(EventType.COMPLETE, self._on_complete)
+
+                def _on_complete(self, now_us):
+                    return self._stamp()
+
+                def _stamp(self):
+                    return time.perf_counter()  # simlint: ignore[SIM001] -- orchestration timing
+            """)
+        assert codes(findings) == ["SIM010"]
+        assert "_on_complete" in findings[0].message
+        assert "_stamp" in findings[0].message
+
 
 # ---------------------------------------------------------------------------
 # Pragma edge cases

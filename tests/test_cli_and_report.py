@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import re
 
 import pytest
 
@@ -40,6 +42,10 @@ class TestCli:
             main(["nonsense"])
 
 
+REPORT_DIGEST = \
+    "e09e88a86df58fd6f8aca21f9edc629f214fc755dc74bbc4e8383be4c7c0a4f1"
+
+
 class TestReport:
     def test_section_selection_and_structure(self):
         report = generate_report(scale=ReportScale.quick(),
@@ -57,6 +63,16 @@ class TestReport:
                                  sections=["fig11", "fig12"])
         assert "average improvement" in report
         assert "| uniform |" in report
+
+    def test_report_golden(self):
+        """The rendered report at a tiny scale, wall-clock footnotes
+        replaced by a fixed token.  The digest holds with and without
+        numpy: no section sums a histogram."""
+        report = generate_report(ReportScale(
+            scale_divisor=512, trace_records=3000,
+            aging_blocks=4, aging_frames=2))
+        stable = re.sub(r"_\(\d+\.\d+s\)_", "_(T)_", report)
+        assert hashlib.sha256(stable.encode()).hexdigest() == REPORT_DIGEST
 
     def test_scales(self):
         assert ReportScale.quick().trace_records \

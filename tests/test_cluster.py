@@ -606,10 +606,13 @@ class TestRepair:
 
     def test_fig16_availability_rows(self):
         from repro.experiments import fig16_availability
+        from repro.parallel import sweep
 
-        points = fig16_availability.run_availability_sweep(
-            replicas=(1, 2), shards=4, rate_rps=6000.0, duration_s=0.25,
-            footprint_pages=2048, workers=2)
+        points = fig16_availability.combine(sweep(
+            fig16_availability.tasks(
+                replicas=(1, 2), shards=4, rate_rps=6000.0,
+                duration_s=0.25, footprint_pages=2048),
+            workers=2))
         assert [p.replicas for p in points] == [1, 2]
         # The figure's acceptance shape: replication eliminates lost
         # reads and repair streams keys back at both factors.

@@ -20,6 +20,7 @@ from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry, PageAddress
 from repro.flash.timing import CellMode
 from repro.flash.wear import CellLifetimeModel, WearModelConfig
+from repro.parallel import sweep
 from repro.workloads.macro import build_workload
 
 
@@ -115,29 +116,33 @@ class TestExperimentRunnersSmoke:
     """Each figure runner executes at reduced scale and keeps its shape."""
 
     def test_fig1b_shape(self):
-        from repro.experiments.fig1b_gc import run_gc_overhead_sweep
-        points = run_gc_overhead_sweep(
+        from repro.experiments.fig1b_gc import combine, tasks
+        points = combine(sweep(tasks(
             occupancies=(0.2, 0.5, 0.9), flash_blocks=16,
-            writes_per_page=2.0)
+            writes_per_page=2.0)))
         overheads = [p.gc_overhead for p in points]
         assert overheads[0] < overheads[-1]
         assert points[-1].normalized_overhead == pytest.approx(
             overheads[-1] / 0.10)
 
     def test_fig4_shape(self):
-        from repro.experiments.fig4_split import run_split_sweep
-        points = run_split_sweep(flash_sizes_mb=(384, 640),
-                                 scale_divisor=64, num_records=120_000)
+        from repro.experiments.fig4_split import combine, tasks
+        points = combine(sweep(tasks(flash_sizes_mb=(384, 640),
+                                     scale_divisor=64,
+                                     num_records=120_000)))
         # Split wins at the larger sizes and the gap grows (Figure 4).
         assert points[-1].split_miss_rate < points[-1].unified_miss_rate
         assert points[-1].improvement >= points[0].improvement - 0.02
 
     def test_fig6_series(self):
         from repro.experiments.fig6_ecc import (
-            run_decode_latency_series, run_tolerable_cycles_series)
-        latencies = run_decode_latency_series(t_values=(2, 6, 11))
+            combine_decode_latency, combine_tolerable_cycles,
+            decode_latency_tasks, tolerable_cycles_tasks)
+        latencies = combine_decode_latency(
+            sweep(decode_latency_tasks(t_values=(2, 6, 11))))
         assert latencies[0].total_us < latencies[-1].total_us
-        cycles = run_tolerable_cycles_series(t_values=(0, 5, 10))
+        cycles = combine_tolerable_cycles(
+            sweep(tolerable_cycles_tasks(t_values=(0, 5, 10))))
         assert cycles[0.20][-1][1] > cycles[0.05][-1][1]
 
     def test_fig7_shapes(self):
@@ -151,34 +156,34 @@ class TestExperimentRunnersSmoke:
         assert websearch.points[0].optimal_slc_fraction < 0.15
 
     def test_fig9_direction(self):
-        from repro.experiments.fig9_power import run_power_comparison
-        result = run_power_comparison("specweb99", scale_divisor=128,
-                                      num_records=40_000,
-                                      warmup_records=30_000)
+        from repro.experiments.fig9_power import combine, tasks
+        result = combine(sweep(tasks("specweb99", scale_divisor=128,
+                                     num_records=40_000,
+                                     warmup_records=30_000)))
         assert result.power_ratio > 1.0
 
     def test_fig10_degrades_gracefully(self):
-        from repro.experiments.fig10_ecc_throughput import \
-            run_ecc_throughput_sweep
-        points = run_ecc_throughput_sweep(
+        from repro.experiments.fig10_ecc_throughput import combine, tasks
+        points = combine(sweep(tasks(
             "specweb99", strengths=(1, 20), scale_divisor=128,
-            num_records=20_000)
+            num_records=20_000)))
         assert points[0].relative_bandwidth == pytest.approx(1.0)
         assert 0.3 < points[1].relative_bandwidth < 1.0
 
     def test_fig11_tail_trend(self):
-        from repro.experiments.fig11_reconfig import run_reconfig_breakdown
-        rows = run_reconfig_breakdown(
-            workloads=("uniform", "exp2"), num_blocks=8, frames_per_block=4)
+        from repro.experiments.fig11_reconfig import combine, tasks
+        rows = combine(sweep(tasks(
+            workloads=("uniform", "exp2"), num_blocks=8,
+            frames_per_block=4)))
         by_name = {row.workload: row for row in rows}
         assert by_name["uniform"].code_strength_fraction \
             > by_name["exp2"].code_strength_fraction
 
     def test_fig12_improvement(self):
         from repro.experiments.fig12_lifetime import (
-            average_improvement, run_lifetime_comparison)
-        rows = run_lifetime_comparison(workloads=("alpha2", "exp1"),
-                                       num_blocks=8, frames_per_block=4)
+            average_improvement, combine, tasks)
+        rows = combine(sweep(tasks(workloads=("alpha2", "exp1"),
+                                   num_blocks=8, frames_per_block=4)))
         assert all(row.improvement > 3.0 for row in rows)
         assert average_improvement(rows) > 3.0
         assert max(row.normalized_programmable for row in rows) \

@@ -16,7 +16,9 @@ from repro.core.tables import (
     FPSTEntry,
     metadata_overhead_bytes,
 )
-from repro.flash.geometry import PageAddress
+from repro.core.controller import ProgrammableFlashController
+from repro.flash.device import FlashDevice
+from repro.flash.geometry import FlashGeometry, PageAddress
 from repro.flash.timing import CellMode
 
 
@@ -28,11 +30,18 @@ class TestFPST:
         assert not entry.valid
 
     def test_saturating_counter(self):
-        entry = FPSTEntry()
-        saturated = False
-        for _ in range(ACCESS_COUNTER_MAX + 5):
-            saturated = entry.touch()
-        assert saturated
+        # The controller's read bumps the counter; it stops at the
+        # ceiling, and the page reads hot from the saturating read on.
+        device = FlashDevice(geometry=FlashGeometry(frames_per_block=4,
+                                                    num_blocks=2),
+                             initial_mode=CellMode.MLC)
+        controller = ProgrammableFlashController(device)
+        address = PageAddress(0, 0, 0)
+        controller.program(address, lba=7)
+        entry = controller.fpst.entries[address]
+        hot = [controller.read(address).hot_promotion
+               for _ in range(ACCESS_COUNTER_MAX + 5)]
+        assert hot == [False] * (ACCESS_COUNTER_MAX - 1) + [True] * 6
         assert entry.access_count == ACCESS_COUNTER_MAX
 
     def test_saturate_shortcut(self):
