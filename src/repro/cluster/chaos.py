@@ -19,19 +19,15 @@ The schedule answers the questions the planner asks:
   double kill runs as one stage and a later kill (a survivor cascade)
   runs after the redirects it will absorb have been merged in.
 
-:meth:`ChaosSchedule.sample` draws a random kill→cascade→repair
-timeline from a seed via :func:`repro.parallel.derive_seed`, so chaos
-experiments are reproducible streams, never ad-hoc randomness
-(simlint SIM002).
+A schedule is scripted, never drawn: :meth:`ChaosSchedule.from_scenario`
+builds it from a scenario's kill, cascade and rejoin primitives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..parallel import derive_seed
 from .errors import ClusterError
 
 __all__ = ["KillSpec", "RejoinSpec", "ChaosSchedule"]
@@ -153,38 +149,6 @@ class ChaosSchedule:
                 f"at least one must survive to absorb failover traffic")
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def sample(cls, shards: int, duration_s: float, kills: int = 1,
-               repair: bool = False, seed: int = 0) -> "ChaosSchedule":
-        """Draw a reproducible kill→cascade→repair timeline.
-
-        ``kills`` victims are chosen without replacement and die at
-        instants spread through the middle of the run (ascending, so
-        each later kill is a survivor cascade); with ``repair`` the
-        first victim rejoins near the end.  Identical arguments give
-        an identical schedule — the RNG is seeded through
-        :func:`~repro.parallel.derive_seed`.
-        """
-        if kills < 1:
-            raise ClusterError("sample needs kills >= 1")
-        if kills >= shards:
-            raise ClusterError("sample must leave a survivor")
-        rng = Random(derive_seed(seed, f"cluster:chaos:{shards}:{kills}"))
-        victims = rng.sample(range(shards), kills)
-        duration_us = duration_s * 1e6
-        # Kill instants in [15%, 70%] of the run, ascending.
-        instants = sorted(rng.uniform(0.15 * duration_us,
-                                      0.70 * duration_us)
-                          for _ in range(kills))
-        kill_specs = tuple(KillSpec(shard, at_us)
-                           for shard, at_us in zip(victims, instants))
-        rejoin_specs: Tuple[RejoinSpec, ...] = ()
-        if repair:
-            rejoin_specs = (RejoinSpec(
-                victims[0],
-                rng.uniform(0.8 * duration_us, 0.9 * duration_us)),)
-        return cls(kills=kill_specs, rejoins=rejoin_specs)
 
     @classmethod
     def from_scenario(cls, kill_shard: Optional[int],

@@ -88,9 +88,7 @@ class _ShardEngine(EventEngine):
                  fail_at_us: Optional[float], retire_on_degraded: bool,
                  bucket_us: float,
                  sync_arrivals: Sequence[Arrival] = (),
-                 rejoin_at_us: Optional[float] = None,
-                 shard_id: int = 0,
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 rejoin_at_us: Optional[float] = None) -> None:
         super().__init__(system, config)
         self.system: FlashBackedSystem = system
         self.queue_depth = queue_depth
@@ -101,8 +99,6 @@ class _ShardEngine(EventEngine):
         self.retire_on_degraded = retire_on_degraded
         self.bucket_us = bucket_us
         self.rejoin_at_us = rejoin_at_us
-        self.shard_id = shard_id
-        self.telemetry = telemetry
         self.response = LatencyHistogram("response_us")
         self.queue_delay = LatencyHistogram("queue_delay_us")
         self.service_latency = LatencyHistogram("service_latency_us")
@@ -139,7 +135,6 @@ class _ShardEngine(EventEngine):
         loop.register(EventType.ARRIVE, self._on_arrive)
         loop.register(EventType.COMPLETE, self._on_complete)
         loop.register(EventType.SYNC, self._on_sync)
-        loop.register(EventType.REJOIN, self._on_rejoin)
 
     def _post_next_arrival(self) -> None:
         arrival = next(self._source, None)
@@ -180,15 +175,7 @@ class _ShardEngine(EventEngine):
             self.sync_skipped += 1
         else:
             self._admit_arrival(now_us, arrival, background=True)
-            telemetry = self.telemetry
-            if telemetry is not None:
-                telemetry.sync_page(arrival[3])
         self._post_next_sync()
-
-    def _on_rejoin(self, now_us: float, shard_id: int) -> None:
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.rejoin()
 
     def _admit_arrival(self, now_us: float, arrival: Arrival,
                        background: bool = False) -> None:
@@ -257,13 +244,14 @@ class _ShardEngine(EventEngine):
     # -- driving -------------------------------------------------------------
 
     def run(self) -> float:
-        """Chain arrivals through the loop; returns the makespan (us)."""
-        if self.rejoin_at_us is not None:
-            self.loop.post_at(self.rejoin_at_us, EventType.REJOIN,
-                              self.shard_id)
+        """Chain arrivals through the loop; returns the makespan (us),
+        which reaches a rejoined incarnation's rejoin instant even when
+        no traffic came after it."""
         self._post_next_arrival()
         self._post_next_sync()
         span_us = self._run_loop()
+        if self.rejoin_at_us is not None and span_us < self.rejoin_at_us:
+            span_us = self.rejoin_at_us
         if self.fail_at_us is not None and self.retired_at_us is None:
             # A scripted kill happens whether or not any arrival landed
             # after it (the front-end routes around a dead shard).
@@ -336,8 +324,7 @@ def run_shard(shard_id: int, arrivals: List[Arrival], dram_bytes: int,
                           ChannelConfig(channels=channels, planes=planes),
                           shed_queue, fail_at_us, retire_on_degraded,
                           bucket_us, sync_arrivals=sync_arrivals or (),
-                          rejoin_at_us=rejoin_at_us, shard_id=shard_id,
-                          telemetry=telemetry)
+                          rejoin_at_us=rejoin_at_us)
     engine.sampler = TraceSampler(telemetry, system,
                                   interval=sample_interval)
     span_us = engine.run()

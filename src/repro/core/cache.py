@@ -256,9 +256,6 @@ class _RegionState:
         # The reserve's free pages during a GC pass; empty between passes.
         self.reserve_free: Deque[PageAddress] = deque()
 
-    def blocks_with_content(self) -> List[int]:
-        return list(self.lru)
-
     def enter_lru(self, block: int, capacity: int,
                   oldest: bool = False) -> None:
         """(Re)insert ``block`` at the most recently used end, or at the

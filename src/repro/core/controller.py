@@ -81,9 +81,6 @@ class ControllerConfig:
     max_ecc_strength: int = 12     # hardware limit (section 4.1)
     initial_ecc_strength: int = 1
     counter_max: int = ACCESS_COUNTER_MAX
-    #: Reduction in read latency from an MLC->SLC switch (50us -> 25us).
-    #: Derived from timing at runtime; this is only a fallback.
-    slc_read_gain_us: float = 25.0
     #: Read-retry ladder depth: when a read exceeds the page's correction
     #: strength, re-sense up to this many times (each retry costs a full
     #: NAND read plus decode) before declaring it uncorrectable.  Retries

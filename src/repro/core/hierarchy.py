@@ -266,8 +266,8 @@ class _SystemBase:
                 total += self.write(page)
         return total
 
-    def run(self, records: Iterable[TraceRecord]) -> float:
-        """Process a whole trace; returns total foreground latency.
+    def run(self, records: Iterable[TraceRecord]) -> None:
+        """Process a whole trace; the latencies land in :attr:`stats`.
 
         Reads the trace's columns (any other iterable of records is
         converted once), so no record is built per request.
@@ -275,18 +275,13 @@ class _SystemBase:
         trace = Trace.from_records(records)
         read = self.read
         write = self.write
-        total = 0.0
         for page, run, is_read in zip(trace.pages, trace.runs, trace.reads):
             access = read if is_read else write
             if run == 1:
-                total += access(page)
+                access(page)
             else:
-                # A run's latency is summed first, as process() sums it.
-                subtotal = 0.0
                 for page in range(page, page + run):
-                    subtotal += access(page)
-                total += subtotal
-        return total
+                    access(page)
 
     # -- time/power accounting ---------------------------------------------------
 
@@ -299,8 +294,11 @@ class _SystemBase:
                       + self.stats.requests * self.config.cpu_us_per_request)
         floor = max(self.disk.busy_us,
                     self.dram.read_busy_us + self.dram.write_busy_us)
-        flash_busy = getattr(self, "_flash_busy_us", lambda: 0.0)()
-        return max(foreground, floor, flash_busy)
+        return max(foreground, floor, self._flash_busy_us())
+
+    def _flash_busy_us(self) -> float:
+        """Busy time of the Flash device (none without a Flash cache)."""
+        return 0.0
 
     def throughput_rps(self) -> float:
         """Requests per second over the simulated window."""
@@ -356,8 +354,8 @@ class FlashBackedSystem(_SystemBase):
         return self.flash.controller.device.stats.busy_us
 
     def _submit(self, page: int, is_read: bool) -> PendingRequest:
-        # FlashDevice.capture_ops, minus a context manager per request:
-        # the device appends this request's ops to a fresh log.
+        # The device appends this request's ops to a fresh log, which
+        # is handed on to any outer log afterwards, in issue order.
         device = self.flash.controller.device
         cache_stats = self.flash.stats
         gc_before_us = cache_stats.gc_time_us

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 __all__ = ["PdcStats", "Eviction", "PrimaryDiskCache"]
 
@@ -139,7 +139,3 @@ class PrimaryDiskCache:
         for page in flushed:
             self._pages[page] = False
         return flushed
-
-    def lru_order(self) -> Iterator[int]:
-        """Pages from least- to most-recently used (for tests/inspection)."""
-        return iter(self._pages)

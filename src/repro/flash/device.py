@@ -28,10 +28,9 @@ metadata-only for speed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..faults.injector import FaultInjector
 from ..reliability.model import ReliabilityModel
@@ -300,30 +299,6 @@ class FlashDevice:
         self._slc_pages = geometry.pages_per_frame(_SLC)
         self._mlc_pages = geometry.pages_per_frame(mlc)
         self._initial_pages = geometry.pages_per_frame(initial_mode)
-
-    # -- non-blocking entry points ---------------------------------------------
-
-    @contextmanager
-    def capture_ops(self, into: List[DeviceOp]) -> Iterator[List[DeviceOp]]:
-        """Collect every NAND op issued inside the block into ``into``.
-
-        This is the device's submit-side hook: a caller runs the
-        functional operation under capture and hands the recorded op
-        stream to the event engine, which schedules it on
-        channels/planes (the hierarchy's per-request ``submit_*`` path
-        swaps :attr:`op_log` itself, without a context manager).
-        Nesting chains: on exit an inner capture hands its ops to the
-        outer log, so the outer one still sees them, in issue order.
-        """
-        outer = self.op_log
-        start = len(into)
-        self.op_log = into
-        try:
-            yield into
-        finally:
-            self.op_log = outer
-            if outer is not None:
-                outer.extend(into[start:])
 
     # -- frame bookkeeping ----------------------------------------------------
 

@@ -93,10 +93,6 @@ class FlashGeometry:
         """One cell per MLC bit: a frame physically holds 2 MLC pages."""
         return (self.page_data_bytes + self.page_spare_bytes) * 8
 
-    @property
-    def cells_per_block(self) -> int:
-        return self.cells_per_frame * self.frames_per_block
-
     def data_cells_per_page(self, mode: CellMode) -> int:
         """Cells backing one logical page's data+spare area.
 

@@ -66,11 +66,6 @@ class ScrubStats:
     uncorrectable_found: int = 0  # latent errors past correction
     busy_us: float = 0.0          # device time consumed by scrubbing
 
-    @property
-    def traffic_ops(self) -> int:
-        """NAND operations attributable to scrubbing."""
-        return self.scrub_reads + self.page_rewrites
-
 
 class Scrubber:
     """Periodic retention scrub over a Flash disk cache.

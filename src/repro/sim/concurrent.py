@@ -50,7 +50,6 @@ from ..workloads.trace import Trace, TraceRecord
 from .engine import QueueingStats, SimulationReport, run_trace, \
     summarise_system
 from .events import EventLoop, EventType
-from .server import ServerModel
 
 __all__ = ["run_trace_concurrent"]
 
@@ -196,8 +195,7 @@ def run_trace_concurrent(system: DramOnlySystem | FlashBackedSystem,
                          channels: int = 1,
                          planes: int = 1,
                          drain: bool = True,
-                         telemetry: Optional[Telemetry] = None,
-                         server: Optional[ServerModel] = None
+                         telemetry: Optional[Telemetry] = None
                          ) -> SimulationReport:
     """Run a trace through the event-driven concurrent engine.
 
@@ -216,8 +214,7 @@ def run_trace_concurrent(system: DramOnlySystem | FlashBackedSystem,
         raise ValueError("queue_depth must be >= 1")
     config = ChannelConfig(channels=channels, planes=planes)
     if queue_depth == 1 and config.resources == 1:
-        return run_trace(system, records, drain=drain,
-                         telemetry=telemetry, server=server)
+        return run_trace(system, records, drain=drain, telemetry=telemetry)
     engine = _ConcurrentEngine(system, records, queue_depth, config)
     if telemetry is not None:
         telemetry.attach(system)
@@ -241,6 +238,5 @@ def run_trace_concurrent(system: DramOnlySystem | FlashBackedSystem,
         scrub_events=engine.scrub_events,
     )
     return summarise_system(system, drain=drain, telemetry=telemetry,
-                            server=server, wall_clock_us=span_us,
-                            throughput_rps=throughput_rps,
-                            queueing=queueing)
+                            wall_clock_us=span_us,
+                            throughput_rps=throughput_rps, queueing=queueing)

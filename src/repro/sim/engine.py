@@ -35,10 +35,6 @@ from .server import ServerModel
 __all__ = ["QueueingStats", "SimulationReport", "run_trace",
            "summarise_system"]
 
-#: Response payload assumed when no :class:`ServerModel` is supplied;
-#: matches the model's own default.
-_DEFAULT_RESPONSE_BYTES = ServerModel.response_bytes
-
 
 @dataclass
 class QueueingStats:
@@ -74,10 +70,6 @@ class QueueingStats:
     @property
     def mean_queue_delay_us(self) -> float:
         return self.queue_delay.mean
-
-    @property
-    def mean_service_us(self) -> float:
-        return self.service_latency.mean
 
     def channel_utilization(self) -> List[float]:
         """Per-channel busy fraction of the span (a channel with
@@ -116,10 +108,10 @@ class SimulationReport:
     #: True when the cache fell below its minimum-blocks floor and the
     #: hierarchy finished the trace on the DRAM+disk bypass.
     flash_degraded: bool = False
-    #: Bytes served per request by the fronting server (threaded from
-    #: :attr:`ServerModel.response_bytes`; the network-bandwidth proxy
+    #: Bytes served per request by the fronting server
+    #: (:attr:`ServerModel.response_bytes`; the network-bandwidth proxy
     #: below scales with it).
-    response_bytes: int = _DEFAULT_RESPONSE_BYTES
+    response_bytes: int = ServerModel.response_bytes
     # -- telemetry (present only when a Telemetry handle ran the trace) ------
     #: Foreground read-request latency distribution.
     read_latency: Optional[LatencyHistogram] = None
@@ -217,16 +209,14 @@ class SimulationReport:
 def run_trace(system: DramOnlySystem | FlashBackedSystem,
               records: Iterable[TraceRecord],
               drain: bool = True,
-              telemetry: Optional[Telemetry] = None,
-              server: Optional[ServerModel] = None) -> SimulationReport:
+              telemetry: Optional[Telemetry] = None) -> SimulationReport:
     """Run a trace to completion and summarise.
 
     ``drain`` flushes dirty PDC/Flash state afterwards so that power and
     disk-traffic accounting cover the whole data lifecycle.  ``telemetry``
     (optional) is attached to every layer for the duration of the run and
     sampled every ``telemetry.sample_interval`` requests; the report then
-    carries latency histograms and time-series.  ``server`` supplies the
-    response payload size behind the report's network-bandwidth proxy.
+    carries latency histograms and time-series.
     """
     if telemetry is None:
         system.run(records)
@@ -268,14 +258,12 @@ def run_trace(system: DramOnlySystem | FlashBackedSystem,
         # Close every series with the end-of-trace state so a short trace
         # still yields at least one point per signal.
         sampler.finalize(processed)
-    return summarise_system(system, drain=drain, telemetry=telemetry,
-                            server=server)
+    return summarise_system(system, drain=drain, telemetry=telemetry)
 
 
 def summarise_system(system: DramOnlySystem | FlashBackedSystem,
                      drain: bool = True,
                      telemetry: Optional[Telemetry] = None,
-                     server: Optional[ServerModel] = None,
                      wall_clock_us: Optional[float] = None,
                      throughput_rps: Optional[float] = None,
                      queueing: Optional[QueueingStats] = None
@@ -336,8 +324,7 @@ def summarise_system(system: DramOnlySystem | FlashBackedSystem,
         scrub=scrub_stats,
         flash_live_capacity=live_capacity,
         flash_degraded=degraded,
-        response_bytes=(server.response_bytes if server is not None
-                        else _DEFAULT_RESPONSE_BYTES),
+        response_bytes=ServerModel.response_bytes,
         read_latency=(telemetry.read_latency
                       if telemetry is not None else None),
         write_latency=(telemetry.write_latency

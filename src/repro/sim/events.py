@@ -20,10 +20,12 @@ the engine when the request is admitted.  The vocabulary:
 * ``ARRIVE``   — an open-loop request reaches a cluster shard at its
   planned instant (:mod:`repro.cluster.shard`);
 * ``COMPLETE`` — a request finished; its window slot frees;
-* ``REJOIN``   — a repaired cluster shard re-entered the ring
-  (:mod:`repro.cluster.shard`, repair/re-admission);
 * ``SYNC``     — one anti-entropy catch-up op (a sync write on the
   rejoining shard, or the paired source read on a neighbour).
+
+A repaired shard's rejoin is not an event: its incarnation's arrivals
+and catch-up ops start at the rejoin instant, and the shard's reported
+span is clamped to reach it.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ class EventType(IntEnum):
 
     ARRIVE = 0
     COMPLETE = 1
-    REJOIN = 2
-    SYNC = 3
+    SYNC = 2
 
 
 #: Called as ``handler(now_us, payload)``.

@@ -34,15 +34,15 @@ import heapq
 import math
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.controller import (
+    ControllerReadResult,
     ControllerStats,
     FixedEccController,
     ProgrammableFlashController,
-    ReconfigKind,
 )
-from ..flash.device import FlashDevice, MLC_READ_SENSITIVITY
+from ..flash.device import FlashDevice
 from ..parallel import derive_seed
 from ..flash.geometry import FlashGeometry, PageAddress
 from ..flash.timing import CellMode
@@ -132,10 +132,104 @@ def _workload_profile(name: str) -> Tuple[int, float, tuple]:
     raise KeyError(f"unknown workload {name!r}")
 
 
-class LifetimeSimulator:
+#: Accesses the primed FGST stands for; its hit share is the steady-state
+#: hit rate the repair heuristic weighs a density reduction against.
+_PRIMED_ACCESSES = 1_000_000
+
+
+class _AgingCore:
+    """The device, controller and steady-state tables both aging
+    simulators age, and the probe read that replays the controller's
+    fault response.
+
+    ``config`` is an :class:`AgingConfig` or a :class:`RegimeConfig`;
+    both carry the geometry, wear spread, seed and controller choice.
+    ``reliability`` attaches the error-process model to the device.
+    """
+
+    def __init__(self, config: AgingConfig | RegimeConfig,
+                 reliability: Optional[ReliabilityModel] = None) -> None:
+        geometry = FlashGeometry(
+            frames_per_block=config.frames_per_block,
+            num_blocks=config.num_blocks,
+        )
+        lifetime_model = CellLifetimeModel(
+            WearModelConfig(stdev_frac=config.stdev_frac,
+                            cells_per_page=geometry.cells_per_frame))
+        self.device = FlashDevice(
+            geometry=geometry,
+            lifetime_model=lifetime_model,
+            initial_mode=CellMode.MLC,
+            seed=config.seed,
+            reliability=reliability,
+        )
+        if config.controller == "programmable":
+            self.controller = ProgrammableFlashController(self.device)
+        else:
+            self.controller = FixedEccController(self.device, strength=1)
+        self._num_blocks = config.num_blocks
+        self._frames_per_block = config.frames_per_block
+        self._frame_freq: Dict[Tuple[int, int], int] = {}
+        #: Each frame's *first* reconfiguration, counted by kind.
+        self.first_choices: Dict[str, int] = {}
+        self._decided: Set[Tuple[int, int]] = set()
+
+    def _prime(self, hits: int, marginal_miss: float,
+               draw_count: Callable[[], int]) -> None:
+        """Install the steady-state context the repair heuristic reads:
+        FGST statistics with ``hits`` of :data:`_PRIMED_ACCESSES` hits,
+        the marginal page's miss cost, and every frame's representative
+        page valid with an access count from ``draw_count`` (drawn in
+        block-major order)."""
+        fgst = self.controller.fgst
+        fgst.hits = hits
+        fgst.misses = _PRIMED_ACCESSES - hits
+        fgst.total_accesses = _PRIMED_ACCESSES
+        fgst.avg_hit_latency_us = self.device.timing.mlc_read_us
+        fgst.avg_miss_penalty_us = 4200.0
+        self.controller.marginal_miss_estimate = marginal_miss
+        for block in range(self._num_blocks):
+            for frame in range(self._frames_per_block):
+                self._frame_freq[(block, frame)] = draw_count()
+            self._restore_block_entries(block)
+
+    def _restore_block_entries(self, block: int) -> None:
+        """Re-mark the block's representative pages valid at their primed
+        access counts (steady-state rewrite traffic immediately
+        repopulates an erased block)."""
+        entry_of = self.controller.fpst.entry
+        for frame in range(self._frames_per_block):
+            entry = entry_of(PageAddress(block, frame, 0))
+            entry.valid = True
+            entry.access_count = self._frame_freq[(block, frame)]
+
+    def _probe(self, block: int, frame: int) -> ControllerReadResult:
+        """Read a frame's representative page through the real controller
+        at its primed access count, count the frame's first
+        reconfiguration, and erase the block when the read pended a
+        density change (which takes effect only at the erase)."""
+        controller = self.controller
+        address = PageAddress(block, frame, 0)
+        controller.fpst.entry(address).access_count = \
+            self._frame_freq[(block, frame)]
+        result = controller.read(address)
+        reconfig = result.reconfig
+        if reconfig is not None and (block, frame) not in self._decided:
+            self._decided.add((block, frame))
+            self.first_choices[reconfig.value] = \
+                self.first_choices.get(reconfig.value, 0) + 1
+        if ((reconfig is not None or not result.recovered)
+                and controller.has_pending_density_change(block, frame)):
+            controller.erase(block)
+            self._restore_block_entries(block)
+        return result
+
+
+class LifetimeSimulator(_AgingCore):
     """Event-driven Flash aging for one (workload, controller) pair."""
 
     def __init__(self, config: AgingConfig):
+        super().__init__(config)
         self.config = config
         footprint, write_fraction, tail = _workload_profile(config.workload)
         self.write_fraction = max(write_fraction, 1e-3)
@@ -153,30 +247,12 @@ class LifetimeSimulator:
             footprint_bytes=footprint * 2048,
             read_fraction=1.0 - self.write_fraction, tail=tail)
         self.distribution = spec.make_distribution(footprint)
-
-        geometry = FlashGeometry(
-            frames_per_block=config.frames_per_block,
-            num_blocks=config.num_blocks,
-        )
-        lifetime_model = CellLifetimeModel(
-            WearModelConfig(stdev_frac=config.stdev_frac,
-                            cells_per_page=geometry.cells_per_frame))
-        self.device = FlashDevice(
-            geometry=geometry,
-            lifetime_model=lifetime_model,
-            initial_mode=CellMode.MLC,
-            seed=config.seed,
-        )
-        if config.controller == "programmable":
-            self.controller = ProgrammableFlashController(self.device)
-        else:
-            self.controller = FixedEccController(self.device, strength=1)
-        self._prime_fgst_and_fpst()
+        self._prime_from_popularity()
 
     # -- setup -------------------------------------------------------------------
 
-    def _prime_fgst_and_fpst(self) -> None:
-        """Install the steady-state context the repair heuristic reads.
+    def _prime_from_popularity(self) -> None:
+        """Prime the tables from the workload's popularity.
 
         Frames hold the hottest ``cache_coverage`` share of the working
         set; each frame's representative page gets an access frequency
@@ -184,50 +260,37 @@ class LifetimeSimulator:
         carries the corresponding miss rate and latencies.
         """
         cfg = self.config
+        distribution = self.distribution
         cached_pages = max(int(self.footprint_pages * cfg.cache_coverage), 1)
-        frames = cfg.num_blocks * cfg.frames_per_block
         # The FPST-priming stream must be independent of the device's own
         # wear stream (both flow from cfg.seed); derive it instead of the
         # old ``seed + 1``, which is the fig9 drift pattern SIM002 bans.
         rng = Random(derive_seed(cfg.seed, "lifetime:fpst-prime"))
-        total_scale = 1_000_000
-        fgst = self.controller.fgst
         cached_mass = 0.0
         # Cumulative popularity of the cached range, sampled (the exact sum
         # over millions of ranks is unnecessary for the heuristic).
         probe = max(cached_pages // 4096, 1)
         for rank in range(0, cached_pages, probe):
-            cached_mass += self.distribution.rank_probability(rank) * probe
+            cached_mass += distribution.rank_probability(rank) * probe
         cached_mass = min(cached_mass, 1.0)
-        fgst.hits = int(total_scale * cached_mass)
-        fgst.misses = total_scale - fgst.hits
-        fgst.total_accesses = total_scale
-        fgst.avg_hit_latency_us = self.device.timing.mlc_read_us
-        fgst.avg_miss_penalty_us = 4200.0
-
-        # The marginal-page miss cost the heuristic compares against: the
-        # popularity of the least popular *cached* page (what the cache
-        # would lose to a density reduction).
-        marginal_rank = min(cached_pages, self.footprint_pages - 1)
-        self.controller.marginal_miss_estimate = \
-            self.distribution.rank_probability(marginal_rank)
 
         # Frames are assigned popularity ranks drawn from the access
         # distribution itself (not uniformly): descriptor updates are
         # observed on reads, so frequently accessed pages dominate the
         # update mix — the effect behind Figure 11's tail-length trend.
-        self._frame_freq: Dict[Tuple[int, int], int] = {}
-        for block in range(cfg.num_blocks):
-            for frame in range(cfg.frames_per_block):
-                rank = self.distribution.sample_rank(rng.random())
-                rank = min(rank, cached_pages - 1)
-                probability = self.distribution.rank_probability(rank)
-                count = int(probability * total_scale)
-                self._frame_freq[(block, frame)] = count
-                entry = self.controller.fpst.entry(
-                    PageAddress(block, frame, 0))
-                entry.access_count = count
-                entry.valid = True
+        def draw_count() -> int:
+            rank = distribution.sample_rank(rng.random())
+            rank = min(rank, cached_pages - 1)
+            return int(distribution.rank_probability(rank)
+                       * _PRIMED_ACCESSES)
+
+        # The marginal-page miss cost the heuristic compares against: the
+        # popularity of the least popular *cached* page (what the cache
+        # would lose to a density reduction).
+        marginal_rank = min(cached_pages, self.footprint_pages - 1)
+        self._prime(int(_PRIMED_ACCESSES * cached_mass),
+                    distribution.rank_probability(marginal_rank),
+                    draw_count)
 
     # -- event mechanics ------------------------------------------------------------
 
@@ -263,8 +326,6 @@ class LifetimeSimulator:
 
         cycle = 0.0
         page_writes = 0.0
-        first_choices: Dict[str, int] = {}
-        decided: set[Tuple[int, int]] = set()
         half_capacity_writes: Optional[float] = None
         initial_capacity = self._live_capacity_pages()
         events = 0
@@ -290,19 +351,7 @@ class LifetimeSimulator:
             # The frame has reached its correction limit: replay the
             # controller's fault response via a real (zero-extra-damage)
             # read of the representative page.
-            address = PageAddress(block, frame, 0)
-            entry = self.controller.fpst.entry(address)
-            entry.access_count = self._frame_freq[(block, frame)]
-            result = self.controller.read(address)
-            if result.reconfig is not None and (block, frame) not in decided:
-                decided.add((block, frame))
-                first_choices[result.reconfig.value] = \
-                    first_choices.get(result.reconfig.value, 0) + 1
-            if result.reconfig is not None or not result.recovered:
-                # A pended density change needs its erase to take effect.
-                if self.controller.has_pending_density_change(block, frame):
-                    self.controller.erase(block)
-                    self._restore_block_entries(block)
+            self._probe(block, frame)
             if self.controller.is_retired(block):
                 capacity = self._live_capacity_pages()
                 if (half_capacity_writes is None
@@ -323,16 +372,8 @@ class LifetimeSimulator:
             half_capacity_accesses=(
                 half_capacity_writes / self.write_fraction
                 if half_capacity_writes is not None else None),
-            first_choices=first_choices,
+            first_choices=self.first_choices,
         )
-
-    def _restore_block_entries(self, block: int) -> None:
-        """Re-mark the block's representative pages valid after an erase
-        (steady-state rewrite traffic immediately repopulates them)."""
-        for frame in range(self.config.frames_per_block):
-            entry = self.controller.fpst.entry(PageAddress(block, frame, 0))
-            entry.valid = True
-            entry.access_count = self._frame_freq[(block, frame)]
 
 
 def simulate_lifetime(workload: str, controller: str = "programmable",
@@ -546,7 +587,7 @@ class RegimeResult:
 _REGIME_CELLS_PER_FRAME = (2048 + 64) * 8
 
 
-class RegimeSimulator:
+class RegimeSimulator(_AgingCore):
     """Time-stepped device aging under one error regime.
 
     Each step deposits the regime's traffic (wear cycles, reads,
@@ -564,63 +605,21 @@ class RegimeSimulator:
     """
 
     def __init__(self, config: RegimeConfig):
-        self.config = config
         regime = config.regime
-        geometry = FlashGeometry(
-            frames_per_block=config.frames_per_block,
-            num_blocks=config.num_blocks,
-        )
-        lifetime_model = CellLifetimeModel(
-            WearModelConfig(stdev_frac=config.stdev_frac,
-                            cells_per_page=geometry.cells_per_frame))
         # Rebase the model's stream on the run seed so regime sweeps over
         # seeds decorrelate, while the regime's rates stay authoritative.
         self.model = ReliabilityModel(replace(
             regime.reliability,
             seed=derive_seed(config.seed, f"regime:{regime.name}")))
-        self.device = FlashDevice(
-            geometry=geometry,
-            lifetime_model=lifetime_model,
-            initial_mode=CellMode.MLC,
-            seed=config.seed,
-            reliability=self.model,
-        )
-        if config.controller == "programmable":
-            self.controller = ProgrammableFlashController(self.device)
-        else:
-            self.controller = FixedEccController(self.device, strength=1)
-        self._prime()
-
-    def _prime(self) -> None:
-        """Steady-state context: valid representative pages with seeded
-        access counts, FGST statistics for the repair heuristic, and any
-        pre-existing age the regime specifies."""
-        cfg = self.config
-        rng = Random(derive_seed(cfg.seed, "regime:fpst-prime"))
-        fgst = self.controller.fgst
-        fgst.hits = 900_000
-        fgst.misses = 100_000
-        fgst.total_accesses = 1_000_000
-        fgst.avg_hit_latency_us = self.device.timing.mlc_read_us
-        fgst.avg_miss_penalty_us = 4200.0
-        self.controller.marginal_miss_estimate = 1e-4
-        self._frame_freq: Dict[Tuple[int, int], int] = {}
-        for block in range(cfg.num_blocks):
-            for frame in range(cfg.frames_per_block):
-                count = rng.randrange(100, 10_000)
-                self._frame_freq[(block, frame)] = count
-                entry = self.controller.fpst.entry(
-                    PageAddress(block, frame, 0))
-                entry.access_count = count
-                entry.valid = True
-            if cfg.regime.initial_cycles > 0:
-                self.device.age_block(block, cfg.regime.initial_cycles)
-
-    def _restore_block_entries(self, block: int) -> None:
-        for frame in range(self.config.frames_per_block):
-            entry = self.controller.fpst.entry(PageAddress(block, frame, 0))
-            entry.valid = True
-            entry.access_count = self._frame_freq[(block, frame)]
+        super().__init__(config, reliability=self.model)
+        self.config = config
+        # Steady-state context: a 90 % hit rate, seeded access counts,
+        # and any pre-existing age the regime specifies.
+        rng = Random(derive_seed(config.seed, "regime:fpst-prime"))
+        self._prime(900_000, 1e-4, lambda: rng.randrange(100, 10_000))
+        if regime.initial_cycles > 0:
+            for block in range(config.num_blocks):
+                self.device.age_block(block, regime.initial_cycles)
 
     def _live_blocks(self) -> List[int]:
         return list(self.controller.fbst.live_blocks())
@@ -638,8 +637,6 @@ class RegimeSimulator:
         erase_cycles = 0.0
         probe_reads = 0
         uncorrectable = 0
-        first_choices: Dict[str, int] = {}
-        decided: set[Tuple[int, int]] = set()
         steps = 0
 
         for _ in range(cfg.max_steps):
@@ -680,25 +677,12 @@ class RegimeSimulator:
                 if controller.is_retired(block):
                     continue
                 for frame in range(cfg.frames_per_block):
-                    address = PageAddress(block, frame, 0)
-                    entry = controller.fpst.get(address)
+                    entry = controller.fpst.get(PageAddress(block, frame, 0))
                     if entry is None or not entry.valid:
                         continue
-                    entry.access_count = self._frame_freq[(block, frame)]
                     probe_reads += 1
-                    result = controller.read(address)
-                    if not result.recovered:
+                    if not self._probe(block, frame).recovered:
                         uncorrectable += 1
-                    if (result.reconfig is not None
-                            and (block, frame) not in decided):
-                        decided.add((block, frame))
-                        first_choices[result.reconfig.value] = \
-                            first_choices.get(result.reconfig.value, 0) + 1
-                    if result.reconfig is not None or not result.recovered:
-                        if controller.has_pending_density_change(
-                                block, frame):
-                            controller.erase(block)
-                            self._restore_block_entries(block)
                     if controller.is_retired(block):
                         break
             # -- scrub countermeasure ------------------------------------
@@ -721,7 +705,7 @@ class RegimeSimulator:
             controller_stats=controller.stats,
             reliability=model.stats,
             scrub=scrub_stats,
-            first_choices=first_choices,
+            first_choices=self.first_choices,
         )
 
     def _scrub_pass(self, stats: Optional[ScrubStats]) -> None:

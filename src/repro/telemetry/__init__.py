@@ -168,17 +168,6 @@ class Telemetry:
     def retire(self) -> None:
         self._c_retired.inc()
 
-    # -- cluster repair --------------------------------------------------------
-    # Cold paths (a handful of calls per run): a repaired shard coming
-    # back into the ring, and its anti-entropy catch-up traffic.
-
-    def rejoin(self) -> None:
-        self.metrics.counter("cluster.rejoins").inc()
-
-    def sync_page(self, is_read: bool) -> None:
-        self.metrics.counter("cluster.sync_reads" if is_read
-                             else "cluster.sync_writes").inc()
-
     # -- Flash disk cache ------------------------------------------------------
 
     def harvest_cache_counters(self, cache) -> None:
@@ -257,13 +246,3 @@ class Telemetry:
         cache.telemetry = self
         cache.controller.telemetry = self
         cache.controller.device.telemetry = self
-
-    def detach(self, system) -> None:
-        """Reverse :meth:`attach` (used by A/B overhead measurements)."""
-        system.telemetry = None
-        system.disk.telemetry = None
-        flash = getattr(system, "flash", None)
-        if flash is not None:
-            flash.telemetry = None
-            flash.controller.telemetry = None
-            flash.controller.device.telemetry = None

@@ -314,17 +314,6 @@ class TestChaosSchedule:
         with pytest.raises(ClusterError):
             everyone.validate_fleet(2)
 
-    def test_sample_is_seeded_and_shaped(self):
-        one = ChaosSchedule.sample(4, 1.0, kills=2, repair=True, seed=9)
-        two = ChaosSchedule.sample(4, 1.0, kills=2, repair=True, seed=9)
-        assert one == two
-        assert one != ChaosSchedule.sample(4, 1.0, kills=2, repair=True,
-                                           seed=10)
-        instants = [kill.at_us for kill in one.kills]
-        assert instants == sorted(instants)
-        assert len(one.rejoins) == 1
-        assert one.rejoins[0].shard == one.kills[0].shard
-
 
 def _kill_scenario(**overrides):
     base = dict(shards=3, rate_rps=9000.0, duration_s=0.3, seed=3,
@@ -597,6 +586,16 @@ class TestRepair:
         for node, stream in sync_streams.items():
             if node != (1, 1):
                 assert all(a[3] for a in stream)
+
+    def test_idle_rejoined_incarnation_spans_to_the_rejoin_instant(self):
+        # A rejoined incarnation with no traffic still reports a span
+        # that reaches its rejoin instant.
+        outcome = shard_module.run_shard(
+            1, [], 1 << 20, 4 << 20, 4, 1, 1, 16, None, False, 0.0, 0.0,
+            50_000.0, 1000, 3, sync_arrivals=[], rejoin_at_us=240_000.0,
+            incarnation=1)
+        assert outcome["arrivals"] == 0 and outcome["sync_arrived"] == 0
+        assert outcome["span_us"] == 240_000.0
 
     def test_rejoin_needs_a_kill(self):
         with pytest.raises(ClusterError):

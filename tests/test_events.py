@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.hierarchy import build_flash_system
 from repro.experiments import fig14_concurrency
 from repro.flash.channels import ChannelConfig, NandScheduler
-from repro.flash.device import DeviceOp, FlashDevice
-from repro.flash.geometry import PageAddress
+from repro.flash.device import DeviceOp
 from repro.parallel import sweep
 from repro.sim.concurrent import _ConcurrentEngine, run_trace_concurrent
 from repro.sim.engine import QueueingStats, run_trace
@@ -76,9 +75,9 @@ class TestEventLoop:
 
     def test_duplicate_registration_rejected(self):
         loop = EventLoop()
-        loop.register(EventType.REJOIN, lambda now_us, payload: None)
+        loop.register(EventType.SYNC, lambda now_us, payload: None)
         with pytest.raises(ValueError):
-            loop.register(EventType.REJOIN, lambda now_us, payload: None)
+            loop.register(EventType.SYNC, lambda now_us, payload: None)
 
     def test_unhandled_event_type_raises(self):
         loop = EventLoop()
@@ -343,33 +342,43 @@ class TestQueueingStatsSerialization:
 
 
 class TestOpCapture:
+    """Per-request op capture through the hierarchy's ``submit_*`` entry
+    points, alone and under an outer ``FlashDevice.op_log``."""
+
     def test_capture_reads_programs_erases(self):
-        device = FlashDevice()
-        first = PageAddress(block=0, frame=0)
-        second = PageAddress(block=0, frame=1)
-        device.program_page(first)
-        ops = []
-        with device.capture_ops(ops):
-            device.read_page(first)
-            device.program_page(second)
-        kinds = [op.kind for op in ops]
-        assert kinds == ["read", "program"]
-        assert all(op.latency_us > 0 for op in ops)
-        # outside the context nothing is captured
-        device.read_page(first)
-        assert len(ops) == 2
+        system = build_flash_system(dram_bytes=1 << 20,
+                                    flash_bytes=4 << 20)
+        device = system.flash.controller.device
+        # A cold read misses to disk and fills the Flash read cache.
+        fill = system.submit_read(1234)
+        assert "program" in [op.kind for op in fill.ops]
+        # Push the page out of the DRAM page cache; reading it again
+        # then hits in Flash.
+        for page in range(2000, 3000):
+            system.read(page)
+        hit = system.submit_read(1234)
+        assert [op.kind for op in hit.ops] == ["read"]
+        assert all(op.latency_us > 0 for op in fill.ops + hit.ops)
+        # Outside a submit nothing is captured.
+        assert device.op_log is None
 
     def test_nested_capture_forwards_to_outer(self):
-        device = FlashDevice()
-        address = PageAddress(block=0, frame=0)
-        device.program_page(address)
-        outer, inner = [], []
-        with device.capture_ops(outer):
-            device.read_page(address)
-            with device.capture_ops(inner):
-                device.read_page(address)
-        assert len(inner) == 1
-        assert len(outer) == 2
+        system = build_flash_system(dram_bytes=1 << 20,
+                                    flash_bytes=4 << 20)
+        device = system.flash.controller.device
+        outer: list = []
+        device.op_log = outer
+        try:
+            first = system.submit_read(1234)
+            second = system.submit_read(5678)
+        finally:
+            device.op_log = None
+        assert first.ops and second.ops
+        assert outer == first.ops + second.ops
+        # Once the outer log is gone a submit forwards nothing.
+        third = system.submit_read(9012)
+        assert third.ops
+        assert outer == first.ops + second.ops
 
 
 class TestEngineHistogramDrain:

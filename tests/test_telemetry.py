@@ -239,27 +239,10 @@ class TestRunTraceTelemetry:
         assert report.flash == cache
 
     def test_server_response_bytes_threads_into_bandwidth(self):
-        report = run_trace(_build_system(), _trace(600),
-                           server=ServerModel(response_bytes=4096))
-        assert report.response_bytes == 4096
-        assert report.network_bandwidth_bytes_per_s == pytest.approx(
-            report.throughput_rps * 4096)
         default = run_trace(_build_system(), _trace(600))
         assert default.response_bytes == ServerModel.response_bytes
         assert default.network_bandwidth_bytes_per_s == pytest.approx(
             default.throughput_rps * ServerModel.response_bytes)
-
-    def test_detach_restores_nil_handles(self):
-        system = _build_system()
-        telemetry = Telemetry()
-        telemetry.attach(system)
-        assert system.flash.controller.device.telemetry is telemetry
-        telemetry.detach(system)
-        assert system.telemetry is None
-        assert system.disk.telemetry is None
-        assert system.flash.telemetry is None
-        assert system.flash.controller.telemetry is None
-        assert system.flash.controller.device.telemetry is None
 
 
 class TestExporters:
