@@ -52,8 +52,7 @@ from collections import defaultdict, deque
 from typing import Any, DefaultDict, Deque, Dict, List, Optional, Sequence, \
     Tuple
 
-from ..core.hierarchy import build_flash_system, FlashBackedSystem, \
-    PendingRequest
+from ..core.hierarchy import build_flash_system, FlashBackedSystem
 from ..faults.injector import FaultConfig
 from ..flash.channels import ChannelConfig
 from ..parallel import derive_seed
@@ -69,6 +68,10 @@ __all__ = ["run_shard"]
 _ARRIVE = int(EventType.ARRIVE)
 _SYNC = int(EventType.SYNC)
 
+#: A COMPLETE payload: the arrival, whether it is background catch-up
+#: work, and its service latency (us).
+_Payload = Tuple[Arrival, bool, float]
+
 
 class _ShardEngine(EventEngine):
     """One shard run's event-loop state (not reusable).
@@ -79,7 +82,11 @@ class _ShardEngine(EventEngine):
     at its absolute instant, so the heap holds one future arrival at a
     time (the sync stream chains the same way through SYNC events).
     Admission and dispatch are the concurrent engine's
-    (:class:`repro.sim.concurrent.EventEngine`).
+    (:class:`repro.sim.concurrent.EventEngine`); a COMPLETE payload is
+    the tuple ``(arrival, background, service_us)``.  A request that
+    must wait in the host queue keeps its own op log: the run's log is
+    swapped for a fresh list, and the waiter's ops are placed when a
+    slot frees.
     """
 
     def __init__(self, system: FlashBackedSystem,
@@ -105,7 +112,9 @@ class _ShardEngine(EventEngine):
         self._observe_response = self.response.observe
         self._observe_queue_delay = self.queue_delay.observe
         self._observe_service = self.service_latency.observe
-        self.wait: Deque[PendingRequest] = deque()
+        #: Requests waiting for a window slot: each COMPLETE payload
+        #: with the request's own op log.
+        self.wait: Deque[Tuple[_Payload, List[float]]] = deque()
         self.slots = 0
         self.arrived = 0
         self.completed = 0
@@ -179,19 +188,20 @@ class _ShardEngine(EventEngine):
 
     def _admit_arrival(self, now_us: float, arrival: Arrival,
                        background: bool = False) -> None:
-        _, _, page, is_read = arrival
         # Functional execution at admission, in arrival order — the same
         # state/timing split as run_trace_concurrent, so cache contents
-        # are a pure function of the admitted request sequence.  With
-        # the window full the request waits in the host queue,
-        # undispatched.
-        slot_free = self.slots < self.queue_depth
-        pending = self._admit(now_us, page, is_read, slot_free)
-        pending.context = (arrival, background)
-        if slot_free:
+        # are a pure function of the admitted request sequence.
+        service_us = self._execute(arrival[2], arrival[3])
+        payload = (arrival, background, service_us)
+        if self.slots < self.queue_depth:
             self.slots += 1
+            self._dispatch(now_us + self._cpu_us, service_us, self._ops,
+                           payload)
         else:
-            self.wait.append(pending)
+            # The window is full: the request waits in the host queue,
+            # undispatched, keeping its ops; the run's log starts afresh.
+            self.wait.append((payload, self._ops))
+            self._ops = self.system.flash.controller.device.op_log = []
         # Graceful degradation may have tripped while serving this very
         # request; admitted work completes, later arrivals redirect.
         if (not background and self.retire_on_degraded
@@ -199,10 +209,8 @@ class _ShardEngine(EventEngine):
                 and self.system.flash.degraded):
             self.retired_at_us = now_us
 
-    def _on_complete(self, now_us: float, pending: PendingRequest) -> None:
-        pending.finish_us = now_us
-        self._complete_request(pending)
-        arrival, background = pending.context
+    def _on_complete(self, now_us: float, payload: _Payload) -> None:
+        arrival, background, service_us = payload
         if background:
             if now_us > self._fail_us:
                 self.sync_lost += 1
@@ -217,7 +225,7 @@ class _ShardEngine(EventEngine):
                 # loss bucket so the orchestrator can retry it there.
                 self.lost += 1
                 bucket[3] += 1
-                if pending.is_read:
+                if arrival[3]:
                     self.lost_reads += 1
                     self.inflight_reads.append(
                         (arrival, int(now_us // self.bucket_us)))
@@ -225,11 +233,11 @@ class _ShardEngine(EventEngine):
                     self.lost_writes += 1
             else:
                 self.completed += 1
-                response_us = now_us - pending.arrive_us
+                response_us = now_us - arrival[0]
                 self._observe_response(response_us)
                 self._observe_queue_delay(
-                    response_us - pending.service_us - self._cpu_us)
-                self._observe_service(pending.service_us)
+                    response_us - service_us - self._cpu_us)
+                self._observe_service(service_us)
                 bucket[1] += 1
                 bucket[5] += response_us
                 if response_us > bucket[6]:
@@ -239,17 +247,21 @@ class _ShardEngine(EventEngine):
             # The freed slot picks up the oldest waiter; it pays the
             # same host CPU step an immediately-admitted request does.
             self.slots += 1
-            self._dispatch(now_us, self.wait.popleft())
+            waiting, ops = self.wait.popleft()
+            self._dispatch(now_us + self._cpu_us, waiting[2], ops, waiting)
 
     # -- driving -------------------------------------------------------------
+
+    def _start(self) -> None:
+        """Post the first arrival and the first catch-up op."""
+        self._post_next_arrival()
+        self._post_next_sync()
 
     def run(self) -> float:
         """Chain arrivals through the loop; returns the makespan (us),
         which reaches a rejoined incarnation's rejoin instant even when
         no traffic came after it."""
-        self._post_next_arrival()
-        self._post_next_sync()
-        span_us = self._run_loop()
+        span_us = super().run()
         if self.rejoin_at_us is not None and span_us < self.rejoin_at_us:
             span_us = self.rejoin_at_us
         if self.fail_at_us is not None and self.retired_at_us is None:

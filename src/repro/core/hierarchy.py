@@ -24,14 +24,14 @@ miss rates of Figure 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from ..dram.model import DramModel
 from ..dram.page_cache import PrimaryDiskCache
 from ..disk.model import DiskModel
 from ..faults.injector import FaultConfig, FaultInjector
-from ..flash.device import DeviceOp, FlashDevice
+from ..flash.device import FlashDevice
 from ..flash.geometry import FlashGeometry
 from ..flash.timing import CellMode
 from ..flash.wear import CellLifetimeModel
@@ -48,7 +48,6 @@ from .controller import ControllerConfig, ProgrammableFlashController
 __all__ = [
     "SystemConfig",
     "RequestStats",
-    "PendingRequest",
     "DramOnlySystem",
     "FlashBackedSystem",
     "build_flash_system",
@@ -105,37 +104,6 @@ class RequestStats:
     @property
     def average_latency_us(self) -> float:
         return self.total_latency_us / self.requests if self.requests else 0.0
-
-
-@dataclass(slots=True)
-class PendingRequest:
-    """One submitted-but-not-completed request (non-blocking API).
-
-    ``submit_read``/``submit_write`` run the request's *functional* work
-    immediately (cache state must mutate in trace order for determinism)
-    and return this handle; the event engine owns the *timing*: it
-    stamps ``arrive_us``/``dispatch_us`` while scheduling ``ops`` on the
-    channel/plane fabric and ``finish_us`` when the request completes,
-    then closes it with :meth:`_SystemBase.complete_request`.
-    """
-
-    page: int
-    is_read: bool
-    #: Foreground storage latency the serial model charged (us).
-    service_us: float
-    #: NAND ops issued while servicing (foreground fills and any GC the
-    #: request triggered), in issue order.
-    ops: List[DeviceOp] = field(default_factory=list)
-    #: Background flash (GC) time this request generated.
-    gc_us: float = 0.0
-    # -- stamped by the event engine ---------------------------------------
-    arrive_us: float = 0.0
-    dispatch_us: float = 0.0
-    finish_us: float = 0.0
-    #: Opaque engine bookkeeping slot (the cluster engine parks the
-    #: originating arrival tuple here so a request in flight when its
-    #: shard dies can be retried on a surviving replica).
-    context: Any = None
 
 
 class _SystemBase:
@@ -217,33 +185,23 @@ class _SystemBase:
             self._requests_since_flush = since_flush
         return latency
 
-    # -- non-blocking entry points ---------------------------------------------
+    # -- event-engine entry points ----------------------------------------------
 
-    def submit_read(self, page: int) -> PendingRequest:
-        """Non-blocking :meth:`read`: returns a :class:`PendingRequest`.
+    def submit_read(self, page: int) -> float:
+        """:meth:`read` as the event engine's admission step; returns
+        the service latency (us).
 
         The functional work (cache state, stats, telemetry) happens now,
-        exactly as in :meth:`read`; the timing work — scheduling the
-        captured NAND ops, charging queue delay — belongs to the caller
-        (the event engine).
+        exactly as in :meth:`read`; its NAND ops land in the device's
+        ``op_log``, which the engine sets for the run.  The timing work
+        — placing those ops, charging queue delay — is the engine's.
         """
-        return self._submit(page, True)
+        return self.read(page)
 
-    def submit_write(self, page: int) -> PendingRequest:
-        """Non-blocking :meth:`write`; see :meth:`submit_read`."""
-        return self._submit(page, False)
-
-    def _submit(self, page: int, is_read: bool) -> PendingRequest:
-        service_us = self.read(page) if is_read else self.write(page)
-        return PendingRequest(page, is_read, service_us, [])
-
-    def complete_request(self, pending: PendingRequest) -> float:
-        """Close out a submitted request once the engine stamped its
-        times; returns the response time (queueing + service, us)."""
-        if pending.finish_us < pending.dispatch_us:
-            raise ValueError("complete_request before the engine stamped "
-                             "dispatch/finish times")
-        return pending.finish_us - pending.dispatch_us
+    def submit_write(self, page: int) -> float:
+        """:meth:`write` as the engine's admission step; see
+        :meth:`submit_read`."""
+        return self.write(page)
 
     def _periodic_flush(self) -> None:
         """Write queued dirty pages to disk as one batched, mostly
@@ -352,24 +310,6 @@ class FlashBackedSystem(_SystemBase):
 
     def _flash_busy_us(self) -> float:
         return self.flash.controller.device.stats.busy_us
-
-    def _submit(self, page: int, is_read: bool) -> PendingRequest:
-        # The device appends this request's ops to a fresh log, which
-        # is handed on to any outer log afterwards, in issue order.
-        device = self.flash.controller.device
-        cache_stats = self.flash.stats
-        gc_before_us = cache_stats.gc_time_us
-        outer = device.op_log
-        ops: List[DeviceOp] = []
-        device.op_log = ops
-        try:
-            service_us = self.read(page) if is_read else self.write(page)
-        finally:
-            device.op_log = outer
-            if outer is not None:
-                outer.extend(ops)
-        return PendingRequest(page, is_read, service_us, ops,
-                              cache_stats.gc_time_us - gc_before_us)
 
     def _fill_from_below(self, page: int) -> float:
         outcome = self._flash_read(page)

@@ -29,7 +29,6 @@ from .wear import (
     damage_per_cycle,
 )
 from .device import (
-    DeviceOp,
     FlashDevice,
     FlashDeviceError,
     FlashStats,
@@ -65,7 +64,6 @@ __all__ = [
     "PageFailureSampler",
     "mlc_damage_factor",
     "damage_per_cycle",
-    "DeviceOp",
     "FlashDevice",
     "FlashDeviceError",
     "FlashStats",

@@ -1,13 +1,13 @@
 """Per-channel / per-plane NAND scheduling for the concurrent engine.
 
 Real Flash throughput comes from interleaving operations across
-independent channels and, within a channel, across planes (the DDR-NAND
-SSD literature the ISSUE cites).  The functional device model
+independent channels and, within a channel, across planes (Chung et
+al.'s DDR-NAND SSD, PAPERS.md).  The functional device model
 (:class:`repro.flash.device.FlashDevice`) executes operations serially
 — it is the *state* substrate — so concurrency lives here, in the
-timing domain: the concurrent engine replays each request's captured
-device operations against a bank of channel/plane resources and charges
-any resource wait as queue delay.
+timing domain: the event engine places each request's NAND ops, given
+as the latencies the device appended to its ``op_log``, on a bank of
+channel/plane resources and charges any resource wait as queue delay.
 
 Determinism: assignment is an in-order scan over plane indices that
 stops early (:meth:`NandScheduler._pick` — *not* a plain least-loaded
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
-
-from .device import DeviceOp
 
 __all__ = ["ChannelConfig", "ScheduledOp", "NandScheduler"]
 
@@ -117,9 +115,10 @@ class NandScheduler:
                            wait_us=start_us - ready_us)
 
     def place_chain(self, ready_us: float,
-                    ops: Sequence[DeviceOp]) -> Tuple[float, float, int]:
-        """Place a dependent op chain: each op is ready when the one
-        before it ends, the first at ``ready_us``.
+                    ops: Sequence[float]) -> Tuple[float, float, int]:
+        """Place a dependent op chain, given as the ops' latencies (us):
+        each op is ready when the one before it ends, the first at
+        ``ready_us``.
 
         Equivalent to one :meth:`schedule` call per op, without building
         a :class:`ScheduledOp` for each; :meth:`_pick`'s scan runs
@@ -133,8 +132,7 @@ class NandScheduler:
         later_planes = range(1, len(free_at))
         wait_us = 0.0
         stalls = 0
-        for op in ops:
-            latency_us = op.latency_us
+        for latency_us in ops:
             if latency_us < 0:
                 raise ValueError("latency_us must be non-negative")
             # _pick, inline: the same early-stopping scan and tie rule.

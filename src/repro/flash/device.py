@@ -55,23 +55,9 @@ __all__ = [
     "ProgramResult",
     "EraseResult",
     "FlashStats",
-    "DeviceOp",
     "FlashDevice",
     "MLC_READ_SENSITIVITY",
 ]
-
-
-class DeviceOp(NamedTuple):
-    """One captured NAND operation, as appended to the device op log.
-
-    The concurrent engine replays these against the channel/plane
-    scheduler (:mod:`repro.flash.channels`) to model device-level
-    parallelism the serial functional device cannot express.
-    """
-
-    kind: str          # "read" | "program" | "erase"
-    block: int
-    latency_us: float
 
 
 _SLC = CellMode.SLC
@@ -267,12 +253,12 @@ class FlashDevice:
         #: path; attaching costs one attribute check per operation.
         self.telemetry = None
         #: Optional op log: while it is a list, every read/program/erase
-        #: appends its :class:`DeviceOp` (including ones that raise a
-        #: status failure — the plane was occupied either way).  The
-        #: hierarchy's submit path swaps in a fresh list per request to
-        #: capture its op stream for channel/plane scheduling; ``None``
+        #: appends its latency (us), including ones that raise a status
+        #: failure — the plane was occupied either way.  The event
+        #: engine sets one list for a whole run and places each
+        #: request's ops on the channel/plane fabric from it; ``None``
         #: (the default) changes nothing.
-        self.op_log: Optional[List[DeviceOp]] = None
+        self.op_log: Optional[List[float]] = None
         self._rng = Random(seed)
         self._erase_counts: List[int] = [0] * geometry.num_blocks
         # Frames are created lazily: large devices in metadata-only runs
@@ -413,7 +399,7 @@ class FlashDevice:
         self.clock_us += latency
         log = self.op_log
         if log is not None:
-            log.append(DeviceOp("read", block, latency))
+            log.append(latency)
         # No telemetry hook here: nand.reads is harvested from
         # DeviceStats at end of run (Telemetry.harvest_cache_counters).
         # Wear and soft errors only exist when configured; skipping the
@@ -478,7 +464,7 @@ class FlashDevice:
             self.clock_us += latency
             log = self.op_log
             if log is not None:
-                log.append(DeviceOp("program", block, latency))
+                log.append(latency)
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.nand_fault("program")
@@ -494,7 +480,7 @@ class FlashDevice:
         self.clock_us += latency
         log = self.op_log
         if log is not None:
-            log.append(DeviceOp("program", block, latency))
+            log.append(latency)
         model = self.reliability
         if model is not None:
             model.note_program(block, index, self.clock_us)
@@ -531,7 +517,7 @@ class FlashDevice:
             self.clock_us += latency
             log = self.op_log
             if log is not None:
-                log.append(DeviceOp("erase", block, latency))
+                log.append(latency)
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.nand_fault("erase")
@@ -569,7 +555,7 @@ class FlashDevice:
         self.clock_us += latency
         log = self.op_log
         if log is not None:
-            log.append(DeviceOp("erase", block, latency))
+            log.append(latency)
         model = self.reliability
         if model is not None:
             model.note_erase(block, self.clock_us,

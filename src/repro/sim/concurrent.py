@@ -18,15 +18,18 @@ State and timing are deliberately split:
 
 * **functional work is serial in trace order.**  Each freed window
   slot pulls the next request from the trace and executes it at once
-  through the hierarchy's non-blocking ``submit_read``/``submit_write``
-  entry points — so cache contents, wear, faults, and every counter are
-  *identical at any queue depth or channel count* (and identical to the
-  serial engine).  Concurrency changes when work *finishes*, never what
-  work happens;
-* **timing is replayed on the event loop.**  The captured op stream is
-  placed on the channel/plane fabric at admission; any wait is charged
-  to the request's queue delay, and its COMPLETE event — the only
-  per-request event — fires at ``dispatch + service + waits``.
+  through the hierarchy's ``submit_read``/``submit_write`` entry points
+  — so cache contents, wear, faults, and every counter are *identical
+  at any queue depth or channel count* (and identical to the serial
+  engine).  Concurrency changes when work *finishes*, never what work
+  happens;
+* **timing is replayed on the event loop.**  The device appends each
+  NAND op's latency to an op log the engine sets once per run; at
+  admission the request's ops are placed on the channel/plane fabric
+  and the log cleared.  Any wait is charged to the request's queue
+  delay, and its COMPLETE event — the only per-request event, whose
+  payload is the tuple ``(dispatch_us, service_us)`` — fires at
+  ``dispatch + service + waits``.
   Background work the request generated (GC, scrub) occupies the
   fabric — delaying *other* requests — but is not charged to its own
   response time, matching the paper's "all GCs are performed in the
@@ -41,10 +44,12 @@ result is byte-identical by construction (asserted in
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Any, Iterable, List, Optional, Tuple
 
-from ..core.hierarchy import DramOnlySystem, FlashBackedSystem, PendingRequest
+from ..core.cache import CacheStats
+from ..core.hierarchy import DramOnlySystem, FlashBackedSystem
 from ..flash.channels import ChannelConfig, NandScheduler
+from ..flash.device import FlashDevice
 from ..telemetry import LatencyHistogram, Telemetry, TraceSampler
 from ..workloads.trace import Trace, TraceRecord
 from .engine import QueueingStats, SimulationReport, run_trace, \
@@ -62,13 +67,19 @@ class EventEngine:
     """Admission and dispatch shared by the closed-loop engine below and
     the open-loop cluster shard engine (:mod:`repro.cluster.shard`).
 
-    Only COMPLETE is a per-request event.  One admission step submits a
-    request and, once it holds a window slot, dispatches it: its op
-    chain is placed on the fabric in one call with ``ready_us = now +
+    Only COMPLETE is a per-request event.  One admission step runs a
+    request's functional work (:meth:`_execute`) and, once it holds a
+    window slot, dispatches it (:meth:`_dispatch`): its op chain is
+    placed on the fabric in one call with ``ready_us = now +
     cpu_us_per_request`` (a request with no NAND ops skips the fabric)
     and its COMPLETE posted at ``dispatch + service + waits`` (DESIGN.md
-    section 14 has the ordering argument).  Channel stalls and
-    background GC/scrub work are counted inline; they schedule nothing.
+    section 14 has the ordering argument).  The request's ops are the
+    latencies the device appended to the run's op log, which
+    :meth:`run` sets once and dispatch clears; a request reaches its
+    COMPLETE as one payload tuple in its heap entry, with no request
+    object.
+    Channel stalls and background GC/scrub work are counted inline;
+    they schedule nothing.
     """
 
     def __init__(self, system: DramOnlySystem | FlashBackedSystem,
@@ -81,9 +92,18 @@ class EventEngine:
         self.channel_stalls = 0
         self.gc_events = 0
         self.scrub_events = 0
+        #: The run's op log: the latency of each NAND op the current
+        #: request issued, in issue order (empty without Flash).
+        self._ops: List[float] = []
+        self._device: Optional[FlashDevice] = None
+        self._gc_stats: Optional[CacheStats] = None
+        self._last_gc_us = 0.0
+        if isinstance(system, FlashBackedSystem):
+            self._device = system.flash.controller.device
+            self._gc_stats = system.flash.stats
+            self._last_gc_us = system.flash.stats.gc_time_us
         self._submit_read = system.submit_read
         self._submit_write = system.submit_write
-        self._complete_request = system.complete_request
         # One constant per system: the ordering argument needs it.
         self._cpu_us = system.config.cpu_us_per_request
         self._place_chain = self.scheduler.place_chain
@@ -93,55 +113,65 @@ class EventEngine:
         self._last_scrub_passes = (0 if scrubber is None
                                    else scrubber.stats.passes)
 
-    def _admit(self, now_us: float, page: int, is_read: bool,
-               dispatch: bool = True) -> PendingRequest:
-        """Run one request's functional work at ``now_us``, in admission
-        order — the determinism anchor (see the module docstring) — and
-        dispatch it unless it must wait for a window slot."""
+    def _execute(self, page: int, is_read: bool) -> float:
+        """Run one request's functional work, in admission order — the
+        determinism anchor (see the module docstring); returns its
+        service latency.  Its NAND ops are left in the op log."""
         if is_read:
-            pending = self._submit_read(page)
+            service_us = self._submit_read(page)
         else:
-            pending = self._submit_write(page)
-        pending.arrive_us = now_us
+            service_us = self._submit_write(page)
         self.position += 1
         sampler = self.sampler
         if sampler is not None and self.position >= sampler.next_at:
             sampler.maybe_sample(self.position)
-        if pending.gc_us > 0:
+        gc_stats = self._gc_stats
+        if (gc_stats is not None
+                and gc_stats.gc_time_us > self._last_gc_us):
+            self._last_gc_us = gc_stats.gc_time_us
             self.gc_events += 1
         scrub_stats = self._scrub_stats
         if (scrub_stats is not None
                 and scrub_stats.passes > self._last_scrub_passes):
             self._last_scrub_passes = scrub_stats.passes
             self.scrub_events += 1
-        if dispatch:
-            self._dispatch(now_us, pending)
-        return pending
+        return service_us
 
-    def _dispatch(self, now_us: float, pending: PendingRequest) -> None:
-        """Place the request's op chain on the fabric at ``now_us``;
-        post COMPLETE."""
-        # Host CPU/network time precedes storage dispatch (the same
-        # per-system constant the serial wall clock charges).
-        dispatch_us = now_us + self._cpu_us
-        pending.dispatch_us = dispatch_us
+    def _dispatch(self, dispatch_us: float, service_us: float,
+                  ops: List[float], payload: Any) -> None:
+        """Place a request's op chain on the fabric at ``dispatch_us``
+        and clear it; post its COMPLETE with ``payload``."""
         # Response = service as charged by the serial model, plus every
         # wait the op chain suffered.  Background op *latency* (GC,
         # scrub rewrites) occupies the fabric but is excluded from
         # service, so it delays neighbours rather than this request.
-        finish_us = dispatch_us + pending.service_us
-        ops = pending.ops
+        finish_us = dispatch_us + service_us
         if ops:
             _, wait_us, stalls = self._place_chain(dispatch_us, ops)
+            ops.clear()
             if stalls:
                 self.channel_stalls += stalls
                 finish_us += wait_us
-        self._post_at(finish_us, _COMPLETE, pending)
+        self._post_at(finish_us, _COMPLETE, payload)
 
-    def _run_loop(self) -> float:
-        """Drain the loop; returns the makespan (us), which covers the
+    def _start(self) -> None:
+        """Admit or post the run's first work (engine-specific)."""
+        raise NotImplementedError
+
+    def run(self) -> float:
+        """Start the run and drain the loop with the device's op log
+        set to the run's; returns the makespan (us), which covers the
         fabric's last op even when no event sits at its time."""
-        loop_end_us = self.loop.run()
+        device = self._device
+        outer_log = None if device is None else device.op_log
+        if device is not None:
+            device.op_log = self._ops
+        try:
+            self._start()
+            loop_end_us = self.loop.run()
+        finally:
+            if device is not None:
+                device.op_log = outer_log
         self.loop.close()
         horizon_us = self.scheduler.horizon_us()
         return loop_end_us if loop_end_us >= horizon_us else horizon_us
@@ -163,13 +193,21 @@ class _ConcurrentEngine(EventEngine):
         self._observe_service = self.service_latency.observe
         self.loop.register(EventType.COMPLETE, self._on_complete)
 
+    def _admit(self, now_us: float, page: int, is_read: bool) -> None:
+        service_us = self._execute(page, is_read)
+        # Host CPU/network time precedes storage dispatch (the same
+        # per-system constant the serial wall clock charges).
+        dispatch_us = now_us + self._cpu_us
+        self._dispatch(dispatch_us, service_us, self._ops,
+                       (dispatch_us, service_us))
+
     # -- event handlers (the loop hands them the time; SIM010) ---------------
 
-    def _on_complete(self, now_us: float, pending: PendingRequest) -> None:
-        pending.finish_us = now_us
-        service_us = pending.service_us
+    def _on_complete(self, now_us: float,
+                     payload: Tuple[float, float]) -> None:
+        dispatch_us, service_us = payload
         # Queue delay: the response beyond the serial service latency.
-        queue_delay_us = self._complete_request(pending) - service_us
+        queue_delay_us = (now_us - dispatch_us) - service_us
         if queue_delay_us < 0.0:
             queue_delay_us = 0.0
         self._observe_queue_delay(queue_delay_us)
@@ -181,12 +219,11 @@ class _ConcurrentEngine(EventEngine):
 
     # -- driving ---------------------------------------------------------------
 
-    def run(self) -> float:
-        """Fill the window, drain the loop; returns the makespan (us)."""
+    def _start(self) -> None:
+        """Fill the window."""
         now_us = self.loop.now_us
         for request in islice(self.source, self.queue_depth):
             self._admit(now_us, *request)
-        return self._run_loop()
 
 
 def run_trace_concurrent(system: DramOnlySystem | FlashBackedSystem,

@@ -27,10 +27,11 @@ from repro.cluster import cluster as cluster_module
 from repro.cluster import shard as cluster_shard
 from repro.cluster.cluster import ClusterScenario, run_cluster
 from repro.cluster.shard import run_shard
+from repro.core.hierarchy import DramOnlySystem, SystemConfig
 from repro.reliability import ReliabilityConfig, ScrubConfig
 from repro.sim.concurrent import run_trace_concurrent
-from repro.sim.engine import run_trace
-from repro.telemetry import Telemetry
+from repro.sim.engine import SimulationReport, run_trace
+from repro.telemetry import LatencyHistogram, Telemetry
 from repro.workloads.trace import OP_READ, OP_WRITE, TraceRecord
 
 #: (queue_depth, channels, planes) settings the concurrent side runs at.
@@ -109,6 +110,48 @@ def test_concurrent_engine_matches_serial(serial_states, aged, setting):
     # PDC hits issue no NAND ops, so they take the fabric skip.
     assert expected["pdc"]["read_hits"] > 0
     assert _run(aged, setting) == expected
+
+
+#: Report fields that hold timing (the event loop's makespan and what is
+#: derived from it) rather than functional work.
+_TIMING_FIELDS = ("wall_clock_us", "throughput_rps", "power", "queueing")
+
+
+def test_dram_only_system_matches_serial():
+    """A system with no Flash issues no NAND ops: the engine skips the
+    fabric and the op log for every request, and still does the serial
+    engine's functional work."""
+
+    def run(concurrent: bool) -> SimulationReport:
+        system = DramOnlySystem(SystemConfig(dram_bytes=1 << 20))
+        telemetry = Telemetry(sample_interval=500)
+        if concurrent:
+            return run_trace_concurrent(
+                system, _records(), queue_depth=16, channels=4, planes=2,
+                telemetry=telemetry)
+        return run_trace(system, _records(), telemetry=telemetry)
+
+    serial, concurrent = run(False), run(True)
+    assert concurrent.queueing is not None
+    assert concurrent.queueing.channel_busy_us == [0.0] * 4
+    assert concurrent.queueing.queue_delay.count == serial.requests
+    assert serial.flash is None and serial.disk_reads > 0
+    assert serial.pdc.read_hits > 0
+    assert serial.read_latency is not None
+    assert serial.timeseries is not None
+
+    def plain(value):
+        if isinstance(value, LatencyHistogram):
+            return value.__getstate__()
+        if isinstance(value, dict):
+            return {name: series.as_dict()
+                    for name, series in sorted(value.items())}
+        return value
+
+    for name in SimulationReport.__dataclass_fields__:
+        if name not in _TIMING_FIELDS:
+            assert (plain(getattr(concurrent, name))
+                    == plain(getattr(serial, name))), name
 
 
 def test_cluster_shard_matches_serial(monkeypatch):

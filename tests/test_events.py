@@ -4,16 +4,19 @@ capture, compat-mode byte-identity, and fig14 invariances."""
 from __future__ import annotations
 
 import pickle
+from collections import deque
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.shard import _ShardEngine
 from repro.core.hierarchy import build_flash_system
 from repro.experiments import fig14_concurrency
 from repro.flash.channels import ChannelConfig, NandScheduler
-from repro.flash.device import DeviceOp
+from repro.flash.timing import CellMode
 from repro.parallel import sweep
+from repro.reliability import ReliabilityConfig, ScrubConfig
 from repro.sim.concurrent import _ConcurrentEngine, run_trace_concurrent
 from repro.sim.engine import QueueingStats, run_trace
 from repro.sim.events import EventLoop, EventType
@@ -218,8 +221,8 @@ class TestNandScheduler:
         # place_chain runs the same scan inline.
         chained = NandScheduler(ChannelConfig(channels=1, planes=3))
         for latency_us in (5.0, 3.0, 1.0):
-            chained.place_chain(0.0, [DeviceOp("read", 0, latency_us)])
-        assert chained.place_chain(10.0, [DeviceOp("read", 0, 2.0)]) == (
+            chained.place_chain(0.0, [latency_us])
+        assert chained.place_chain(10.0, [2.0]) == (
             12.0, 0.0, 0)
         assert chained._free_at_us == [5.0, 12.0, 1.0]
 
@@ -236,12 +239,12 @@ class TestNandScheduler:
         config = ChannelConfig(channels=channels, planes=planes)
         chained, per_op = NandScheduler(config), NandScheduler(config)
         for ready_us, latencies in chains:
-            ops = [DeviceOp("read", 0, latency) for latency in latencies]
-            end_us, wait_us, stalls = chained.place_chain(ready_us, ops)
+            end_us, wait_us, stalls = chained.place_chain(ready_us,
+                                                          latencies)
             expected_end_us, expected_wait_us, expected_stalls = (
                 ready_us, 0.0, 0)
-            for op in ops:
-                placed = per_op.schedule(expected_end_us, op.latency_us)
+            for latency_us in latencies:
+                placed = per_op.schedule(expected_end_us, latency_us)
                 if placed.wait_us > 0:
                     expected_stalls += 1
                     expected_wait_us += placed.wait_us
@@ -272,7 +275,7 @@ class TestNandScheduler:
         with pytest.raises(ValueError):
             sched.schedule(0.0, -1.0)
         with pytest.raises(ValueError):
-            sched.place_chain(0.0, [DeviceOp("read", 0, -1.0)])
+            sched.place_chain(0.0, [-1.0])
 
     def test_utilization_at_zero_span_is_all_zeros(self):
         # Degenerate window (no simulated time elapsed): the fraction
@@ -342,43 +345,26 @@ class TestQueueingStatsSerialization:
 
 
 class TestOpCapture:
-    """Per-request op capture through the hierarchy's ``submit_*`` entry
-    points, alone and under an outer ``FlashDevice.op_log``."""
+    """Op capture through the hierarchy's ``submit_*`` entry points: the
+    device appends each NAND op's latency to its ``op_log``."""
 
     def test_capture_reads_programs_erases(self):
         system = build_flash_system(dram_bytes=1 << 20,
                                     flash_bytes=4 << 20)
         device = system.flash.controller.device
+        timing = device.timing
         # A cold read misses to disk and fills the Flash read cache.
-        fill = system.submit_read(1234)
-        assert "program" in [op.kind for op in fill.ops]
-        # Push the page out of the DRAM page cache; reading it again
-        # then hits in Flash.
+        device.op_log = fill = []
+        system.submit_read(1234)
+        assert timing.write_us(CellMode.MLC) in fill
+        # Push the page out of the DRAM page cache (nothing is logged
+        # while the log is unset); reading it again then hits in Flash.
+        device.op_log = None
         for page in range(2000, 3000):
             system.read(page)
-        hit = system.submit_read(1234)
-        assert [op.kind for op in hit.ops] == ["read"]
-        assert all(op.latency_us > 0 for op in fill.ops + hit.ops)
-        # Outside a submit nothing is captured.
-        assert device.op_log is None
-
-    def test_nested_capture_forwards_to_outer(self):
-        system = build_flash_system(dram_bytes=1 << 20,
-                                    flash_bytes=4 << 20)
-        device = system.flash.controller.device
-        outer: list = []
-        device.op_log = outer
-        try:
-            first = system.submit_read(1234)
-            second = system.submit_read(5678)
-        finally:
-            device.op_log = None
-        assert first.ops and second.ops
-        assert outer == first.ops + second.ops
-        # Once the outer log is gone a submit forwards nothing.
-        third = system.submit_read(9012)
-        assert third.ops
-        assert outer == first.ops + second.ops
+        device.op_log = hit = []
+        system.submit_read(1234)
+        assert hit == [timing.read_us(CellMode.MLC)]
 
 
 class TestEngineHistogramDrain:
@@ -397,18 +383,15 @@ class TestEngineHistogramDrain:
             pytest.skip("numpy is not installed")
         system = build_flash_system(dram_bytes=1 << 20,
                                     flash_bytes=4 << 20)
-        delays, services = [], []
-        complete_request = system.complete_request
+        observe = LatencyHistogram.observe
+        samples = {"queue_delay_us": [], "service_latency_us": []}
 
-        def recording_complete(pending):
-            response_us = complete_request(pending)
-            delays.append(max(pending.finish_us - pending.dispatch_us
-                              - pending.service_us, 0.0))
-            services.append(pending.service_us)
-            return response_us
+        def recording_observe(histogram, value):
+            samples[histogram.name].append(value)
+            observe(histogram, value)
 
-        # Installed before the engine binds it at construction.
-        monkeypatch.setattr(system, "complete_request", recording_complete)
+        # Installed before the engine binds its histograms' observe.
+        monkeypatch.setattr(LatencyHistogram, "observe", recording_observe)
         # A long cheap trace: mostly PDC hits over a small page set,
         # with enough misses and writes to vary both latencies.
         records = (TraceRecord(page=(index * 7) % 600,
@@ -418,38 +401,112 @@ class TestEngineHistogramDrain:
                                    config=ChannelConfig(channels=1,
                                                         planes=2))
         engine.run()
+        monkeypatch.setattr(LatencyHistogram, "observe", observe)
+        delays = samples["queue_delay_us"]
         assert len(delays) > metrics._DRAIN_THRESHOLD
+        assert len(samples["service_latency_us"]) == len(delays)
         assert engine.channel_stalls > 0 and max(delays) > 0.0
-        for histogram, values in ((engine.queue_delay, delays),
-                                  (engine.service_latency, services)):
+        for histogram in (engine.queue_delay, engine.service_latency):
             reference = LatencyHistogram(histogram.name)
-            for value in values:
+            for value in samples[histogram.name]:
                 reference.observe(value)
             assert histogram.__getstate__() == reference.__getstate__()
 
 
 class TestHierarchySubmit:
     def test_submit_matches_serial_latency(self):
-        system = build_flash_system(dram_bytes=1 << 20,
+        submitted = build_flash_system(dram_bytes=1 << 20,
+                                       flash_bytes=4 << 20)
+        serial = build_flash_system(dram_bytes=1 << 20,
                                     flash_bytes=4 << 20)
-        pending = system.submit_read(1234)
-        assert pending.page == 1234 and pending.is_read
-        assert pending.service_us > 0
-        pending.dispatch_us = 10.0
-        pending.finish_us = 10.0 + pending.service_us
-        assert system.complete_request(pending) == pytest.approx(
-            pending.service_us)
-        assert max(pending.finish_us - pending.dispatch_us
-                   - pending.service_us, 0.0) == 0.0
+        service_us = submitted.submit_read(1234)
+        assert service_us > 0
+        assert service_us == serial.read(1234)
+        assert submitted.submit_write(1) == serial.write(1)
+        assert submitted.stats == serial.stats
 
-    def test_complete_before_dispatch_rejected(self):
+
+class _CountingDeque(deque):
+    """A host queue that counts the requests that waited in it."""
+
+    appended = 0
+
+    def append(self, item):
+        self.appended += 1
+        super().append(item)
+
+
+class TestOpLogConservation:
+    """Every NAND op the device runs during an engine run is placed on
+    the fabric exactly once: the channels' summed busy time equals the
+    device busy time the run added."""
+
+    @staticmethod
+    def _records():
+        # Write-heavy, footprint twice the flash: GC and erases run.
+        return build_workload("financial1", num_records=4000, seed=5,
+                              footprint_pages=4096)
+
+    def test_closed_loop_with_gc_and_scrub(self):
+        system = build_flash_system(
+            dram_bytes=1 << 20, flash_bytes=4 << 20, seed=3,
+            reliability_config=ReliabilityConfig.uniform(1e-5, seed=9),
+            scrub_config=ScrubConfig(interval_us=2e5, min_age_us=4e5))
+        device = system.flash.controller.device
+        busy_before_us = device.stats.busy_us
+        engine = _ConcurrentEngine(system, self._records(), queue_depth=16,
+                                   config=ChannelConfig(channels=4,
+                                                        planes=2))
+        engine.run()
+        assert engine.gc_events > 0 and engine.scrub_events > 0
+        added_us = device.stats.busy_us - busy_before_us
+        assert added_us > 0
+        assert sum(engine.scheduler.channel_busy_us) == added_us
+        assert device.op_log is None
+
+    def test_shard_with_host_queue_waits(self):
         system = build_flash_system(dram_bytes=1 << 20,
                                     flash_bytes=4 << 20)
-        pending = system.submit_write(1)
-        pending.dispatch_us = 5.0
-        pending.finish_us = 1.0
-        with pytest.raises(ValueError):
-            system.complete_request(pending)
+        device = system.flash.controller.device
+        # Arrivals 2 us apart overrun a 4-slot window at once.
+        arrivals = [(2.0 * index, index, page, is_read)
+                    for index, (page, is_read) in enumerate(
+                        (page, record.is_read)
+                        for record in self._records()
+                        for page in record.expand())]
+        engine = _ShardEngine(system, arrivals, queue_depth=4,
+                              config=ChannelConfig(channels=4, planes=2),
+                              shed_queue=1 << 20, fail_at_us=None,
+                              retire_on_degraded=False, bucket_us=1e5)
+        engine.wait = _CountingDeque()
+        busy_before_us = device.stats.busy_us
+        engine.run()
+        assert engine.wait.appended > 0
+        assert engine.completed == len(arrivals)
+        added_us = device.stats.busy_us - busy_before_us
+        assert added_us > 0
+        assert sum(engine.scheduler.channel_busy_us) == added_us
+        assert device.op_log is None
+
+    def test_op_log_restored_when_a_request_raises(self, monkeypatch):
+        system = build_flash_system(dram_bytes=1 << 20,
+                                    flash_bytes=4 << 20)
+        device = system.flash.controller.device
+        read = system.read
+        calls = []
+
+        def failing_read(page):
+            calls.append(page)
+            if len(calls) == 500:
+                raise RuntimeError("injected request failure")
+            return read(page)
+
+        monkeypatch.setattr(system, "read", failing_read)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_trace_concurrent(system, self._records(), queue_depth=16,
+                                 channels=4, planes=2)
+        assert len(calls) == 500
+        assert device.op_log is None
 
 
 def _system():
