@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Type)
 
 from .engine import (
     Finding,
@@ -363,19 +364,20 @@ class HashOrderRule(Rule):
                    "ordering, or telemetry keys")
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
+        is_set = _set_typed(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node)
+                yield from self._check_call(ctx, node, is_set)
             elif isinstance(node, (ast.For, ast.comprehension)):
                 iterable = node.iter
-                if self._is_raw_set(iterable, ctx):
+                if self._is_raw_set(iterable, ctx) or is_set(iterable):
                     yield self.finding(
                         ctx, iterable,
                         "iterating a set directly has hash-dependent "
                         "order; wrap it in sorted(...)")
 
-    def _check_call(self, ctx: ModuleContext,
-                    node: ast.Call) -> Iterator[Finding]:
+    def _check_call(self, ctx: ModuleContext, node: ast.Call,
+                    is_set: Callable[[ast.expr], bool]) -> Iterator[Finding]:
         if isinstance(node.func, ast.Name):
             if node.func.id == "hash" and not self._inside_dunder_hash(node):
                 yield self.finding(
@@ -388,11 +390,13 @@ class HashOrderRule(Rule):
                     ctx, node,
                     "id() is a process-local address; never let it reach "
                     "seeds, ordering, or telemetry keys")
-            elif node.func.id in ("list", "tuple", "enumerate", "iter"):
-                if node.args and self._is_raw_set(node.args[0], ctx):
+            elif node.func.id in ("list", "tuple", "enumerate", "iter",
+                                  "deque"):
+                if node.args and (self._is_raw_set(node.args[0], ctx)
+                                  or is_set(node.args[0])):
                     yield self.finding(
                         ctx, node,
-                        f"{node.func.id}(set(...)) materialises "
+                        f"{node.func.id}() of a set materialises "
                         "hash-dependent order; use sorted(...)")
 
     @staticmethod
@@ -408,6 +412,71 @@ class HashOrderRule(Rule):
     def _inside_dunder_hash(node: ast.AST) -> bool:
         fn = enclosing_function(node)
         return fn is not None and getattr(fn, "name", "") == "__hash__"
+
+
+_SET_TYPES = {"Set", "set", "FrozenSet", "frozenset", "AbstractSet",
+              "MutableSet"}
+_DICT_TYPES = {"Dict", "dict", "DefaultDict", "defaultdict", "Mapping",
+               "MutableMapping", "OrderedDict"}
+
+
+def _set_kind(node: Optional[ast.expr]) -> Optional[str]:
+    """``"set"`` for a ``Set[...]`` annotation, ``"dict-of-sets"`` for
+    ``Dict[_, Set[...]]``, else None."""
+    head = node.value if isinstance(node, ast.Subscript) else node
+    name = getattr(head, "id", None) or getattr(head, "attr", None)
+    args = getattr(getattr(node, "slice", None), "elts", ())
+    if name in _DICT_TYPES and len(args) == 2 and _set_kind(args[1]) == "set":
+        return "dict-of-sets"
+    return "set" if name in _SET_TYPES else None
+
+
+def _set_typed(tree: ast.Module) -> Callable[[ast.expr], bool]:
+    """Whether an expression of ``tree`` is annotated as a set: a name
+    in the function (or module) that annotates it, an attribute by name
+    (``self.x: Set[int]`` or a class-level ``x: Set[int]``), or ``d[k]``
+    and ``d.get(k, ...)`` of a ``Dict[_, Set[_]]``.  A name annotated two
+    ways is unknown."""
+    kinds: Dict[Tuple[object, str], Optional[str]] = {}
+
+    def note(scope: object, name: str, annotation: Optional[ast.expr]) -> None:
+        kind = _set_kind(annotation)
+        kinds[(scope, name)] = (
+            kind if kinds.get((scope, name), kind) == kind else None)
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            for arg in (a.posonlyargs + a.args + a.kwonlyargs
+                        + [x for x in (a.vararg, a.kwarg) if x]):
+                note(node, arg.arg, arg.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            target = node.target
+            if isinstance(target, ast.Attribute):
+                note("attr", target.attr, node.annotation)
+            elif isinstance(target, ast.Name):
+                parent = (node_parent(node) or (None, ""))[0]
+                note("attr" if isinstance(parent, ast.ClassDef)
+                     else enclosing_function(node), target.id,
+                     node.annotation)
+
+    def kind(node: ast.expr) -> Optional[str]:
+        if isinstance(node, ast.Attribute):
+            return kinds.get(("attr", node.attr))
+        if isinstance(node, ast.Name):
+            return (kinds.get((enclosing_function(node), node.id))
+                    or kinds.get((None, node.id)))
+        return None
+
+    def is_set(node: ast.expr) -> bool:
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get":
+            return kind(node.func.value) == "dict-of-sets"
+        if isinstance(node, ast.Subscript):
+            return kind(node.value) == "dict-of-sets"
+        return kind(node) == "set"
+    return is_set
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,14 @@ def sample_arrival_times(pattern: str, peak_rps: float, duration_s: float,
     function of ``(pattern, peak_rps, duration_s, seed)``.  An unknown
     ``pattern`` raises :class:`ValueError` before any draw.
     """
-    if peak_rps <= 0:
-        raise ValueError("peak_rps must be positive")
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    # NaN and infinity pass a ``<= 0`` test, and the loop below would
+    # then never end (NaN) or never advance (an infinite rate).
+    if not (math.isfinite(peak_rps) and peak_rps > 0):
+        raise ValueError(f"peak_rps must be finite and positive, "
+                         f"got {peak_rps!r}")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be finite and positive, "
+                         f"got {duration_s!r}")
     shape = _shape(pattern)
     rng = Random(derive_seed(seed, f"cluster:arrivals:{pattern}"))
     expovariate = rng.expovariate

@@ -269,6 +269,18 @@ class ClusterResult:
 def _validate(scenario: ClusterScenario, chaos: ChaosSchedule) -> None:
     if scenario.shards < 1:
         raise ValueError("shards must be >= 1")
+    for name in ("rate_rps", "duration_s", "bucket_ms"):
+        value = getattr(scenario, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value!r}")
+    for name in ("aged_fault_rate", "aged_reliability_rate"):
+        if not 0.0 <= getattr(scenario, name) <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], "
+                             f"got {getattr(scenario, name)!r}")
+    if scenario.shed_queue < 0:
+        raise ValueError(f"shed_queue must be >= 0, "
+                         f"got {scenario.shed_queue}")
     if scenario.pattern not in ARRIVAL_PATTERNS:
         raise ValueError(f"unknown arrival pattern {scenario.pattern!r}; "
                          f"known: {', '.join(ARRIVAL_PATTERNS)}")
@@ -450,7 +462,7 @@ class _Planner:
         :class:`ClusterError` when no such shard exists."""
         exclusion: Set[int] = set(self.chaos.dead_at(time_us))
         exclusion |= self.organic
-        for shard in self.started:
+        for shard in sorted(self.started):
             rejoin_us = self.chaos.rejoin_at(shard)
             if rejoin_us is None or time_us < rejoin_us:
                 exclusion.add(shard)

@@ -44,11 +44,11 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import (Any, Deque, Dict, List, NamedTuple, NoReturn, Optional,
                     Set, Tuple)
 
 from ..flash.device import EraseFailure, ProgramFailure
-from ..flash.geometry import PageAddress
 from ..flash.timing import CellMode
 from .controller import ProgrammableFlashController
 from .errors import (
@@ -229,22 +229,23 @@ class _RegionState:
     triggers a sum over the region per call: ``lru_capacity`` and
     ``lru_valid`` (the LRU blocks' capacity and valid pages) and
     ``invalid_total``.  Blocks enter and leave ``lru`` only through the
-    methods below; an edit of ``invalid`` or of an LRU block's valid set
-    adjusts its total where it happens.
+    methods below; an edit of ``invalid`` or of an LRU block's valid
+    count adjusts its total where it happens.  ``block_valid`` is the
+    cache's per-block valid count, shared by its regions.
     :meth:`FlashDiskCache.check_invariants` recomputes all three.
     """
 
     __slots__ = ("name", "free_blocks", "open_block", "open_free",
-                 "lru", "valid", "invalid", "reserve_block", "reserve_free",
-                 "lru_capacity", "lru_valid", "invalid_total")
+                 "lru", "block_valid", "invalid", "reserve_block",
+                 "reserve_free", "lru_capacity", "lru_valid", "invalid_total")
 
-    def __init__(self, name: Region) -> None:
+    def __init__(self, name: Region, block_valid: List[int]) -> None:
         self.name = name
         self.free_blocks: Deque[int] = deque()
         self.open_block: Optional[int] = None
-        self.open_free: Deque[PageAddress] = deque()
+        self.open_free: Deque[int] = deque()
         self.lru: "OrderedDict[int, int]" = OrderedDict()
-        self.valid: Dict[int, Set[PageAddress]] = {}
+        self.block_valid = block_valid
         self.invalid: Dict[int, int] = {}
         self.lru_capacity = 0
         self.lru_valid = 0
@@ -254,7 +255,7 @@ class _RegionState:
         # becomes an allocatable free block.
         self.reserve_block: Optional[int] = None
         # The reserve's free pages during a GC pass; empty between passes.
-        self.reserve_free: Deque[PageAddress] = deque()
+        self.reserve_free: Deque[int] = deque()
 
     def enter_lru(self, block: int, capacity: int,
                   oldest: bool = False) -> None:
@@ -265,13 +266,13 @@ class _RegionState:
         if oldest:
             self.lru.move_to_end(block, last=False)
         self.lru_capacity += capacity
-        self.lru_valid += len(self.valid.get(block, ()))
+        self.lru_valid += self.block_valid[block]
 
     def leave_lru(self, block: int) -> None:
         capacity = self.lru.pop(block, None)
         if capacity is not None:
             self.lru_capacity -= capacity
-            self.lru_valid -= len(self.valid.get(block, ()))
+            self.lru_valid -= self.block_valid[block]
 
     def reprice(self, block: int, capacity: int) -> None:
         """Book a reshaped LRU block's new capacity in place."""
@@ -301,7 +302,6 @@ class FlashDiskCache:
         #: Optional :class:`repro.telemetry.Telemetry` handle; ``None``
         #: (default) leaves the GC/degrade paths un-instrumented.
         self.telemetry: Optional[Any] = None
-        self._location: Dict[int, Region] = {}  # lba -> owning log
         self._dirty: Set[int] = set()           # lbas not yet on disk
         #: Dirty lbas whose Flash home died; they leave via the next flush.
         self._orphan_dirty: Set[int] = set()
@@ -319,22 +319,37 @@ class FlashDiskCache:
         num_blocks = controller.device.geometry.num_blocks
         if num_blocks < 4:
             raise ValueError("Flash disk cache needs at least 4 blocks")
-
+        # Per-page validity is the FPST's valid column; per block the
+        # cache keeps its valid-page count and its region (the tag moves
+        # only in a wear swap).  A block's page numbers are
+        # ``block * _span`` up to the next block's.
+        self._valid = controller.fpst.valid
+        self._span = controller.block_span
+        self._block_valid = [0] * num_blocks
         if self.config.split:
             read_blocks = max(2, int(num_blocks * self.config.read_fraction))
             read_blocks = min(read_blocks, num_blocks - 2)
-            self._read = _RegionState(Region.READ)
-            self._write = _RegionState(Region.WRITE)
-            for block in range(read_blocks):
-                self._read.free_blocks.append(block)
-            for block in range(read_blocks, num_blocks):
-                self._write.free_blocks.append(block)
+            self._read = _RegionState(Region.READ, self._block_valid)
+            self._write = _RegionState(Region.WRITE, self._block_valid)
+            self._read.free_blocks.extend(range(read_blocks))
+            self._write.free_blocks.extend(range(read_blocks, num_blocks))
+            self._owner = ([self._read] * read_blocks
+                           + [self._write] * (num_blocks - read_blocks))
         else:
-            unified = _RegionState(Region.UNIFIED)
-            for block in range(num_blocks):
-                unified.free_blocks.append(block)
+            unified = _RegionState(Region.UNIFIED, self._block_valid)
+            unified.free_blocks.extend(range(num_blocks))
             self._read = unified
             self._write = unified
+            self._owner = [unified] * num_blocks
+        # A wear swap re-tags two blocks but leaves the candidate's LBAs
+        # mapped (ROADMAP item 2a).  ``_stale`` keeps the region each such
+        # LBA was cached in (None: none; it reads as the read region and
+        # is not scrubbed); ``_ghosts`` the pages a stale LBA's drop
+        # invalidated in the FPST while their region still counts them.
+        # Mid-swap, the victim's region still counts its old pages.
+        self._stale: Dict[int, Optional[_RegionState]] = {}
+        self._ghosts: Set[int] = set()
+        self._migration: Tuple[int, List[int]] = (-1, [])
         self._region_list: Tuple[_RegionState, ...] = (
             (self._read,) if self._read is self._write
             else (self._read, self._write))
@@ -345,7 +360,6 @@ class FlashDiskCache:
         # One erased block per region is held back as the GC reserve.
         for region in self._regions():
             region.reserve_block = region.free_blocks.popleft()
-            region.valid.setdefault(region.reserve_block, set())
             region.invalid.setdefault(region.reserve_block, 0)
         # The controller tells us whenever a block retires so capacity
         # bookkeeping (and the degradation floor) stays exact.
@@ -372,8 +386,7 @@ class FlashDiskCache:
         return total
 
     def valid_pages(self) -> int:
-        return sum(len(pages) for region in self._regions()
-                   for pages in region.valid.values())
+        return sum(self._block_valid)
 
     def used_fraction(self) -> float:
         total = self.total_pages()
@@ -427,24 +440,24 @@ class FlashDiskCache:
         # The FCHT's lookup and lookup_cost_us, inline.
         fcht = self.fcht
         mapping = fcht.mapping
-        address = mapping.get(lba)
+        page = mapping.get(lba)
         expected_chain = len(mapping) / fcht.buckets
         if expected_chain < 1.0:
             expected_chain = 1.0
         lookup_us = fcht.BASE_COST_US + fcht.PROBE_COST_US * expected_chain
-        if address is None:
+        if page is None:
             stats.read_misses += 1
             self._fgst.record_miss(4200.0)
             stats.foreground_time_us += lookup_us
             self._missed_lba = lba
             return None
 
-        result = self.controller.read(address)
+        result = self.controller.read(page)
         latency = lookup_us + result.latency_us
         stats.foreground_time_us += latency
         if not result.recovered:
             stats.uncorrectable += 1
-            self._drop_page(lba, address)
+            self._drop_page(lba, page)
             if lba in self._dirty:
                 self._dirty.discard(lba)
                 stats.unrecovered_faults += 1
@@ -461,16 +474,13 @@ class FlashDiskCache:
 
         stats.read_hits += 1
         self._fgst.record_hit(result.latency_us)
-        self._touch_block(address.block)
+        block = page // self._span
+        region = self._owner[block]
+        if block in region.lru:
+            region.lru.move_to_end(block)
         if result.hot_promotion and self.config.hot_promotion:
-            self._promote_to_slc(lba, address)
+            self._promote_to_slc(lba, page)
         return FlashReadOutcome(latency, True)
-
-    def _touch_block(self, block: int) -> None:
-        for region in self._region_list:
-            if block in region.lru:
-                region.lru.move_to_end(block)
-                return
 
     # -- fills (read misses) -----------------------------------------------------
 
@@ -500,16 +510,16 @@ class FlashDiskCache:
             # programmed and registered here.  The open block is never
             # in the LRU (check_invariants checks it), so no LRU total
             # moves.
-            address = free.popleft()
-            latency = self.controller.program(address, lba)
-            self.fcht.mapping[lba] = address
-            self._location[lba] = Region.READ
-            region.valid[address.block].add(address)
+            page = free.popleft()
+            latency = self.controller.program(page, lba)
+            self.fcht.mapping[lba] = page
+            if self._stale:
+                self._stale.pop(lba, None)
+            self._block_valid[page // self._span] += 1
             self.stats.fills += 1
             return latency
         try:
-            address, latency, flushed = \
-                self._program_with_remap(region, lba)
+            page, latency, flushed = self._program_with_remap(region, lba)
         except CacheDegradedError:
             if not self.config.allow_eviction_for_space:
                 raise
@@ -520,7 +530,7 @@ class FlashDiskCache:
             # read region never produces them (unified mode drops them,
             # preserving the historical accounting).
             self.stats.flushed_pages += len(flushed)
-        self._register(lba, address, region, Region.READ)
+        self._register(lba, page)
         self.stats.fills += 1
         return latency
 
@@ -553,7 +563,7 @@ class FlashDiskCache:
                 self._maybe_gc_read_region()
 
         try:
-            address, latency, evict_flushed = \
+            page, latency, evict_flushed = \
                 self._program_with_remap(self._write, lba)
         except CacheDegradedError:
             if not self.config.allow_eviction_for_space:
@@ -564,7 +574,7 @@ class FlashDiskCache:
             return WriteOutcome(latency_us=0.0, flushed_lbas=(lba,))
         flushed.extend(evict_flushed)
         self.stats.foreground_time_us += latency
-        self._register(lba, address, self._write, Region.WRITE)
+        self._register(lba, page)
         self._dirty.add(lba)
         return WriteOutcome(latency_us=latency, flushed_lbas=tuple(flushed))
 
@@ -573,7 +583,8 @@ class FlashDiskCache:
     def cached_lbas(self) -> List[int]:
         """Every currently mapped LBA, sorted (deterministic scan order
         for the scrub pass regardless of insertion history)."""
-        return sorted(self._location)
+        return sorted(lba for lba in self.fcht.mapping
+                      if self._stale.get(lba, lba) is not None)
 
     def scrub_page(self, lba: int) -> ScrubOutcome:
         """Refresh one cached page: re-read it through the controller
@@ -589,14 +600,14 @@ class FlashDiskCache:
         """
         if self.degraded:
             return ScrubOutcome(latency_us=0.0, refreshed=False)
-        address = self.fcht.lookup(lba)
-        if address is None:
+        page = self.fcht.lookup(lba)
+        if page is None:
             return ScrubOutcome(latency_us=0.0, refreshed=False)
-        result = self.controller.read(address)
+        result = self.controller.read(page)
         latency = result.latency_us
         if not result.recovered:
             self.stats.uncorrectable += 1
-            self._drop_page(lba, address)
+            self._drop_page(lba, page)
             if lba in self._dirty:
                 self._dirty.discard(lba)
                 self.stats.unrecovered_faults += 1
@@ -606,16 +617,15 @@ class FlashDiskCache:
                 self.stats.recovered_faults += 1
             return ScrubOutcome(latency_us=latency, refreshed=False,
                                 uncorrectable=True)
-        if self.fcht.lookup(lba) != address or self.degraded:
+        if self.fcht.lookup(lba) != page or self.degraded:
             # The read's fault response (block retirement, degradation)
             # already unmapped the page; nothing left to rewrite.
             return ScrubOutcome(latency_us=latency, refreshed=False)
-        tag = self._location.get(lba) or Region.READ
-        region = self._write if tag is Region.WRITE else self._read
+        region = self._region_of(lba)
         dirty = lba in self._dirty
-        self._drop_page(lba, address)
+        self._drop_page(lba, page)
         try:
-            new_address, program_us, flushed = \
+            new_page, program_us, flushed = \
                 self._program_with_remap(region, lba)
         except CacheDegradedError:
             if not self.config.allow_eviction_for_space:
@@ -624,7 +634,7 @@ class FlashDiskCache:
             # entering the bypass routes it out through the orphan flush.
             self._enter_degraded()
             return ScrubOutcome(latency_us=latency, refreshed=False)
-        self._register(lba, new_address, region, tag)
+        self._register(lba, new_page)
         if dirty:
             # The rewrite does not launder dirtiness: the copy is still
             # newer than the disk's until the next flush.
@@ -636,57 +646,97 @@ class FlashDiskCache:
     # -- page bookkeeping helpers ---------------------------------------------------
 
     def _region_of(self, lba: int) -> _RegionState:
-        tag = self._location.get(lba)
-        if tag is Region.WRITE:
-            return self._write
-        return self._read
+        """The region caching ``lba`` (which must be mapped)."""
+        return self._stale.get(
+            lba, self._owner[self.fcht.mapping[lba] // self._span]) \
+            or self._read
 
-    def _register(self, lba: int, address: PageAddress,
-                  region: _RegionState, tag: Region) -> None:
-        self.fcht.insert(lba, address)
-        self._location[lba] = tag
+    def _register(self, lba: int, page: int) -> None:
+        self.fcht.mapping[lba] = page
+        if self._stale:
+            self._stale.pop(lba, None)
         self._missed_lba = None
         # Pages land only in an open block, which is never in the LRU
         # (check_invariants), so lru_valid does not move here.
-        region.valid.setdefault(address.block, set()).add(address)
+        self._block_valid[page // self._span] += 1
 
-    def _drop_page(self, lba: int, address: PageAddress) -> None:
+    def _remap(self, lba: int, page: int, region: _RegionState) -> None:
+        """Point ``lba`` at ``page``, its copy in a block of ``region``.
+        The LBA stays in the region that cached it: a page a wear swap
+        left behind (ROADMAP item 2a) can carry an LBA of another."""
+        old = self.fcht.mapping.get(lba)
+        tag = None if old is None else self._stale.get(
+            lba, self._owner[old // self._span])
+        self.fcht.mapping[lba] = page
+        if tag is not region:
+            self._stale[lba] = tag
+
+    def _valid_pages(self, block: int) -> List[int]:
+        """The pages ``block``'s region counts valid, in page order."""
+        if block == self._migration[0]:
+            return self._migration[1]
+        first = block * self._span
+        pages = list(compress(range(first, first + self._span),
+                              self._valid[first:first + self._span]))
+        if self._ghosts:
+            pages = sorted(self._ghosts.intersection(
+                range(first, first + self._span)).union(pages))
+        return pages
+
+    def _clear_valid(self, block: int) -> None:
+        """Count no valid page in ``block`` (it was erased or emptied)."""
+        for page in self._valid_pages(block):
+            self.controller.invalidate(page)
+        first = block * self._span
+        self._ghosts.difference_update(range(first, first + self._span))
+        self._block_valid[block] = 0
+
+    def _release(self, lba: int, page: int) -> Optional[_RegionState]:
+        """Take ``page``, just unmapped from ``lba``, out of its block's
+        valid count; returns the region, or None when the region does
+        not count it (already invalid, or ``lba`` was stale)."""
+        block = page // self._span
+        owner = self._owner[block]
+        if (self._stale.pop(lba, owner) or self._read) is not owner \
+                or not (self._valid[page] or page in self._ghosts):
+            return None
+        self._ghosts.discard(page)
+        self._block_valid[block] -= 1
+        if block in owner.lru:
+            owner.lru_valid -= 1
+        self.controller.invalidate(page)
+        return owner
+
+    def _drop_page(self, lba: int, page: int) -> None:
         """Invalidate a cached page everywhere it is tracked."""
         self.fcht.remove(lba)
-        tag = self._location.pop(lba, None)
-        region = self._write if tag is Region.WRITE else self._read
-        block = address.block
-        pages = region.valid.get(block)
-        if pages is not None and address in pages:
-            pages.remove(address)
-            if block in region.lru:
-                region.lru_valid -= 1
+        region = self._release(lba, page)
+        if region is not None:
+            block = page // self._span
             region.invalid[block] = region.invalid.get(block, 0) + 1
             region.invalid_total += 1
-        self.controller.invalidate(address)
+        elif self._valid[page]:
+            # ``lba`` was stale: the page holds another LBA, which its
+            # block's region keeps counting, but the FPST drops it.
+            self._ghosts.add(page)
+            self.controller.invalidate(page)
         self.stats.invalidations += 1
 
     # -- fault handling and graceful degradation ----------------------------------------
 
-    def _fault_drop(self, lba: int, address: PageAddress) -> None:
+    def _fault_drop(self, lba: int, page: int) -> None:
         """Unmap a page whose Flash copy was destroyed by a fault.
 
-        No-ops when the FCHT no longer points at ``address`` (the page
+        No-ops when the FCHT no longer points at ``page`` (the page
         moved or was already unmapped).  A clean page is merely
         re-fetchable from disk (recovered); a dirty page leaves the disk
         stale (unrecovered) but still exits through the next flush so
         write-back accounting stays balanced.
         """
-        if self.fcht.lookup(lba) != address:
+        if self.fcht.lookup(lba) != page:
             return
         self.fcht.remove(lba)
-        tag = self._location.pop(lba, None)
-        region = self._write if tag is Region.WRITE else self._read
-        pages = region.valid.get(address.block)
-        if pages is not None and address in pages:
-            pages.remove(address)
-            if address.block in region.lru:
-                region.lru_valid -= 1
+        self._release(lba, page)
         if lba in self._dirty:
             self._dirty.discard(lba)
             self._orphan_dirty.add(lba)
@@ -694,60 +744,56 @@ class FlashDiskCache:
         else:
             self.stats.recovered_faults += 1
 
-    def _abandon_bad_frame(self, address: PageAddress) -> None:
+    def _abandon_bad_frame(self, page: int) -> None:
         """Purge every page of a frame the controller just marked bad.
 
         The controller keeps the frame's *valid* FPST entries alive long
         enough for us to read their LBA back-pointers; after the unmap
-        they are dropped here and the frame's addresses leave every
+        they are dropped here and the frame's pages leave every
         allocation queue.
         """
-        block, frame = address.block, address.frame
-        geometry = self.controller.device.geometry
-        mode = self.controller.device.frame_mode(block, frame)
-        for subpage in range(geometry.pages_per_frame(mode)):
-            page = PageAddress(block, frame, subpage)
-            entry = self.controller.fpst.get(page)
-            if entry is not None:
-                if entry.valid and entry.lba is not None:
-                    self._fault_drop(entry.lba, page)
-                self.controller.fpst.drop(page)
-        for region in self._regions():
-            if region.open_free:
-                region.open_free = deque(
-                    a for a in region.open_free
-                    if not (a.block == block and a.frame == frame))
-            if region.reserve_free:
-                region.reserve_free = deque(
-                    a for a in region.reserve_free
-                    if not (a.block == block and a.frame == frame))
-            pages = region.valid.get(block)
-            if pages:
-                doomed = {a for a in pages if a.frame == frame}
-                pages -= doomed
-                if block in region.lru:
-                    region.lru_valid -= len(doomed)
-            region.reprice(block, self.controller.block_capacity_pages(block))
+        fpst = self.controller.fpst
+        block = page // self._span
+        doomed = 0
+        for sibling in self.controller.frame_pages(page):
+            if fpst.valid[sibling] and fpst.lba[sibling] >= 0:
+                self._fault_drop(fpst.lba[sibling], sibling)
+            if self._valid[sibling] or sibling in self._ghosts:
+                doomed += 1
+                self._ghosts.discard(sibling)
+            fpst.drop(sibling)
+        key = page >> 1
+        region = self._owner[block]
+        if region.open_free:
+            region.open_free = deque(
+                p for p in region.open_free if p >> 1 != key)
+        if region.reserve_free:
+            region.reserve_free = deque(
+                p for p in region.reserve_free if p >> 1 != key)
+        self._block_valid[block] -= doomed
+        if block in region.lru:
+            region.lru_valid -= doomed
+        region.reprice(block, self.controller.block_capacity_pages(block))
 
     def _program_with_remap(
             self, region: _RegionState,
-            lba: Optional[int]) -> Tuple[PageAddress, float, List[int]]:
+            lba: Optional[int]) -> Tuple[int, float, List[int]]:
         """Allocate and program a page, replaying onto a fresh frame after
-        each program failure.  Returns (address, total latency including
+        each program failure.  Returns (page, total latency including
         failed attempts, dirty LBAs flushed by evictions)."""
         flushed: List[int] = []
         latency = 0.0
         while True:
-            address, evict_flushed = self._allocate_page_collect(region)
+            page, evict_flushed = self._allocate_page_collect(region)
             flushed.extend(evict_flushed)
             try:
-                latency += self.controller.program(address, lba=lba)
+                latency += self.controller.program(page, lba=lba)
             except ProgramFailure as failure:
                 latency += failure.latency_us
                 self.stats.remapped_programs += 1
-                self._abandon_bad_frame(address)
+                self._abandon_bad_frame(page)
                 continue
-            return address, latency, flushed
+            return page, latency, flushed
 
     def _try_erase(self, block: int) -> Tuple[float, bool]:
         """Erase a block; on failure the controller has already retired it
@@ -765,7 +811,6 @@ class FlashDiskCache:
             if self.controller.is_retired(block):
                 continue
             region.reserve_block = block
-            region.valid.setdefault(block, set())
             region.invalid.setdefault(block, 0)
             return block
         return None
@@ -782,23 +827,25 @@ class FlashDiskCache:
         if not self._fault_aware:
             return
         self.stats.retired_blocks += 1
-        for region in self._regions():
-            for address in list(region.valid.get(block, ())):
-                entry = self.controller.fpst.get(address)
-                if entry is not None and entry.lba is not None:
-                    self._fault_drop(entry.lba, address)
-            region.leave_lru(block)
-            region.valid.pop(block, None)
-            region.drop_invalid(block)
-            if block in region.free_blocks:
-                region.free_blocks = deque(
-                    b for b in region.free_blocks if b != block)
-            if region.open_block == block:
-                region.open_block = None
-                region.open_free = deque()
-            if region.reserve_block == block:
-                region.reserve_block = None
-                region.reserve_free = deque()
+        lbas = self.controller.fpst.lba
+        for page in self._valid_pages(block):
+            if lbas[page] >= 0:
+                self._fault_drop(lbas[page], page)
+        # The block keeps its region tag (an LBA a wear swap left in it
+        # still reads its region from it) but leaves every block list.
+        region = self._owner[block]
+        region.leave_lru(block)
+        self._clear_valid(block)
+        region.drop_invalid(block)
+        if block in region.free_blocks:
+            region.free_blocks = deque(
+                b for b in region.free_blocks if b != block)
+        if region.open_block == block:
+            region.open_block = None
+            region.open_free = deque()
+        if region.reserve_block == block:
+            region.reserve_block = None
+            region.reserve_free = deque()
         self._check_degradation()
 
     def _check_degradation(self) -> None:
@@ -822,12 +869,12 @@ class FlashDiskCache:
         self._orphan_dirty.update(self._dirty)
         self._dirty.clear()
         self.fcht = FlashCacheHashTable(buckets=self.config.fcht_buckets)
-        self._location.clear()
+        self._stale.clear()
 
     # -- allocation, eviction, wear-leveling -------------------------------------------
 
     def _allocate_page_collect(
-            self, region: _RegionState) -> Tuple[PageAddress, List[int]]:
+            self, region: _RegionState) -> Tuple[int, List[int]]:
         flushed: List[int] = []
         while not region.open_free:
             if region.open_block is not None:
@@ -886,23 +933,20 @@ class FlashDiskCache:
             self.stats.gc_time_us += latency
             if not ok:
                 return False
-        pages = [
-            address for address in self.controller.pages_of_block(block)
-            if address not in region.valid.get(block, set())
-        ]
+        # A free block holds no valid page: it was erased, or never used.
+        pages = self.controller.pages_of_block(block)
         if not pages:
             # Every frame is bad: the block silently leaves service.
             return False
         region.open_block = block
         region.open_free = deque(pages)
-        region.valid.setdefault(block, set())
         region.invalid.setdefault(block, 0)
         return True
 
     def _format_block_slc(self, block: int) -> Tuple[float, bool]:
         for frame in range(self.controller.device.geometry.frames_per_block):
             if not self.controller.is_bad_frame(block, frame):
-                self.controller.request_slc(PageAddress(block, frame, 0))
+                self.controller.request_slc(block * self._span + 2 * frame)
         return self._try_erase(block)
 
     def _garbage_collect(self, region: _RegionState) -> bool:
@@ -939,30 +983,29 @@ class FlashDiskCache:
             return False
         region.reserve_free = deque(reserve_pages)
         if allowance is not None:
-            self._gc_credit -= len(region.valid.get(victim, set()))
+            self._gc_credit -= self._block_valid[victim]
         stats = self.stats
         stats.gc_runs += 1
         moves_before = stats.gc_page_moves
         elapsed = 0.0
         controller = self.controller
         fault_aware = self._fault_aware
-        fpst_entry = controller.fpst.entry
+        lbas = controller.fpst.lba
         read, program = controller.read, controller.program
-        # One block's addresses: tuple order is (frame, subpage) order.
-        for address in sorted(region.valid.get(victim, ())):
+        for page in self._valid_pages(victim):
             if fault_aware and controller.is_retired(victim):
                 # The victim retired under us (read-triggered wear-out or
                 # fault); the listener already dropped its leftover pages.
                 break
-            lba = fpst_entry(address).lba
-            read_result = read(address)
+            lba = lbas[page]
+            read_result = read(page)
             elapsed += read_result.latency_us
             if fault_aware and not read_result.recovered:
                 # The copy is unreadable: dropping it is safe (the disk
                 # has the data) and better than propagating garbage.
                 stats.uncorrectable += 1
-                if lba is not None:
-                    self._fault_drop(lba, address)
+                if lba >= 0:
+                    self._fault_drop(lba, page)
                 continue
             moved = False
             while region.reserve_free:
@@ -979,13 +1022,13 @@ class FlashDiskCache:
             if not moved:
                 # Bad frames ran the reserve dry mid-pass; the page
                 # cannot move, so it falls out of the cache.
-                if lba is not None:
-                    self._fault_drop(lba, address)
+                if lba >= 0:
+                    self._fault_drop(lba, page)
                 continue
             stats.gc_page_moves += 1
-            if lba is not None:
-                self.fcht.insert(lba, target)
-            region.valid.setdefault(reserve, set()).add(target)
+            if lba >= 0:
+                self._remap(lba, target, region)
+            self._block_valid[reserve] += 1
         erase_latency, erase_ok = self._try_erase(victim)
         elapsed += erase_latency
         # The erased victim becomes the new spare; the partially filled
@@ -1001,7 +1044,7 @@ class FlashDiskCache:
         if erase_ok and not (self._fault_aware
                              and self.controller.is_retired(victim)):
             region.leave_lru(victim)
-            region.valid[victim] = set()
+            self._clear_valid(victim)
             region.set_invalid(victim, 0)
             region.reserve_block = victim
         elif reserve_alive:
@@ -1031,8 +1074,7 @@ class FlashDiskCache:
             count = region.invalid.get(block, 0)
             if count <= best_count:
                 continue
-            if max_valid is not None \
-                    and len(region.valid.get(block, set())) > max_valid:
+            if max_valid is not None and self._block_valid[block] > max_valid:
                 continue
             best, best_count = block, count
         return best
@@ -1055,20 +1097,21 @@ class FlashDiskCache:
             # A fault destroyed the candidate mid-swap; the retire
             # listener pulled it from the LRU, so pick another.
         flushed: List[int] = []
-        for address in list(region.valid.get(victim, set())):
-            lba = self.controller.fpst.entry(address).lba
-            if lba is not None:
+        lbas = self.controller.fpst.lba
+        for page in self._valid_pages(victim):
+            lba = lbas[page]
+            if lba >= 0:
                 if lba in self._dirty:
                     flushed.append(lba)
                     self._dirty.discard(lba)
                 self.fcht.remove(lba)
-                self._location.pop(lba, None)
+                self._stale.pop(lba, None)
         erase_latency, erase_ok = self._try_erase(victim)
         self.stats.foreground_time_us += erase_latency
         if erase_ok and not (self._fault_aware
                              and self.controller.is_retired(victim)):
             region.leave_lru(victim)
-            region.valid[victim] = set()
+            self._clear_valid(victim)
             region.set_invalid(victim, 0)
             region.free_blocks.append(victim)
         # On erase failure (or a mid-erase retirement) the retire listener
@@ -1093,31 +1136,34 @@ class FlashDiskCache:
                     - self.controller.wear_out(newest))
         if wear_gap <= self.config.wear_threshold:
             return victim
-        newest_region = self._owning_region(newest)
-        if newest_region is None or newest not in newest_region.lru:
+        newest_region = self._owner[newest]
+        if newest not in newest_region.lru:
             return victim  # newest block has no migratable content
         victim_pages = deque(self.controller.pages_of_block(victim))
-        newest_valid = newest_region.valid.get(newest, set())
+        newest_valid = self._valid_pages(newest)
         if len(newest_valid) > len(victim_pages):
             # The victim cannot hold the newest block's content (density
             # mismatch); skip the swap rather than drop pages.
             return victim
         self.stats.wear_swaps += 1
+        stale_pages = self._valid_pages(victim)
         elapsed, erase_ok = self._try_erase(victim)
         if not erase_ok:
             self.stats.gc_time_us += elapsed
             return None
         victim_region = region
+        self._migration = (victim, stale_pages)
         # Migrate newest -> victim; the two blocks swap owners.
-        moved: Set[PageAddress] = set()
-        for address in sorted(newest_valid):
-            lba = self.controller.fpst.entry(address).lba
-            read_result = self.controller.read(address)
+        lbas = self.controller.fpst.lba
+        moved: List[int] = []
+        for page in newest_valid:
+            lba = lbas[page]
+            read_result = self.controller.read(page)
             elapsed += read_result.latency_us
             if self._fault_aware and not read_result.recovered:
                 self.stats.uncorrectable += 1
-                if lba is not None:
-                    self._fault_drop(lba, address)
+                if lba >= 0:
+                    self._fault_drop(lba, page)
                 continue
             placed = False
             while victim_pages:
@@ -1131,44 +1177,70 @@ class FlashDiskCache:
                     # The helper cannot see our local deque: purge the
                     # dead frame's remaining pages from it here.
                     victim_pages = deque(
-                        a for a in victim_pages
-                        if not (a.block == target.block
-                                and a.frame == target.frame))
+                        p for p in victim_pages if p >> 1 != target >> 1)
                     continue
                 placed = True
                 break
             if not placed:
-                if lba is not None:
-                    self._fault_drop(lba, address)
+                if lba >= 0:
+                    self._fault_drop(lba, page)
                 continue
-            if lba is not None:
-                self.fcht.insert(lba, target)
-            moved.add(target)
+            if lba >= 0:
+                self._remap(lba, target, newest_region)
+            moved.append(target)
+        self._migration = (-1, [])
         self.stats.gc_time_us += elapsed
         if self._fault_aware and self.controller.is_retired(victim):
-            # Program failures retired the victim mid-migration; whatever
-            # moved into it was already dropped by the retire listener.
+            # Program failures retired the victim mid-migration.  The
+            # retire listener dropped what sat on its old pages; what
+            # moved elsewhere into it stays mapped, in its own region,
+            # and counts nowhere.
+            self._clear_valid(victim)
+            if newest_region is not victim_region:
+                for target in moved:
+                    lba = lbas[target]
+                    if lba >= 0 and self.fcht.mapping.get(lba) == target:
+                        self._stale.setdefault(lba, newest_region)
             return None
         # Victim block now carries the newest block's content and takes its
         # place in the newest block's region LRU.  Within one region the
         # victim leaves the LRU instead and drops out of every block list:
-        # a known capacity leak (ROADMAP item 1).
+        # a known capacity leak (ROADMAP item 2).
         newest_region.leave_lru(newest)
         victim_region.leave_lru(victim)
-        newest_region.valid[victim] = moved
+        if newest_region is not victim_region:
+            self._strand(victim, newest)
+        self._owner[victim] = newest_region
+        first = victim * self._span
+        self._ghosts.difference_update(range(first, first + self._span))
+        # A target whose frame went bad later in the migration stays
+        # counted, as the victim's region books every target it placed.
+        self._ghosts.update(page for page in moved if not self._valid[page])
+        self._block_valid[victim] = len(moved)
         newest_region.set_invalid(victim, 0)
         if newest_region is not victim_region:
-            victim_region.valid.pop(victim, None)
             victim_region.drop_invalid(victim)
             self._close_block(newest_region, victim)
         # The newest block is erased by the caller as the actual victim; it
         # joins the requesting region at the LRU end.
-        newest_region.valid.pop(newest, None)
         newest_region.drop_invalid(newest)
-        victim_region.valid[newest] = set()
+        self._owner[newest] = victim_region
+        self._clear_valid(newest)
         victim_region.set_invalid(newest, 0)
         self._close_block(victim_region, newest, oldest=True)
         return newest
+
+    def _strand(self, victim: int, newest: int) -> None:
+        """Before two blocks swap regions, record the region of every LBA
+        left mapped into them: the victim's own LBAs, which the swap does
+        not unmap (ROADMAP item 2a), and any earlier stale ones."""
+        span = self._span
+        lbas = self.controller.fpst.lba
+        for lba, page in self.fcht.mapping.items():
+            block = page // span
+            if block == newest or block == victim and not (
+                    self._valid[page] and lbas[page] == lba):
+                self._stale.setdefault(lba, self._owner[block])
 
     def _global_newest_block(self, exclude: Set[int]) -> Optional[int]:
         """Minimum-wear block with content, over all regions (section 3.6:
@@ -1183,12 +1255,6 @@ class FlashDiskCache:
                     best, best_wear = block, wear
         return best
 
-    def _owning_region(self, block: int) -> Optional[_RegionState]:
-        for region in self._regions():
-            if block in region.lru or block == region.open_block:
-                return region
-        return None
-
     # -- read-region compaction (section 5.1) ------------------------------------------
 
     def _maybe_gc_read_region(self) -> None:
@@ -1202,21 +1268,20 @@ class FlashDiskCache:
 
     # -- hot-page promotion (section 5.2.2) ----------------------------------------------
 
-    def _promote_to_slc(self, lba: int, address: PageAddress) -> None:
+    def _promote_to_slc(self, lba: int, page: int) -> None:
         """Migrate a saturated MLC page into an SLC-formatted block."""
-        tag = self._location.get(lba) or Region.READ
-        region = self._write if tag is Region.WRITE else self._read
+        region = self._region_of(lba)
         target = self._slc_page(region)
         if target is None:
             return  # no capacity for promotion right now
-        read_result = self.controller.read(address)
+        read_result = self.controller.read(page)
         elapsed = read_result.latency_us
         if self._fault_aware and not read_result.recovered:
             # Source page unreadable: the promotion dies and so does the
             # cached copy; give the SLC slot back.
             region.open_free.appendleft(target)
             self.stats.uncorrectable += 1
-            self._drop_page(lba, address)
+            self._drop_page(lba, page)
             if lba in self._dirty:
                 self._dirty.discard(lba)
                 self._orphan_dirty.add(lba)
@@ -1225,7 +1290,7 @@ class FlashDiskCache:
                 self.stats.recovered_faults += 1
             self.stats.gc_time_us += elapsed
             return
-        self._drop_page(lba, address)
+        self._drop_page(lba, page)
         while True:
             try:
                 elapsed += self.controller.program(target, lba=lba)
@@ -1248,18 +1313,18 @@ class FlashDiskCache:
                     self.stats.gc_time_us += elapsed
                     return
                 target = next_target
-        entry = self.controller.fpst.entry(target)
-        entry.saturate()
-        self._register(lba, target, region, tag)
+        self.controller.fpst.entry(target).saturate()
+        self._register(lba, target)
         self.stats.slc_promotions += 1
         self.stats.gc_time_us += elapsed
 
-    def _slc_page(self, region: _RegionState) -> Optional[PageAddress]:
+    def _slc_page(self, region: _RegionState) -> Optional[int]:
         """Next free SLC page, formatting a free block to SLC if needed."""
         if region.open_block is not None and region.open_free:
-            head = region.open_free[0]
+            block, frame = divmod(region.open_free[0] >> 1,
+                                  self._span // 2)
             if self.controller.device.frame_mode(
-                    head.block, head.frame) is CellMode.SLC:
+                    block, frame) is CellMode.SLC:
                 return region.open_free.popleft()
         if not region.free_blocks:
             return None
@@ -1295,65 +1360,67 @@ class FlashDiskCache:
         """Raise ``AssertionError`` naming the first broken invariant.
 
         Recomputes from scratch what the cache keeps incrementally: the
-        regions' running totals, the FCHT<->FPST back-pointers, one
-        region per LBA, dirty LBAs being cached, and region valid sets
-        against FPST valid bits.  A degraded cache has shed its mapping,
-        so only that is checked.  Blocks a fault-aware cache retired
-        have left every region and are skipped.  Cost is linear in the
-        cache size: a test tool.
+        regions' running totals, each block's region tag against the
+        region lists holding the block, each block's valid count against
+        the FPST valid column, the FCHT<->FPST back-pointers (an LBA's
+        region is then its page's block tag) and dirty LBAs being
+        cached.  A degraded cache has shed its mapping, so only that is
+        checked.  Blocks a fault-aware cache retired have left every
+        region and are skipped.  Cost is linear in the cache size: a
+        test tool.
         """
         def fail(message: str) -> NoReturn:
             raise AssertionError(f"cache invariant broken: {message}")
 
         capacity_of = self.controller.block_capacity_pages
+        block_valid, span = self._block_valid, self._span
         for region in self._regions():
             kept = (region.lru_capacity, region.lru_valid,
                     region.invalid_total)
             recount = (sum(capacity_of(block) for block in region.lru),
-                       sum(len(region.valid.get(block, ()))
-                           for block in region.lru),
+                       sum(block_valid[block] for block in region.lru),
                        sum(region.invalid.values()))
             if kept != recount:
                 fail(f"{region.name.value} region totals (LRU capacity, "
                      f"LRU valid, invalid) read {kept}, recount {recount}")
             # insert_clean's fast path fills from open_free without
-            # touching the LRU totals or creating a valid set.
+            # touching the LRU totals.
             open_block = region.open_block
             if region.open_free and (
-                    open_block in region.lru or open_block not in region.valid
-                    or any(a.block != open_block for a in region.open_free)):
+                    open_block in region.lru
+                    or any(p // span != open_block for p in region.open_free)):
                 fail(f"{region.name.value} region's free pages are not "
                      f"all in its open block {open_block}, or that block "
-                     f"is in the LRU or has no valid set")
-        mapped = dict(self.fcht.items())
+                     f"is in the LRU")
+            for block in self._all_region_blocks(region):
+                if self._owner[block] is not region:
+                    fail(f"block {block} is in the {region.name.value} "
+                         f"region but tagged {self._owner[block].name.value}")
+        mapped = self.fcht.mapping
         if self.degraded:
-            if mapped or self._location or self._dirty:
+            if mapped or self._dirty:
                 fail("a degraded cache still maps or dirties LBAs")
             return
-        fpst = self.controller.fpst
-        for lba, address in mapped.items():
-            entry = fpst.get(address)
-            if entry is None or not entry.valid or entry.lba != lba:
-                fail(f"FCHT maps {lba} to {address}, FPST has {entry}")
-        if self._location.keys() != mapped.keys():
-            fail("region tags and the FCHT track different LBAs")
+        if self._stale or self._ghosts:
+            fail(f"a wear swap left {len(self._stale)} LBAs mapped into "
+                 f"the blocks it swapped (ROADMAP item 2a)")
+        valid, live = self._valid, 0
+        for block, count in enumerate(block_valid):
+            if self._fault_aware and self.controller.is_retired(block):
+                continue
+            in_fpst = valid.count(1, block * span, (block + 1) * span)
+            if count != in_fpst:
+                fail(f"block {block} counts {count} valid pages, "
+                     f"the FPST {in_fpst}")
+            live += count
+        lbas = self.controller.fpst.lba
+        for lba, page in mapped.items():
+            if not valid[page] or lbas[page] != lba:
+                fail(f"FCHT maps {lba} to page {page}, whose FPST entry "
+                     f"has valid={valid[page]} lba={lbas[page]}")
+        if live != len(mapped):
+            fail(f"{live} pages are valid in the FPST but "
+                 f"{len(mapped)} LBAs are cached")
         if not self._dirty <= mapped.keys():
             fail(f"dirty LBAs {sorted(self._dirty - mapped.keys())} "
                  f"are not cached")
-        tracked: Set[PageAddress] = set()
-        for region in self._regions():
-            for block, pages in region.valid.items():
-                for address in pages:
-                    entry = fpst.get(address)
-                    lba = entry.lba if entry is not None else None
-                    if address.block != block or address in tracked \
-                            or lba is None or mapped.get(lba) != address \
-                            or self._region_of(lba) is not region:
-                        fail(f"{address} in the {region.name.value} "
-                             f"region's valid set: FPST has {entry}")
-                    tracked.add(address)
-        for address, entry in fpst:
-            if entry.valid and address not in tracked and not (
-                    self._fault_aware
-                    and self.controller.is_retired(address.block)):
-                fail(f"{address} is valid in the FPST but in no region")

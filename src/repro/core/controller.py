@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Set)
 
 from ..ecc.latency import AcceleratorConfig, BCHLatencyModel
 from ..flash.device import EraseFailure, FlashDevice, ProgramFailure
-from ..flash.geometry import PageAddress
 from ..flash.timing import CellMode
 from .tables import (
     ACCESS_COUNTER_MAX,
+    FPSTEntry,
     FlashBlockStatusTable,
     FlashGlobalStatus,
     FlashPageStatusTable,
@@ -57,6 +57,8 @@ __all__ = [
 #: CRC32 check latency: "tens of nanoseconds" (section 4.1.2).
 CRC_CHECK_US = 0.05
 
+_SLC = CellMode.SLC
+
 
 class ReconfigKind(enum.Enum):
     """The two descriptor-update responses of section 5.2.1."""
@@ -69,7 +71,7 @@ class ReconfigKind(enum.Enum):
 class PageDescriptor:
     """Control message sent to the controller ahead of a page access."""
 
-    address: PageAddress
+    page: int
     ecc_strength: int
     mode: CellMode
 
@@ -165,7 +167,12 @@ class ProgrammableFlashController:
         self.latency_model = latency_model or BCHLatencyModel(
             AcceleratorConfig(max_t=self.config.max_ecc_strength)
         )
+        geometry = device.geometry
+        self._frames_per_block = geometry.frames_per_block
+        #: Page numbers per block (two per frame).
+        self.block_span = 2 * geometry.frames_per_block
         self.fpst = FlashPageStatusTable(
+            geometry.num_blocks * self.block_span,
             default_ecc_strength=self.config.initial_ecc_strength)
         self.fbst = FlashBlockStatusTable(device.geometry.num_blocks)
         self.fgst = fgst or FlashGlobalStatus()
@@ -183,8 +190,9 @@ class ProgrammableFlashController:
         # Pending density changes per block ({frame: mode}), applied at
         # that block's next successful erase.
         self._pending_modes: Dict[int, Dict[int, CellMode]] = {}
-        # Frames with program-status failures: permanently out of service.
-        self._bad_frames: Set[tuple[int, int]] = set()
+        # Frame keys (``page >> 1``) with program-status failures:
+        # permanently out of service.
+        self._bad_frames: Set[int] = set()
         # Per-block shape memos: the page count and the page layout.  A
         # block's shape only moves when a frame goes bad, an erase applies
         # a pended density change or the block retires; those paths call
@@ -192,15 +200,12 @@ class ProgrammableFlashController:
         # capacity memo stays count-only so pricing every block (as the
         # cache does at start-up) builds no layouts.
         self._block_capacity: Dict[int, int] = {}
-        self._block_layout: Dict[int, Tuple[PageAddress, ...]] = {}
+        self._block_layout: Dict[int, Sequence[int]] = {}
         self._program_fail_counts: Dict[int, int] = {}
         self._decode_cache: Dict[int, float] = {}
         self._encode_cache: Dict[int, float] = {}
         # Bound once for the per-page paths; a span tracer patches the
         # classes before any controller is built, so these are traced.
-        # The FPST's entry dict is indexed directly; ``entry`` creates.
-        self._fpst_entries = self.fpst.entries
-        self._fpst_entry = self.fpst.entry
         self._counter_max = self.config.counter_max
         self._read_page = device.read_page
         self._program_page = device.program_page
@@ -210,9 +215,9 @@ class ProgrammableFlashController:
 
     # -- descriptor plumbing --------------------------------------------------
 
-    def descriptor(self, address: PageAddress) -> PageDescriptor:
-        entry = self.fpst.entry(address)
-        return PageDescriptor(address, entry.ecc_strength, entry.mode)
+    def descriptor(self, page: int) -> PageDescriptor:
+        entry = self.fpst.entry(page)
+        return PageDescriptor(page, entry.ecc_strength, entry.mode)
 
     def _decode_us(self, t: int) -> float:
         cached = self._decode_cache.get(t)
@@ -230,7 +235,7 @@ class ProgrammableFlashController:
 
     # -- mediated NAND operations ------------------------------------------------
 
-    def read(self, address: PageAddress) -> ControllerReadResult:
+    def read(self, page: int) -> ControllerReadResult:
         """Timed page read with ECC decode and reconfiguration triggers.
 
         When the first sense exceeds the page's correction strength and
@@ -239,53 +244,55 @@ class ProgrammableFlashController:
         uncorrectable read into a recovered one.  Every retry costs a full
         NAND read plus decode, charged to the returned latency.
         """
-        entry = self._fpst_entries.get(address) or self._fpst_entry(address)
-        raw_us, errors, _, mode = self._read_page(address)
-        entry.mode = mode  # FPST reflects the physical frame mode
-        decode_us = self._decode_cache.get(entry.ecc_strength)
+        fpst = self.fpst
+        if not fpst.present[page]:
+            fpst.entry(page)
+        raw_us, errors, _, mode = self._read_page(page)
+        fpst.slc[page] = mode is _SLC  # FPST reflects the physical mode
+        strength = fpst.ecc[page]
+        decode_us = self._decode_cache.get(strength)
         if decode_us is None:
-            decode_us = self._decode_us(entry.ecc_strength)
+            decode_us = self._decode_us(strength)
         latency = raw_us + decode_us + CRC_CHECK_US
         self.stats.reads += 1
 
         retries = 0
-        while errors > entry.ecc_strength \
-                and retries < self.config.read_retry_max:
+        while errors > strength and retries < self.config.read_retry_max:
             retries += 1
             self.stats.read_retries += 1
-            resense = self._read_page(address)
+            resense = self._read_page(page)
             latency += resense.latency_us \
-                + self._decode_us(entry.ecc_strength) + CRC_CHECK_US
+                + self._decode_us(strength) + CRC_CHECK_US
             errors = min(errors, resense.raw_bit_errors)
 
-        recovered = errors <= entry.ecc_strength
+        recovered = errors <= strength
         if retries and recovered:
             self.stats.retry_recovered_reads += 1
         if not recovered:
             self.stats.uncorrectable_reads += 1
         reconfig: Optional[ReconfigKind] = None
-        if errors >= entry.ecc_strength:
+        if errors >= strength:
             # At (or past) the correction limit: reconfigure per 5.2.1.
-            reconfig = self._respond_to_faults(address, entry)
+            reconfig = self._respond_to_faults(page, FPSTEntry(fpst, page))
+            strength = fpst.ecc[page]
 
         # Bump the page's saturating access counter (section 5.2.2).
-        count = entry.access_count
+        count = fpst.access[page]
         counter_max = self._counter_max
         if count < counter_max:
             count += 1
-            entry.access_count = count
-        hot = count >= counter_max and entry.mode is CellMode.MLC
+            fpst.access[page] = count
+        hot = count >= counter_max and not fpst.slc[page]
         if hot:
             self.stats.hot_promotions += 1
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.flash_read(latency)
-        strength = entry.ecc_strength
         return ControllerReadResult(
             latency, errors if errors < strength else strength, recovered,
             reconfig, hot)
 
-    def program(self, address: PageAddress, lba: Optional[int] = None,
+    def program(self, page: int, lba: Optional[int] = None,
                 data: Optional[bytes] = None) -> float:
         """Timed page program with ECC encode; registers the page in FPST.
 
@@ -296,49 +303,50 @@ class ProgrammableFlashController:
         caller is expected to remap the data to a fresh page.
         """
         try:
-            program_us, mode = self._program_page(address, data)
+            program_us, mode = self._program_page(page, data)
         except ProgramFailure:
             self.stats.programs += 1
-            self._note_program_failure(address)
+            self._note_program_failure(page)
             raise
-        entry = self._fpst_entries.get(address) or self._fpst_entry(address)
-        entry.mode = mode
-        entry.valid = True
-        entry.lba = lba
-        entry.access_count = 0
+        fpst = self.fpst
+        if not fpst.present[page]:
+            fpst.entry(page)
+        fpst.slc[page] = mode is _SLC
+        fpst.valid[page] = 1
+        fpst.lba[page] = -1 if lba is None else lba
+        fpst.access[page] = 0
         self.stats.programs += 1
-        encode_us = self._encode_cache.get(entry.ecc_strength)
+        strength = fpst.ecc[page]
+        encode_us = self._encode_cache.get(strength)
         if encode_us is None:
-            encode_us = self._encode_us(entry.ecc_strength)
+            encode_us = self._encode_us(strength)
         latency = program_us + encode_us
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.flash_program(latency)
         return latency
 
-    def _note_program_failure(self, address: PageAddress) -> None:
+    def _note_program_failure(self, page: int) -> None:
         """Pull a failing frame out of service; retire the block after K."""
         self.stats.program_faults += 1
-        key = (address.block, address.frame)
+        key = page >> 1
+        block = key // self._frames_per_block
         if key not in self._bad_frames:
             self._bad_frames.add(key)
-            self._forget_block_shape(address.block)
+            self._forget_block_shape(block)
             self.stats.frames_marked_bad += 1
             # The frame's pages leave the address space.  Only *invalid*
             # entries drop immediately: valid ones keep their LBA
             # back-pointers so the cache layer can unmap the data they
             # held before abandoning the frame.
-            mode = self.device.frame_mode(address.block, address.frame)
-            for subpage in range(
-                    self.device.geometry.pages_per_frame(mode)):
-                page = PageAddress(address.block, address.frame, subpage)
-                entry = self.fpst.get(page)
-                if entry is not None and not entry.valid:
-                    self.fpst.drop(page)
-        failures = self._program_fail_counts.get(address.block, 0) + 1
-        self._program_fail_counts[address.block] = failures
+            fpst = self.fpst
+            for sibling in self.frame_pages(page):
+                if fpst.present[sibling] and not fpst.valid[sibling]:
+                    fpst.drop(sibling)
+        failures = self._program_fail_counts.get(block, 0) + 1
+        self._program_fail_counts[block] = failures
         if failures >= self.config.program_fail_retire_threshold:
-            self._retire_block(address.block)
+            self._retire_block(block)
 
     def erase(self, block: int) -> float:
         """Timed block erase; applies pended density reconfigurations.
@@ -372,11 +380,9 @@ class ProgrammableFlashController:
         self.stats.erases += 1
         return result.latency_us
 
-    def invalidate(self, address: PageAddress) -> None:
+    def invalidate(self, page: int) -> None:
         """Mark a page invalid (out-of-place write superseded it)."""
-        entry = self.fpst.get(address)
-        if entry is not None:
-            entry.valid = False
+        self.fpst.valid[page] = 0
 
     def refresh_block(self, block: int) -> float:
         """Scrub refresh: re-read, erase, and rewrite a block in place.
@@ -395,12 +401,12 @@ class ProgrammableFlashController:
         latency of the reads, the erase, and the rewrites.
         """
         elapsed = 0.0
-        survivors: List[tuple[PageAddress, Optional[int], int]] = []
-        for address in self.pages_of_block(block):
-            entry = self.fpst.get(address)
+        survivors: List[tuple[int, Optional[int], int]] = []
+        for page in self.pages_of_block(block):
+            entry = self.fpst.get(page)
             if entry is None or not entry.valid:
                 continue
-            result = self.read(address)
+            result = self.read(page)
             elapsed += result.latency_us
             if self.is_retired(block):
                 return elapsed
@@ -409,37 +415,37 @@ class ProgrammableFlashController:
                 entry.valid = False
                 entry.lba = None
                 continue
-            survivors.append((address, entry.lba, entry.access_count))
+            survivors.append((page, entry.lba, entry.access_count))
         try:
             elapsed += self.erase(block)
         except EraseFailure as failure:
             return elapsed + failure.latency_us
         live = set(self.pages_of_block(block))
-        for address, lba, access_count in survivors:
-            if address not in live:
+        for page, lba, access_count in survivors:
+            if page not in live:
                 # A pended MLC->SLC switch applied at the erase shrank
                 # the address space; the vanished subpage's data must be
                 # re-fetched by the layer above.
                 continue
             try:
-                elapsed += self.program(address, lba=lba)
+                elapsed += self.program(page, lba=lba)
             except ProgramFailure as failure:
                 elapsed += failure.latency_us
                 if self.is_retired(block):
                     break
                 continue
-            self.fpst.entry(address).access_count = access_count
+            self.fpst.access[page] = access_count
         return elapsed
 
     # -- section 5.2.1: response to an increase in faults -------------------------
 
-    def _respond_to_faults(self, address: PageAddress,
+    def _respond_to_faults(self, page: int,
                            entry: FPSTEntry) -> Optional[ReconfigKind]:
         """Choose stronger ECC vs density reduction by the latency heuristics."""
         can_strengthen = entry.ecc_strength < self.config.max_ecc_strength
         can_densify = entry.mode is CellMode.MLC
         if not can_strengthen and not can_densify:
-            self._retire_block(address.block)
+            self._retire_block(page // self.block_span)
             return None
 
         if can_strengthen and can_densify:
@@ -451,10 +457,10 @@ class ProgrammableFlashController:
 
         if choice is ReconfigKind.CODE_STRENGTH:
             entry.ecc_strength += 1
-            self._account_page_ecc(address.block, 1, None)
+            self._account_page_ecc(page // self.block_span, 1, None)
             self.stats.ecc_reconfigs += 1
         else:
-            self._pend_density_change(address)
+            self._pend_density_change(page)
             self.stats.density_reconfigs += 1
         if self.telemetry is not None:
             self.telemetry.reconfig(choice.value)
@@ -502,17 +508,17 @@ class ProgrammableFlashController:
                        * self.device.geometry.frames_per_block * 2)
         return (1.0 - self.fgst.miss_rate) / total_pages
 
-    def _pend_density_change(self, address: PageAddress) -> None:
-        self._pending_modes.setdefault(
-            address.block, {})[address.frame] = CellMode.SLC
+    def _pend_density_change(self, page: int) -> None:
+        block, frame = divmod(page >> 1, self._frames_per_block)
+        self._pending_modes.setdefault(block, {})[frame] = CellMode.SLC
 
     def has_pending_density_change(self, block: int, frame: int) -> bool:
         """True while a density change for the frame awaits an erase."""
         return frame in self._pending_modes.get(block, ())
 
-    def request_slc(self, address: PageAddress) -> None:
+    def request_slc(self, page: int) -> None:
         """Externally pend an MLC->SLC switch (hot-page promotion path)."""
-        self._pend_density_change(address)
+        self._pend_density_change(page)
 
     def _retire_block(self, block: int) -> None:
         entry = self.fbst.entry(block)
@@ -536,29 +542,40 @@ class ProgrammableFlashController:
 
     # -- queries used by the cache layer ---------------------------------------
 
-    def pages_of_block(self, block: int) -> Tuple[PageAddress, ...]:
-        """All page addresses the block offers under current frame modes,
-        in (frame, subpage) order.
+    def pages_of_block(self, block: int) -> Sequence[int]:
+        """The page numbers the block offers under current frame modes,
+        in page order.
 
         Frames marked bad by program failures are excluded — their pages
-        have left the address space.  The layout is memoised until the
-        block is reshaped, so repeated calls return the same tuple.
+        have left the address space.  A block of one mode and no bad
+        frame is a ``range``; the layout is memoised until the block is
+        reshaped, so repeated calls return the same sequence.
         """
         layout = self._block_layout.get(block)
         if layout is None:
-            slc = CellMode.SLC
-            slc_pages = self._slc_pages
-            mlc_pages = self._mlc_pages
+            modes = self.device.block_frame_modes(block)
+            first_key = block * self._frames_per_block
             bad_frames = self._bad_frames
-            layout = tuple(
-                PageAddress(block, frame, subpage)
-                for frame, mode in enumerate(
-                    self.device.block_frame_modes(block))
-                if (block, frame) not in bad_frames
-                for subpage in range(slc_pages if mode is slc
-                                     else mlc_pages))
+            start, stop = 2 * first_key, 2 * first_key + self.block_span
+            if modes.count(modes[0]) == len(modes) and not any(
+                    key in bad_frames
+                    for key in range(first_key, first_key + len(modes))):
+                layout = range(start, stop, 2 if modes[0] is _SLC else 1)
+            else:
+                layout = tuple(
+                    page for page in range(start, stop)
+                    if page >> 1 not in bad_frames
+                    and not (page & 1 and modes[(page >> 1) - first_key]
+                             is _SLC))
             self._block_layout[block] = layout
         return layout
+
+    def frame_pages(self, page: int) -> range:
+        """The page numbers of ``page``'s frame under its current mode."""
+        first = page & ~1
+        mode = self.device.frame_mode(
+            *divmod(page >> 1, self._frames_per_block))
+        return range(first, first + (1 if mode is _SLC else 2))
 
     def block_capacity_pages(self, block: int) -> int:
         """Logical pages the block offers, net of bad frames."""
@@ -567,8 +584,9 @@ class ProgrammableFlashController:
             return cached
         modes = self.device.block_frame_modes(block)
         if self._bad_frames:
+            first_key = block * self._frames_per_block
             modes = [mode for frame, mode in enumerate(modes)
-                     if (block, frame) not in self._bad_frames]
+                     if first_key + frame not in self._bad_frames]
         # Two modes exist; counting one of them prices the whole block.
         slc = modes.count(CellMode.SLC)
         capacity = (slc * self._slc_pages
@@ -577,7 +595,7 @@ class ProgrammableFlashController:
         return capacity
 
     def is_bad_frame(self, block: int, frame: int) -> bool:
-        return (block, frame) in self._bad_frames
+        return block * self._frames_per_block + frame in self._bad_frames
 
     def wear_out(self, block: int) -> float:
         return self.fbst.wear_out(block)
@@ -603,7 +621,7 @@ class FixedEccController(ProgrammableFlashController):
             max_ecc_strength=strength, initial_ecc_strength=strength)
         super().__init__(device, config=config, fgst=fgst)
 
-    def _respond_to_faults(self, address: PageAddress,
+    def _respond_to_faults(self, page: int,
                            entry: FPSTEntry) -> Optional[ReconfigKind]:
-        self._retire_block(address.block)
+        self._retire_block(page // self.block_span)
         return None

@@ -15,15 +15,18 @@ in DRAM (kept out of Flash because metadata updates would wear it out):
 
 Section 3 bounds the combined overhead at <2% of the Flash size (~360MB of
 DRAM for 32GB of Flash); :func:`metadata_overhead_bytes` reproduces that
-estimate.
+estimate at 22 B per 2 KB page.  The simulator keys pages by page number
+(:meth:`~repro.flash.geometry.FlashGeometry.page_number`): the FPST is six
+columns indexed by it, 16 B per page number, and the FCHT's dict entry
+costs about 130 B per cached page.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence
 
-from ..flash.geometry import PageAddress
 from ..flash.timing import CellMode
 
 __all__ = [
@@ -40,15 +43,37 @@ __all__ = [
 ACCESS_COUNTER_MAX = 64
 
 
-@dataclass(slots=True)
-class FPSTEntry:
-    """Flash page status: ECC strength, density mode, hotness, validity."""
+def _column(name: str, load: Optional[Callable[[Any], Any]] = None,
+            store: Optional[Callable[[Any], Any]] = None) -> Any:
+    """An :class:`FPSTEntry` field read and written through to a column."""
+    def get(row: "FPSTEntry") -> Any:
+        value = getattr(row.table, name)[row.page]
+        return value if load is None else load(value)
 
-    ecc_strength: int = 1
-    mode: CellMode = CellMode.MLC
-    access_count: int = 0
-    valid: bool = False
-    lba: Optional[int] = None  # reverse map used by garbage collection
+    def put(row: "FPSTEntry", value: Any) -> None:
+        getattr(row.table, name)[row.page] = (
+            value if store is None else store(value))
+    return property(get, put)
+
+
+class FPSTEntry:
+    """One page's FPST row: ECC strength, density mode, hotness, validity
+    and the reverse-map LBA, viewed in the table's columns."""
+
+    __slots__ = ("table", "page")
+
+    ecc_strength = _column("ecc")
+    access_count = _column("access")
+    valid = _column("valid", bool, int)
+    mode = _column("slc", lambda slc: CellMode.SLC if slc else CellMode.MLC,
+                   lambda mode: mode is CellMode.SLC)
+    #: Reverse map used by garbage collection (``None``: no LBA).
+    lba = _column("lba", lambda lba: None if lba < 0 else lba,
+                  lambda lba: -1 if lba is None else lba)
+
+    def __init__(self, table: "FlashPageStatusTable", page: int) -> None:
+        self.table = table
+        self.page = page
 
     def saturate(self, counter_max: int = ACCESS_COUNTER_MAX) -> None:
         """Set the counter to its ceiling (used after an SLC migration,
@@ -57,28 +82,41 @@ class FPSTEntry:
 
 
 class FlashPageStatusTable:
-    """FPST: one entry per live Flash page, keyed by physical address."""
+    """FPST: parallel columns indexed by page number.
 
-    def __init__(self, default_ecc_strength: int = 1) -> None:
+    ``present`` marks the pages that have an entry (:meth:`entry` creates
+    one, :meth:`drop` removes it), so an entry's ECC strength survives
+    erases exactly as long as the page does.  ``slc`` is the density mode
+    (1 for SLC) and ``lba`` the reverse map, -1 for none.  The controller
+    indexes the columns directly.
+    """
+
+    def __init__(self, num_pages: int, default_ecc_strength: int = 1) -> None:
         self.default_ecc_strength = default_ecc_strength
-        #: Address -> entry.  The controller's page paths index it
-        #: directly and fall back to :meth:`entry` to create one.
-        self.entries: Dict[PageAddress, FPSTEntry] = {}
+        self.present = bytearray(num_pages)
+        self.valid = bytearray(num_pages)
+        self.slc = bytearray(num_pages)
+        self.ecc = bytearray(num_pages)
+        self.access = array("i", [0]) * num_pages
+        self.lba = array("q", [-1]) * num_pages
 
-    def entry(self, address: PageAddress) -> FPSTEntry:
-        existing = self.entries.get(address)
-        if existing is None:
-            existing = FPSTEntry(ecc_strength=self.default_ecc_strength)
-            self.entries[address] = existing
-        return existing
+    def entry(self, page: int) -> FPSTEntry:
+        """The page's entry, created (at the default strength) if absent."""
+        if not self.present[page]:
+            self.present[page] = 1
+            self.valid[page] = self.slc[page] = self.access[page] = 0
+            self.ecc[page] = self.default_ecc_strength
+            self.lba[page] = -1
+        return FPSTEntry(self, page)
 
-    def get(self, address: PageAddress) -> Optional[FPSTEntry]:
-        return self.entries.get(address)
+    def get(self, page: int) -> Optional[FPSTEntry]:
+        return FPSTEntry(self, page) if self.present[page] else None
 
-    def drop(self, address: PageAddress) -> None:
-        self.entries.pop(address, None)
+    def drop(self, page: int) -> None:
+        self.present[page] = self.valid[page] = 0
+        self.lba[page] = -1
 
-    def reset_erased(self, pages: Iterable[PageAddress],
+    def reset_erased(self, pages: Iterable[int],
                      modes: Sequence[CellMode],
                      initial_strength: int) -> int:
         """Reset the entries of an erased block; returns its TotalECC.
@@ -92,30 +130,20 @@ class FlashPageStatusTable:
         ``initial_strength``, matching the incremental accounting done
         when a reconfiguration happens between erases.
         """
-        entries = self.entries
+        present, ecc = self.present, self.ecc
+        frames = len(modes)
         slc = CellMode.SLC
         total_ecc = 0
-        for address in pages:
-            _, frame, subpage = address
-            mode = modes[frame]
-            if subpage and mode is slc:
-                entries.pop(address, None)
-                continue
-            entry = entries.get(address)
-            if entry is None:
-                continue
-            entry.valid = False
-            entry.lba = None
-            entry.access_count = 0
-            entry.mode = mode
-            total_ecc += max(entry.ecc_strength - initial_strength, 0)
+        for page in pages:
+            mode = modes[(page >> 1) % frames]
+            if page & 1 and mode is slc:
+                self.drop(page)
+            elif present[page]:
+                self.valid[page] = self.access[page] = 0
+                self.lba[page] = -1
+                self.slc[page] = mode is slc
+                total_ecc += max(ecc[page] - initial_strength, 0)
         return total_ecc
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[PageAddress, FPSTEntry]]:
-        return iter(self.entries.items())
 
 
 @dataclass
@@ -252,9 +280,9 @@ class FlashCacheHashTable:
         if buckets < 1:
             raise ValueError("FCHT needs at least one bucket")
         self.buckets = buckets
-        #: LBA -> address.  The cache's read and fill paths index it
-        #: directly.
-        self.mapping: Dict[int, PageAddress] = {}
+        #: LBA -> page number.  The cache's read and fill paths index
+        #: it directly.
+        self.mapping: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.mapping)
@@ -262,13 +290,13 @@ class FlashCacheHashTable:
     def __contains__(self, lba: int) -> bool:
         return lba in self.mapping
 
-    def lookup(self, lba: int) -> Optional[PageAddress]:
+    def lookup(self, lba: int) -> Optional[int]:
         return self.mapping.get(lba)
 
-    def insert(self, lba: int, address: PageAddress) -> None:
-        self.mapping[lba] = address
+    def insert(self, lba: int, page: int) -> None:
+        self.mapping[lba] = page
 
-    def remove(self, lba: int) -> Optional[PageAddress]:
+    def remove(self, lba: int) -> Optional[int]:
         return self.mapping.pop(lba, None)
 
     def lookup_cost_us(self) -> float:
@@ -276,7 +304,7 @@ class FlashCacheHashTable:
         expected_chain = max(1.0, len(self.mapping) / self.buckets)
         return self.BASE_COST_US + self.PROBE_COST_US * expected_chain
 
-    def items(self) -> Iterator[tuple[int, PageAddress]]:
+    def items(self) -> Iterator[tuple[int, int]]:
         return iter(self.mapping.items())
 
 

@@ -24,11 +24,17 @@ with real NAND semantics —
 Payload storage is optional (``store_data=True``): functional ECC tests
 store and corrupt real bytes, while the large trace-driven simulations run
 metadata-only for speed.
+
+Pages are addressed by page number (:meth:`FlashGeometry.page_number`).
+Per-frame mode and damage and per-page state live in flat columns indexed
+by frame key (``page >> 1``) and page number, so a page costs no Python
+object; wear samplers and stored payloads are sparse dicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, NamedTuple, Optional
 
@@ -88,9 +94,9 @@ class ProgramFailure(FlashDeviceError):
     full program latency, recorded in :attr:`latency_us`.
     """
 
-    def __init__(self, address: PageAddress, latency_us: float):
+    def __init__(self, page: int, address: PageAddress, latency_us: float):
         super().__init__(f"program failed at {address}")
-        self.address = address
+        self.page = page
         self.latency_us = latency_us
 
 
@@ -163,17 +169,6 @@ class FlashStats:
         """Idle energy over a wall-clock window of ``total_us``."""
         idle_us = max(total_us - self.busy_us, 0.0)
         return idle_w * idle_us * 1e-6
-
-
-@dataclass
-class _Frame:
-    """One physical page frame: mode, per-subpage state, wear."""
-
-    mode: CellMode
-    states: List[int]
-    data: Optional[List[Optional[bytes]]]
-    damage: float = 0.0
-    sampler: Optional[PageFailureSampler] = None
 
 
 class FlashDevice:
@@ -261,12 +256,16 @@ class FlashDevice:
         self.op_log: Optional[List[float]] = None
         self._rng = Random(seed)
         self._erase_counts: List[int] = [0] * geometry.num_blocks
-        # Frames are created lazily: large devices in metadata-only runs
-        # only materialise the blocks a workload actually touches.  The
-        # table is keyed ``block * frames_per_block + frame``, an int, so
-        # a page op builds no key tuple.
+        # Columns per frame key (``block * frames_per_block + frame``,
+        # i.e. ``page >> 1``) and per page number.
         self._frames_per_block = geometry.frames_per_block
-        self._frames: Dict[int, _Frame] = {}
+        frames = geometry.num_blocks * geometry.frames_per_block
+        self._frame_count = frames
+        self._modes: List[CellMode] = [initial_mode] * frames
+        self._damage = array("d", [0.0]) * frames
+        self._states = bytearray(2 * frames)  # PageState per page
+        self._samplers: Dict[int, PageFailureSampler] = {}
+        self._data: Dict[int, Optional[bytes]] = {}  # store_data only
         # Per-mode constants of the page ops and the erase, fixed at
         # construction: the hot paths pick one by testing ``mode is
         # _SLC``.  A page op's pair is (latency, energy), the energy
@@ -282,114 +281,69 @@ class FlashDevice:
         self._mlc_write = cost(timing.write_us(mlc))
         self._slc_erase_us = timing.erase_us(_SLC)
         self._mlc_erase_us = timing.erase_us(mlc)
-        self._slc_pages = geometry.pages_per_frame(_SLC)
-        self._mlc_pages = geometry.pages_per_frame(mlc)
-        self._initial_pages = geometry.pages_per_frame(initial_mode)
 
     # -- frame bookkeeping ----------------------------------------------------
 
-    def _frame(self, block: int, frame: int) -> _Frame:
-        """The frame at (``block``, ``frame``), created on first use.  The
-        pair must be in range: out of range, its key names another frame
-        (public queries call :meth:`_check_frame` first)."""
-        key = block * self._frames_per_block + frame
-        existing = self._frames.get(key)
-        if existing is not None:
-            return existing
-        pages = self._initial_pages
-        created = _Frame(
-            mode=self.initial_mode,
-            states=[PageState.ERASED] * pages,
-            data=[None] * pages if self.store_data else None,
-        )
-        self._frames[key] = created
-        return created
-
-    def _sampler(self, frame: _Frame) -> PageFailureSampler:
-        if frame.sampler is None:
-            frame.sampler = PageFailureSampler(
+    def _sampler(self, key: int) -> PageFailureSampler:
+        sampler = self._samplers.get(key)
+        if sampler is None:
+            sampler = self._samplers[key] = PageFailureSampler(
                 model=self.lifetime_model,  # type: ignore[arg-type]
                 n_cells=self.geometry.cells_per_frame,
                 rng=Random(self._rng.getrandbits(64)),
             )
-        return frame.sampler
+        return sampler
 
-    def _check_frame(self, block: int, frame: int) -> None:
+    def _check_frame(self, block: int, frame: int) -> int:
+        """The frame's key; ``IndexError`` when it is out of range."""
         if not (0 <= block < self.geometry.num_blocks
                 and 0 <= frame < self._frames_per_block):
             raise IndexError(
                 f"frame ({block}, {frame}) out of range (device has "
                 f"{self.geometry.num_blocks} blocks of "
                 f"{self._frames_per_block} frames)")
+        return block * self._frames_per_block + frame
 
-    def _live_frame(self, address: PageAddress) -> _Frame:
-        """The frame behind ``address``, which must be valid for its
-        current mode (``IndexError`` otherwise)."""
-        block, index, subpage = address
-        geometry = self.geometry
-        frames_per_block = self._frames_per_block
-        # Block and frame are checked before they form a key (an address
-        # is never negative); the mode-dependent subpage bound after.
-        if block >= geometry.num_blocks or index >= frames_per_block:
-            geometry.validate_address(address, self.initial_mode)
-        frame = self._frames.get(block * frames_per_block + index)
-        if frame is None:
-            frame = self._frame(block, index)
-        # A frame holds one state per page of its mode, so the subpage
-        # bound is the state list's length.
-        if subpage >= len(frame.states):
-            geometry.validate_address(address, frame.mode)
-        return frame
+    def _check_page(self, page: int) -> None:
+        """Raise ``IndexError``: ``page`` is not a page of the array under
+        its frame's current mode (the page ops' slow path)."""
+        if not 0 <= page < 2 * self._frame_count:
+            raise IndexError(f"page {page} out of range (device has "
+                             f"{2 * self._frame_count} page numbers)")
+        self.geometry.validate_address(self.geometry.page_address(page),
+                                       self._modes[page >> 1])
 
     def frame_mode(self, block: int, frame: int) -> CellMode:
-        # Pure query: a frame no operation touched can only be in the
-        # initial mode (mode changes happen during erase, which
-        # materialises the frame), so don't materialise it here.
-        self._check_frame(block, frame)
-        existing = self._frames.get(block * self._frames_per_block + frame)
-        return existing.mode if existing is not None else self.initial_mode
+        return self._modes[self._check_frame(block, frame)]
 
     def block_frame_modes(self, block: int) -> List[CellMode]:
-        """Modes of every frame in ``block``, in frame order.
-
-        Bulk form of :meth:`frame_mode` for the capacity queries that
-        walk whole blocks; like it, never materialises frames.
-        """
-        get = self._frames.get
-        initial = self.initial_mode
-        # Only in-range frames are ever created, so a block outside the
-        # array finds none and reads as all initial mode.
-        first = block * self._frames_per_block
-        return [
-            frame.mode if (frame := get(key)) is not None else initial
-            for key in range(first, first + self._frames_per_block)
-        ]
+        """Modes of every frame in ``block``, in frame order."""
+        first = self._check_frame(block, 0)
+        return self._modes[first:first + self._frames_per_block]
 
     def erase_count(self, block: int) -> int:
         self._check_block(block)
         return self._erase_counts[block]
 
     def frame_damage(self, block: int, frame: int) -> float:
-        # Pure query, same reasoning as frame_mode: untouched frames
-        # carry zero damage by construction.
-        self._check_frame(block, frame)
-        existing = self._frames.get(block * self._frames_per_block + frame)
-        return existing.damage if existing is not None else 0.0
+        return self._damage[self._check_frame(block, frame)]
 
-    def page_state(self, address: PageAddress) -> int:
-        return self._live_frame(address).states[address.subpage]
+    def page_state(self, page: int) -> int:
+        if not 0 <= page >> 1 < self._frame_count \
+                or page & 1 and self._modes[page >> 1] is _SLC:
+            self._check_page(page)
+        return self._states[page]
 
     # -- NAND operations --------------------------------------------------------
 
-    def read_page(self, address: PageAddress) -> ReadResult:
+    def read_page(self, page: int) -> ReadResult:
         """Read one page: returns latency, raw bit errors, optional data."""
-        block, index, subpage = address
-        frame = (self._frames.get(block * self._frames_per_block + index)
-                 if index < self._frames_per_block else None)
-        if frame is None or subpage >= len(frame.states):
-            # Not created yet, or out of range: the validating path.
-            frame = self._live_frame(address)
-        mode = frame.mode
+        key = page >> 1
+        if not 0 <= key < self._frame_count:
+            self._check_page(page)
+        mode = self._modes[key]
+        if page & 1 and mode is _SLC:
+            self._check_page(page)
         latency, energy = self._slc_read if mode is _SLC else self._mlc_read
         stats = self.stats
         stats.reads += 1
@@ -405,28 +359,30 @@ class FlashDevice:
         # Wear and soft errors only exist when configured; skipping the
         # call otherwise consumes no RNG, exactly like making it.
         if self.soft_error_rate_per_bit > 0.0 or (
-                self.lifetime_model is not None and frame.damage > 0):
-            errors = self._raw_bit_errors(frame)
+                self.lifetime_model is not None and self._damage[key] > 0):
+            errors = self._raw_bit_errors(key)
         else:
             errors = 0
         injector = self.fault_injector
-        if injector is not None:
-            if injector.block_dead(block):
-                self._kill_frame(frame)
-                errors = self.geometry.cells_per_frame
-            else:
-                errors += injector.read_fault_bits(block, index)
         model = self.reliability
-        if model is not None:
-            # read_errors also counts the read toward read disturb.
-            errors += model.read_errors(
-                block, index, frame.damage, mode, self.clock_us,
-                self.geometry.cells_per_frame)
-        data = frame.data
+        if injector is not None or model is not None:
+            block, index = divmod(key, self._frames_per_block)
+            if injector is not None:
+                if injector.block_dead(block):
+                    self._kill_frame(key)
+                    errors = self.geometry.cells_per_frame
+                else:
+                    errors += injector.read_fault_bits(block, index)
+            if model is not None:
+                # read_errors also counts the read toward read disturb.
+                errors += model.read_errors(
+                    block, index, self._damage[key], mode, self.clock_us,
+                    self.geometry.cells_per_frame)
         return ReadResult(latency, errors,
-                          data[subpage] if data is not None else None, mode)
+                          self._data.get(page) if self.store_data else None,
+                          mode)
 
-    def program_page(self, address: PageAddress,
+    def program_page(self, page: int,
                      data: Optional[bytes] = None) -> ProgramResult:
         """Program an erased page; raises :class:`ProgramError` otherwise.
 
@@ -434,23 +390,25 @@ class FlashDevice:
         :class:`ProgramFailure` — the attempt burns the page (it needs an
         erase before any retry) and costs the full program latency.
         """
-        block, index, subpage = address
-        frame = (self._frames.get(block * self._frames_per_block + index)
-                 if index < self._frames_per_block else None)
-        if frame is None or subpage >= len(frame.states):
-            frame = self._live_frame(address)
-        if frame.states[subpage] != PageState.ERASED:
+        key = page >> 1
+        if not 0 <= key < self._frame_count:
+            self._check_page(page)
+        mode = self._modes[key]
+        if page & 1 and mode is _SLC:
+            self._check_page(page)
+        states = self._states
+        if states[page] != PageState.ERASED:
             raise ProgramError(
-                f"page {address} is not erased; NAND requires a block erase "
-                f"before reprogramming"
+                f"page {self.geometry.page_address(page)} is not erased; "
+                f"NAND requires a block erase before reprogramming"
             )
         if data is not None and len(data) > self.geometry.page_data_bytes:
             raise ValueError(
                 f"payload of {len(data)} bytes exceeds page size "
                 f"{self.geometry.page_data_bytes}"
             )
-        mode = frame.mode
         latency, energy = self._slc_write if mode is _SLC else self._mlc_write
+        block, index = divmod(key, self._frames_per_block)
         injector = self.fault_injector
         if injector is not None and (
                 injector.block_dead(block)
@@ -458,7 +416,7 @@ class FlashDevice:
             # The failed attempt still occupies the plane for the full
             # program time and leaves the page in an indeterminate
             # (non-erased) state.
-            frame.states[subpage] = PageState.PROGRAMMED
+            states[page] = PageState.PROGRAMMED
             self.stats.programs += 1
             self.stats.record(latency, self.power.active_w, kind="program")
             self.clock_us += latency
@@ -468,10 +426,11 @@ class FlashDevice:
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.nand_fault("program")
-            raise ProgramFailure(address, latency_us=latency)
-        frame.states[subpage] = PageState.PROGRAMMED
-        if frame.data is not None:
-            frame.data[subpage] = data
+            raise ProgramFailure(page, self.geometry.page_address(page),
+                                 latency_us=latency)
+        states[page] = PageState.PROGRAMMED
+        if self.store_data:
+            self._data[page] = data
         stats = self.stats
         stats.programs += 1
         stats.busy_us += latency
@@ -505,13 +464,15 @@ class FlashDevice:
         and leaves the block's contents untouched.
         """
         self._check_block(block)
+        frames_per_block = self._frames_per_block
+        first = block * frames_per_block
+        end = first + frames_per_block
+        modes = self._modes
         injector = self.fault_injector
         if injector is not None and (injector.block_dead(block)
                                      or injector.erase_fault(block)):
-            latency = max(
-                self.timing.erase_us(self._frame(block, index).mode)
-                for index in range(self.geometry.frames_per_block)
-            )
+            latency = max(self.timing.erase_us(mode)
+                          for mode in modes[first:end])
             self.stats.erases += 1
             self.stats.record(latency, self.power.active_w, kind="erase")
             self.clock_us += latency
@@ -522,25 +483,17 @@ class FlashDevice:
             if telemetry is not None:
                 telemetry.nand_fault("erase")
             raise EraseFailure(block, latency_us=latency)
-        frames = self._frames
-        frames_per_block = self._frames_per_block
-        first = block * frames_per_block
-        store_data = self.store_data
-        erased = PageState.ERASED
-        slc_frames = 0
-        for index in range(frames_per_block):
-            frame = frames.get(first + index)
-            if frame is None:
-                frame = self._frame(block, index)
-            if frame.mode is _SLC:
-                slc_frames += 1
-            frame.damage += 1.0
-            if new_modes and index in new_modes:
-                frame.mode = new_modes[index]
-            pages = self._slc_pages if frame.mode is _SLC else self._mlc_pages
-            frame.states = [erased] * pages
-            if store_data:
-                frame.data = [None] * pages
+        slc_frames = modes[first:end].count(_SLC)
+        damage = self._damage
+        for key in range(first, end):
+            damage[key] += 1.0
+        for index, mode in (new_modes or {}).items():
+            if 0 <= index < frames_per_block:
+                modes[first + index] = mode
+        self._states[2 * first:2 * end] = bytes(2 * frames_per_block)
+        if self.store_data:
+            for page in range(2 * first, 2 * end):
+                self._data.pop(page, None)
         # The block erases as one pulse train; its latency is set by the
         # slowest frame mode present (MLC needs the longer staircase).
         if slc_frames == frames_per_block:
@@ -564,20 +517,20 @@ class FlashDevice:
 
     # -- wear/error injection ---------------------------------------------------
 
-    def _kill_frame(self, frame: _Frame) -> None:
+    def _kill_frame(self, key: int) -> None:
         """Mark a frame's wear sampler dead (infant-mortality block)."""
         if self.lifetime_model is not None:
-            self._sampler(frame).kill()
+            self._sampler(key).kill()
 
-    def _raw_bit_errors(self, frame: _Frame) -> int:
+    def _raw_bit_errors(self, key: int) -> int:
         errors = self._transient_errors()
-        if self.lifetime_model is None or frame.damage <= 0:
+        damage = self._damage[key]
+        if self.lifetime_model is None or damage <= 0:
             return errors
         sensitivity = (
-            MLC_READ_SENSITIVITY if frame.mode is CellMode.MLC else 1.0
+            MLC_READ_SENSITIVITY if self._modes[key] is CellMode.MLC else 1.0
         )
-        return errors + self._sampler(frame).failed_cells(
-            frame.damage * sensitivity)
+        return errors + self._sampler(key).failed_cells(damage * sensitivity)
 
     def _transient_errors(self) -> int:
         """Soft (non-persistent) errors for one read: Poisson-distributed
@@ -598,8 +551,7 @@ class FlashDevice:
 
     def raw_bit_errors_at(self, block: int, frame: int) -> int:
         """Current raw error count for a frame without a timed read."""
-        self._check_frame(block, frame)
-        return self._raw_bit_errors(self._frame(block, frame))
+        return self._raw_bit_errors(self._check_frame(block, frame))
 
     def advance_clock(self, idle_us: float) -> None:
         """Deposit idle device time on :attr:`clock_us`.
@@ -626,8 +578,10 @@ class FlashDevice:
         self._check_block(block)
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
-        for frame_index in range(self.geometry.frames_per_block):
-            self._frame(block, frame_index).damage += cycles
+        damage = self._damage
+        first = block * self._frames_per_block
+        for key in range(first, first + self._frames_per_block):
+            damage[key] += cycles
         self._erase_counts[block] += int(cycles)
 
     def next_error_damage(self, block: int, frame: int,
@@ -641,47 +595,25 @@ class FlashDevice:
         """
         if self.lifetime_model is None:
             return float("inf")
-        self._check_frame(block, frame)
-        return self._sampler(self._frame(block, frame)) \
+        return self._sampler(self._check_frame(block, frame)) \
             .next_failure_damage(error_index)
 
     def frame_read_sensitivity(self, block: int, frame: int) -> float:
         """Effective-damage multiplier of the frame's current mode."""
-        self._check_frame(block, frame)
-        mode = self._frame(block, frame).mode
+        mode = self._modes[self._check_frame(block, frame)]
         return MLC_READ_SENSITIVITY if mode is CellMode.MLC else 1.0
 
     def wear_summary(self) -> tuple[float, float]:
-        """(max, average) frame damage across the whole array.
-
-        Only materialised frames are scanned — lazily created frames no
-        workload touched carry zero damage by construction — but the
-        average divides by the *full* frame population so sparsely used
-        devices report their true array-wide wear.
-        """
-        population = self.geometry.num_blocks * self.geometry.frames_per_block
-        if population == 0:
-            return 0.0, 0.0
-        worst = 0.0
-        total = 0.0
-        for frame in self._frames.values():
-            damage = frame.damage
-            total += damage
-            if damage > worst:
-                worst = damage
-        return worst, total / population
+        """(max, average) frame damage across the whole array."""
+        damage = self._damage
+        return max(damage), sum(damage) / len(damage)
 
     # -- capacity ----------------------------------------------------------------
 
     def block_capacity_pages(self, block: int) -> int:
         """Logical pages the block currently provides given frame modes."""
-        self._check_block(block)
-        total = 0
-        for frame_index in range(self.geometry.frames_per_block):
-            total += self.geometry.pages_per_frame(
-                self._frame(block, frame_index).mode
-            )
-        return total
+        return sum(map(self.geometry.pages_per_frame,
+                       self.block_frame_modes(block)))
 
     def _check_block(self, block: int) -> None:
         if not 0 <= block < self.geometry.num_blocks:

@@ -9,9 +9,11 @@ dual-mode SLC/MLC NAND:
 * a block erases as a unit and contains 64 frames — hence 64 SLC pages or
   128 MLC pages (128KB / 256KB of data).
 
-Addresses are ``(block, frame, subpage)`` triples wrapped in
-:class:`PageAddress`; ``subpage`` selects the upper/lower MLC page within a
-frame and must be 0 for SLC frames.
+A page is addressed by one int, its *page number*
+``(block * frames_per_block + frame) * 2 + subpage``: every per-page table
+is a column indexed by it.  ``subpage`` selects the upper/lower MLC page
+within a frame and must be 0 for SLC frames.  :class:`PageAddress` is the
+decoded ``(block, frame, subpage)`` view, for messages and tests.
 """
 
 from __future__ import annotations
@@ -120,6 +122,23 @@ class FlashGeometry:
         num_blocks = -(-data_bytes // block_bytes)
         return cls(page_data_bytes, page_spare_bytes, frames_per_block,
                    num_blocks)
+
+    # -- page numbers ---------------------------------------------------------
+
+    def page_number(self, block: int, frame: int, subpage: int = 0) -> int:
+        """The number of page ``(block, frame, subpage)``."""
+        if block < 0 or not 0 <= frame < self.frames_per_block \
+                or subpage not in (0, 1):
+            raise IndexError(
+                f"no page ({block}, {frame}, {subpage}) in blocks of "
+                f"{self.frames_per_block} frames")
+        return (block * self.frames_per_block + frame) * 2 + subpage
+
+    def page_address(self, page: int) -> PageAddress:
+        """The ``(block, frame, subpage)`` view of a page number."""
+        frame_key, subpage = divmod(page, 2)
+        block, frame = divmod(frame_key, self.frames_per_block)
+        return PageAddress(block, frame, subpage)
 
     def validate_address(self, address: PageAddress,
                          mode: CellMode) -> None:

@@ -110,15 +110,16 @@ class Scrubber:
         elapsed = 0.0
         flushed: List[int] = []
         budget = config.max_pages_per_pass
+        frames_per_block = cache.controller.device.geometry.frames_per_block
         for lba in cache.cached_lbas():
             if budget <= 0:
                 break
-            address = cache.fcht.lookup(lba)
-            if address is None:
+            page = cache.fcht.lookup(lba)
+            if page is None:
                 continue
             stats.pages_scanned += 1
-            age_us = model.retention_age_us(address.block, address.frame,
-                                            now_us)
+            block, frame = divmod(page >> 1, frames_per_block)
+            age_us = model.retention_age_us(block, frame, now_us)
             if age_us < config.min_age_us:
                 continue
             budget -= 1

@@ -44,7 +44,7 @@ from ..core.controller import (
 )
 from ..flash.device import FlashDevice
 from ..parallel import derive_seed
-from ..flash.geometry import FlashGeometry, PageAddress
+from ..flash.geometry import FlashGeometry
 from ..flash.timing import CellMode
 from ..flash.wear import CellLifetimeModel, WearModelConfig
 from ..reliability import (
@@ -198,8 +198,9 @@ class _AgingCore:
         access counts (steady-state rewrite traffic immediately
         repopulates an erased block)."""
         entry_of = self.controller.fpst.entry
+        page_number = self.device.geometry.page_number
         for frame in range(self._frames_per_block):
-            entry = entry_of(PageAddress(block, frame, 0))
+            entry = entry_of(page_number(block, frame))
             entry.valid = True
             entry.access_count = self._frame_freq[(block, frame)]
 
@@ -209,10 +210,10 @@ class _AgingCore:
         reconfiguration, and erase the block when the read pended a
         density change (which takes effect only at the erase)."""
         controller = self.controller
-        address = PageAddress(block, frame, 0)
-        controller.fpst.entry(address).access_count = \
+        page = self.device.geometry.page_number(block, frame)
+        controller.fpst.entry(page).access_count = \
             self._frame_freq[(block, frame)]
-        result = controller.read(address)
+        result = controller.read(page)
         reconfig = result.reconfig
         if reconfig is not None and (block, frame) not in self._decided:
             self._decided.add((block, frame))
@@ -296,7 +297,7 @@ class LifetimeSimulator(_AgingCore):
 
     def _frame_strength(self, block: int, frame: int) -> int:
         return self.controller.fpst.entry(
-            PageAddress(block, frame, 0)).ecc_strength
+            self.device.geometry.page_number(block, frame)).ecc_strength
 
     def _trigger_cycle(self, block: int, frame: int) -> float:
         """W/E cycle count at which this frame next reaches its ECC limit."""
@@ -677,7 +678,8 @@ class RegimeSimulator(_AgingCore):
                 if controller.is_retired(block):
                     continue
                 for frame in range(cfg.frames_per_block):
-                    entry = controller.fpst.get(PageAddress(block, frame, 0))
+                    entry = controller.fpst.get(
+                        device.geometry.page_number(block, frame))
                     if entry is None or not entry.valid:
                         continue
                     probe_reads += 1

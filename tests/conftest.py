@@ -61,3 +61,11 @@ def make_cache(num_blocks: int = 8, frames_per_block: int = 4,
     controller = ProgrammableFlashController(device)
     config_kwargs.setdefault("hot_promotion", False)
     return FlashDiskCache(controller, FlashCacheConfig(**config_kwargs))
+
+
+def page_number(owner, block: int, frame: int, subpage: int = 0) -> int:
+    """``(block, frame, subpage)`` as a page number of ``owner``'s
+    geometry (a geometry, a device, or anything holding a ``device``)."""
+    geometry = owner if isinstance(owner, FlashGeometry) else getattr(
+        owner, "device", owner).geometry
+    return geometry.page_number(block, frame, subpage)

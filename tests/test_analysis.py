@@ -311,6 +311,76 @@ class TestSim003HashOrder:
             """)
         assert findings == []
 
+    def test_fires_on_set_annotated_names_and_attributes(self, tmp_path):
+        findings = lint_fixture(tmp_path, "repro/core/typed.py", """
+            from collections import deque
+            from typing import Dict, Set
+
+            class Region:
+                pinned: Set[int]
+
+                def __init__(self) -> None:
+                    self.dirty: Set[int] = set()
+                    self.valid: Dict[int, Set[int]] = {}
+
+                def walk(self, block: int, extra: set[int]):
+                    for lba in self.dirty:
+                        yield lba
+                    yield list(self.valid.get(block, ()))
+                    yield tuple(self.valid[block])
+                    yield deque(extra)
+                    yield [p for p in self.pinned]
+                    local: Set[int] = set()
+                    for page in local:
+                        yield page
+            """)
+        assert codes(findings) == ["SIM003"] * 6
+        assert [f.line for f in findings] == [13, 15, 16, 17, 18, 20]
+        assert all("set" in f.message for f in findings)
+
+    def test_set_annotations_do_not_over_fire(self, tmp_path):
+        findings = lint_fixture(tmp_path, "repro/core/typed_ok.py", """
+            from collections import OrderedDict
+            from typing import Dict, List, Set
+
+            class Region:
+                def __init__(self) -> None:
+                    self.dirty: Set[int] = set()
+                    self.lru: "OrderedDict[int, int]" = OrderedDict()
+                    self.runs: Dict[int, List[int]] = {}
+                    self.mixed: Set[int] = set()
+
+            class Other:
+                def __init__(self) -> None:
+                    self.mixed: List[int] = []
+
+            def ordered(region: Region, block: int, items: List[int]):
+                yield sorted(region.dirty)
+                yield len(region.dirty), block in region.dirty
+                yield list(region.lru)
+                yield list(region.runs.get(block, ()))
+                yield list(region.mixed)
+                for item in items:
+                    yield item
+
+            def shadow(items: Set[int]):
+                return sorted(items)
+
+            def plain(items):
+                return list(items)
+            """)
+        assert findings == []
+
+    def test_set_annotated_pragma_suppresses(self, tmp_path):
+        findings = lint_fixture(tmp_path, "repro/core/typed_p.py", """
+            from typing import Set
+
+            def walk(done: Set[int]):
+                # simlint: ignore[SIM003] -- fed to a sum only
+                return list(done)
+            """)
+        assert findings == []
+
 
 # ---------------------------------------------------------------------------
 # SIM004 — picklable sweep tasks

@@ -3,6 +3,8 @@ eviction, the read/write split, wear-leveling (sections 3.5, 3.6, 5.1)."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from random import Random
 
 import pytest
@@ -13,8 +15,9 @@ from repro.core.controller import ControllerConfig, ProgrammableFlashController
 from repro.core.hierarchy import build_flash_system
 from repro.faults import FaultConfig, FaultInjector
 from repro.flash.device import FlashDevice
-from repro.flash.geometry import FlashGeometry, PageAddress
+from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import CellMode
+from repro.workloads.trace import Trace, TraceRecord
 
 from .conftest import make_cache
 
@@ -235,6 +238,31 @@ class TestWearLeveling:
             cache.insert_clean(lba)
         assert cache.stats.wear_swaps > 0
 
+    def test_cross_region_swap_retags_both_blocks(self):
+        """A wear swap whose candidate holds no cached LBA leaves every
+        invariant intact: the newest block's content moves into the
+        candidate, which joins the newest block's region, and the two
+        blocks' region tags trade places."""
+        cache = make_cache(num_blocks=8, wear_threshold=5.0,
+                           write_region_slc=True)
+        candidate = cache._write.free_blocks[0]
+        cache.controller.device.age_block(candidate, 1000)
+        for lba in list(range(100, 109)) + list(range(100, 104)):
+            cache.insert_clean(lba)  # refills leave block 1 half valid
+            cache.check_invariants()
+        newest = next(iter(cache._read.lru))
+        for _ in range(5):
+            # The fifth write drops the candidate's last valid copy, then
+            # evicts it: the newest block's four pages move in.
+            cache.write(0)
+            cache.check_invariants()
+        assert cache.stats.wear_swaps == 1
+        assert cache._owner[candidate] is cache._read
+        assert cache._owner[newest] is cache._write
+        assert list(cache._read.lru) == [candidate]
+        assert all(cache.read(lba) is not None for lba in range(104, 108))
+        cache.check_invariants()
+
     def test_no_swap_below_threshold(self):
         cache = make_cache(num_blocks=8, wear_threshold=1e9)
         for lba in range(cache.total_pages() * 2):
@@ -248,14 +276,12 @@ class TestInvariants:
 
     def check(self, cache):
         # Every FCHT mapping points at a valid FPST entry with that lba.
-        for lba, address in cache.fcht.items():
-            entry = cache.controller.fpst.get(address)
+        for lba, page in cache.fcht.items():
+            entry = cache.controller.fpst.get(page)
             assert entry is not None and entry.valid
             assert entry.lba == lba
-        # Valid sets and FCHT agree on total count.
-        total_valid = sum(len(pages) for region in cache._regions()
-                          for pages in region.valid.values())
-        assert total_valid == len(cache.fcht)
+        # Per-block valid counts and FCHT agree on total count.
+        assert cache.valid_pages() == len(cache.fcht)
         # Valid capacity never exceeds physical capacity.
         assert cache.valid_pages() <= cache.total_pages()
 
@@ -360,7 +386,8 @@ class TestInvariants:
             cache.check_invariants()
         cache._dirty.discard(999)
         region = cache._read
-        region.open_free.append(PageAddress(region.open_block + 1, 0, 0))
+        region.open_free.append(
+            (region.open_block + 1) * cache.controller.block_span)
         with pytest.raises(AssertionError, match="open block"):
             cache.check_invariants()
 
@@ -391,3 +418,32 @@ class TestInvariants:
         for lba, address in cache.fcht.items():
             assert address not in seen.values()
             seen[lba] = address
+
+
+class TestPageStateMemory:
+    def test_heap_growth_per_live_page(self):
+        """Page state lives in flat per-page columns sized up front, so
+        filling the cache grows the heap only by the FCHT's entry per
+        cached LBA: about 130 B per live page (Python 3.11), against
+        about 660 B when every page carried an address tuple, an FPST
+        entry object, a device frame and region set slots.  A return to
+        per-page objects fails the bound."""
+        system = build_flash_system(dram_bytes=64 << 10,
+                                    flash_bytes=8 << 20, seed=1)
+        rng = Random(3)
+        trace = Trace.from_records([
+            TraceRecord(rng.randrange(3000),
+                        "r" if rng.random() < 0.9 else "w")
+            for _ in range(8000)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            system.run(trace)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        live = system.flash.valid_pages()
+        assert live > 2000
+        assert grown / live <= 250, f"{grown / live:.0f} B per live page"

@@ -30,6 +30,9 @@ import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -258,6 +261,15 @@ class TestArrivals:
                 sample_arrival_times("bogus", 1.0, 1e-3, 0)
         with pytest.raises(ValueError, match="bogus"):
             build_arrivals("bogus", 1.0, 1e-3, "specweb99", 64, 0)
+
+    @pytest.mark.parametrize("rate, duration", [
+        (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1000.0, math.nan),
+        (1000.0, math.inf), (1000.0, 0.0)])
+    def test_non_finite_or_non_positive_inputs_raise(self, rate, duration):
+        # NaN and infinity pass a ``<= 0`` test; the sampling loop would
+        # then never end (NaN) or never advance (an infinite rate).
+        with pytest.raises(ValueError, match="finite and positive"):
+            sample_arrival_times("steady", rate, duration, 0)
 
     def test_flash_crowd_bursts(self):
         times = sample_arrival_times("flash_crowd", 8000.0, 1.0, seed=4)
@@ -789,3 +801,34 @@ class TestClusterProgress:
                         if event["kind"] == "shard"]
         assert all(event["ok"] for event in shard_events)
         assert len(shard_events) == scenario.shards
+
+
+# ---------------------------------------------------------------------------
+# CLI input boundary
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--duration", "nan", "duration_s must be finite and positive"),
+    ("--rate", "inf", "rate_rps must be finite and positive"),
+    ("--bucket-ms", "0", "bucket_ms must be finite and positive"),
+    ("--shed-queue", "-1", "shed_queue must be >= 0"),
+    ("--aged-fault-rate", "2", "aged_fault_rate must be in [0, 1]"),
+    ("--aged-reliability-rate", "nan", "aged_reliability_rate must be in"),
+])
+def test_cluster_cli_rejects_inputs_that_never_return(flag, value, message):
+    """Each bad value exits 2 with one line and no traceback, before any
+    worker starts.  The subprocess timeout turns a regression that loops
+    forever into a failure rather than a hang."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in sys.path if p) + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "cluster", "--shards", "2",
+         "--rate", "1000", "--duration", "0.05", "--aged-shard", "0",
+         "--workers", "2", "--quiet", flag, value],
+        env=env, timeout=30, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [done.stderr.strip()]
+    assert done.stderr.startswith("error: ") and message in done.stderr

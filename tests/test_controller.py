@@ -12,9 +12,11 @@ from repro.core.controller import (
     ReconfigKind,
 )
 from repro.flash.device import FlashDevice
-from repro.flash.geometry import FlashGeometry, PageAddress
+from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import CellMode
 from repro.flash.wear import CellLifetimeModel, WearModelConfig
+
+from .conftest import page_number
 
 
 def make_controller(worn=False, **config_kwargs):
@@ -32,7 +34,7 @@ def make_controller(worn=False, **config_kwargs):
 class TestDescriptors:
     def test_descriptor_reflects_fpst(self):
         controller = make_controller(initial_ecc_strength=2)
-        descriptor = controller.descriptor(PageAddress(0, 0, 0))
+        descriptor = controller.descriptor(page_number(controller, 0, 0, 0))
         assert descriptor.ecc_strength == 2
         assert descriptor.mode is CellMode.MLC
 
@@ -44,7 +46,7 @@ class TestDescriptors:
 class TestTimedOperations:
     def test_read_adds_decode_and_crc(self):
         controller = make_controller()
-        result = controller.read(PageAddress(0, 0, 0))
+        result = controller.read(page_number(controller, 0, 0, 0))
         raw = controller.device.timing.mlc_read_us
         assert result.latency_us > raw
         assert result.recovered
@@ -52,44 +54,45 @@ class TestTimedOperations:
 
     def test_program_adds_encode(self):
         controller = make_controller()
-        latency = controller.program(PageAddress(0, 0, 0), lba=5)
+        latency = controller.program(page_number(controller, 0, 0, 0), lba=5)
         assert latency > controller.device.timing.mlc_write_us
-        entry = controller.fpst.entry(PageAddress(0, 0, 0))
+        entry = controller.fpst.entry(page_number(controller, 0, 0, 0))
         assert entry.valid and entry.lba == 5
 
     def test_stronger_code_costs_more(self):
         weak = make_controller(initial_ecc_strength=1)
         strong = make_controller(initial_ecc_strength=12)
-        assert (strong.read(PageAddress(0, 0, 0)).latency_us
-                > weak.read(PageAddress(0, 0, 0)).latency_us)
+        assert (strong.read(page_number(strong, 0, 0, 0)).latency_us
+                > weak.read(page_number(weak, 0, 0, 0)).latency_us)
 
     def test_erase_updates_fbst_and_resets_pages(self):
         controller = make_controller()
-        controller.program(PageAddress(1, 0, 0), lba=9)
+        controller.program(page_number(controller, 1, 0, 0), lba=9)
         controller.erase(1)
         assert controller.fbst.entry(1).erase_count == 1
-        entry = controller.fpst.entry(PageAddress(1, 0, 0))
+        entry = controller.fpst.entry(page_number(controller, 1, 0, 0))
         assert not entry.valid and entry.lba is None
 
     def test_ecc_strength_persists_across_erase(self):
         """Strength tracks physical wear, so it must survive the erase."""
         controller = make_controller()
-        address = PageAddress(0, 1, 0)
+        address = page_number(controller, 0, 1, 0)
         controller.fpst.entry(address).ecc_strength = 7
         controller.erase(0)
         assert controller.fpst.entry(address).ecc_strength == 7
 
     def test_invalidate_clears_valid_bit(self):
         controller = make_controller()
-        controller.program(PageAddress(0, 0, 0), lba=1)
-        controller.invalidate(PageAddress(0, 0, 0))
-        assert not controller.fpst.entry(PageAddress(0, 0, 0)).valid
+        page = page_number(controller, 0, 0, 0)
+        controller.program(page, lba=1)
+        controller.invalidate(page)
+        assert not controller.fpst.entry(page).valid
 
 
 class TestDensityChangeAtErase:
     def test_pended_slc_applied_at_erase(self):
         controller = make_controller()
-        address = PageAddress(2, 1, 0)
+        address = page_number(controller, 2, 1, 0)
         controller.request_slc(address)
         assert controller.device.frame_mode(2, 1) is CellMode.MLC
         controller.erase(2)
@@ -98,16 +101,17 @@ class TestDensityChangeAtErase:
 
     def test_subpage_entries_dropped_on_density_switch(self):
         controller = make_controller()
-        controller.fpst.entry(PageAddress(2, 1, 1)).ecc_strength = 5
-        controller.request_slc(PageAddress(2, 1, 0))
+        upper = page_number(controller, 2, 1, 1)
+        controller.fpst.entry(upper).ecc_strength = 5
+        controller.request_slc(page_number(controller, 2, 1, 0))
         controller.erase(2)
         # subpage 1 no longer exists in SLC mode
-        assert controller.fpst.get(PageAddress(2, 1, 1)) is None
+        assert controller.fpst.get(page_number(controller, 2, 1, 1)) is None
 
     def test_pages_of_block_follows_modes(self):
         controller = make_controller()
         assert len(controller.pages_of_block(0)) == 8  # 4 frames x 2 MLC
-        controller.request_slc(PageAddress(0, 0, 0))
+        controller.request_slc(page_number(controller, 0, 0, 0))
         controller.erase(0)
         assert len(controller.pages_of_block(0)) == 7
 
@@ -131,31 +135,32 @@ class TestEraseContract:
         # an FPST entry.
         for frame in range(4):
             for subpage in (0, 1):
-                address = PageAddress(1, frame, subpage)
-                if address == PageAddress(1, 3, 0):
+                address = page_number(controller, 1, frame, subpage)
+                if address == page_number(controller, 1, 3, 0):
                     continue
                 controller.program(address, lba=10 * frame + subpage,
                                    data=b"x%d" % frame)
                 fpst.entry(address).access_count = 7
-        fpst.entry(PageAddress(1, 0, 0)).ecc_strength = 5
-        fpst.entry(PageAddress(1, 2, 1)).ecc_strength = 4
-        fpst.entry(PageAddress(1, 0, 1)).ecc_strength = 1  # below initial
-        fpst.entry(PageAddress(1, 1, 1)).ecc_strength = 9  # dropped below
-        controller.request_slc(PageAddress(1, 1, 0))
-        controller.request_slc(PageAddress(1, 3, 0))
+        fpst.entry(page_number(controller, 1, 0, 0)).ecc_strength = 5
+        fpst.entry(page_number(controller, 1, 2, 1)).ecc_strength = 4
+        # Below the initial strength, and dropped below:
+        fpst.entry(page_number(controller, 1, 0, 1)).ecc_strength = 1
+        fpst.entry(page_number(controller, 1, 1, 1)).ecc_strength = 9
+        controller.request_slc(page_number(controller, 1, 1, 0))
+        controller.request_slc(page_number(controller, 1, 3, 0))
 
         latency = controller.erase(1)
 
         # Pre-erase modes were all MLC: the slowest mode sets the pulse.
         assert latency == timing.mlc_erase_us
         for frame in (1, 3):
-            assert fpst.get(PageAddress(1, frame, 1)) is None
+            assert fpst.get(page_number(controller, 1, frame, 1)) is None
             assert device.frame_mode(1, frame) is CellMode.SLC
-        assert fpst.get(PageAddress(1, 3, 0)) is None
+        assert fpst.get(page_number(controller, 1, 3, 0)) is None
         expected_strength = {(0, 0): 5, (0, 1): 1, (1, 0): 2, (2, 0): 2,
                              (2, 1): 4}
         for (frame, subpage), strength in expected_strength.items():
-            entry = fpst.get(PageAddress(1, frame, subpage))
+            entry = fpst.get(page_number(controller, 1, frame, subpage))
             assert entry is not None
             assert not entry.valid
             assert entry.lba is None
@@ -174,11 +179,12 @@ class TestEraseContract:
         # store_data: the erase dropped every payload.
         for address in controller.pages_of_block(1):
             assert device.read_page(address).data is None
-        assert controller.pages_of_block(1) == (
-            PageAddress(1, 0, 0), PageAddress(1, 0, 1), PageAddress(1, 1, 0),
-            PageAddress(1, 2, 0), PageAddress(1, 2, 1), PageAddress(1, 3, 0))
+        assert controller.pages_of_block(1) == tuple(
+            page_number(controller, 1, frame, subpage)
+            for frame, subpage in ((0, 0), (0, 1), (1, 0), (2, 0), (2, 1),
+                                   (3, 0)))
         with pytest.raises(IndexError):
-            device.read_page(PageAddress(1, 1, 1))
+            device.read_page(page_number(controller, 1, 1, 1))
 
     def test_erase_latency_is_the_slowest_frame_mode(self):
         controller = self.make()
@@ -188,11 +194,11 @@ class TestEraseContract:
         for frame in range(4):
             assert controller.device.frame_damage(2, frame) == 1.0
         for frame in (0, 1):
-            controller.request_slc(PageAddress(2, frame, 0))
+            controller.request_slc(page_number(controller, 2, frame, 0))
         # Mixed SLC/MLC before the pulse: MLC still sets it.
         assert controller.erase(2) == timing.mlc_erase_us
         for frame in (2, 3):
-            controller.request_slc(PageAddress(2, frame, 0))
+            controller.request_slc(page_number(controller, 2, frame, 0))
         assert controller.erase(2) == timing.mlc_erase_us
         # Every frame SLC before the pulse: the shorter SLC staircase.
         assert controller.erase(2) == timing.slc_erase_us
@@ -209,22 +215,25 @@ class TestLayoutMemo:
     def test_repeated_calls_return_the_same_tuple(self):
         controller = make_controller()
         layout = controller.pages_of_block(1)
-        assert isinstance(layout, tuple)
-        assert layout == tuple(PageAddress(1, frame, subpage)
-                               for frame in range(4) for subpage in (0, 1))
+        # One mode and no bad frame: a range of page numbers.
+        assert isinstance(layout, range)
+        assert tuple(layout) == tuple(
+            page_number(controller, 1, frame, subpage)
+            for frame in range(4) for subpage in (0, 1))
         assert controller.pages_of_block(1) is layout
 
     def test_density_switch_reshapes_memoised_layout(self):
         controller = make_controller()
         before = controller.pages_of_block(0)
-        controller.request_slc(PageAddress(0, 1, 0))
+        controller.request_slc(page_number(controller, 0, 1, 0))
         assert controller.has_pending_density_change(0, 1)
         assert not controller.has_pending_density_change(0, 0)
         # Pended but not yet erased: the layout keeps its shape.
         assert controller.pages_of_block(0) is before
         controller.erase(0)
         after = controller.pages_of_block(0)
-        assert after == tuple(a for a in before if a != PageAddress(0, 1, 1))
+        assert after == tuple(
+            a for a in before if a != page_number(controller, 0, 1, 1))
         assert controller.block_capacity_pages(0) == len(after)
         assert not controller.has_pending_density_change(0, 1)
 
@@ -244,7 +253,7 @@ class TestLayoutMemo:
 class TestFaultResponse:
     def _age_to_limit(self, controller, block=0, frame=0):
         """Age a frame until its raw errors reach the page's strength."""
-        address = PageAddress(block, frame, 0)
+        address = page_number(controller, block, frame, 0)
         strength = controller.fpst.entry(address).ecc_strength
         threshold = controller.device.next_error_damage(
             block, frame, strength - 1)
@@ -296,7 +305,7 @@ class TestFaultResponse:
 
     def test_uncorrectable_read_reported(self):
         controller = make_controller(worn=True)
-        address = PageAddress(0, 0, 0)
+        address = page_number(controller, 0, 0, 0)
         # Age far past the strength-1 limit so raw errors exceed t.
         threshold = controller.device.next_error_damage(0, 0, 5)
         controller.device.age_block(0, threshold)
@@ -306,7 +315,7 @@ class TestFaultResponse:
 
     def test_hot_promotion_flag_on_saturation(self):
         controller = make_controller(counter_max=3)
-        address = PageAddress(0, 0, 0)
+        address = page_number(controller, 0, 0, 0)
         flags = [controller.read(address).hot_promotion for _ in range(4)]
         assert flags[:2] == [False, False]
         assert flags[3] is True  # saturated on an MLC page
@@ -321,7 +330,7 @@ class TestFixedBaseline:
         controller = FixedEccController(device, strength=1)
         threshold = device.next_error_damage(0, 0, 0)
         device.age_block(0, threshold / 10 * 1.001)
-        controller.read(PageAddress(0, 0, 0))
+        controller.read(page_number(controller, 0, 0, 0))
         assert controller.is_retired(0)
         assert controller.stats.descriptor_updates == 0
 
@@ -335,5 +344,5 @@ class TestFixedBaseline:
         for block in range(2):
             threshold = device.next_error_damage(block, 0, 0)
             device.age_block(block, threshold / 10 * 1.001)
-            controller.read(PageAddress(block, 0, 0))
+            controller.read(page_number(controller, block, 0, 0))
         assert controller.all_blocks_retired

@@ -26,10 +26,12 @@ from repro.core.errors import (
 from repro.core.hierarchy import build_flash_system
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.flash.device import EraseFailure, FlashDevice, ProgramFailure
-from repro.flash.geometry import FlashGeometry, PageAddress
+from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import CellMode
 from repro.sim.engine import run_trace
 from repro.workloads.macro import build_workload
+
+from .conftest import page_number
 
 
 class ScriptedInjector(FaultInjector):
@@ -174,10 +176,12 @@ class TestDevicePropagation:
     def test_program_failure_burns_page_and_costs_latency(self):
         device = make_device(injector=ScriptedInjector(
             program_script=[True]))
-        address = PageAddress(0, 0, 0)
+        address = page_number(device, 0, 0, 0)
         with pytest.raises(ProgramFailure) as excinfo:
             device.program_page(address)
-        assert excinfo.value.address == address
+        assert excinfo.value.page == address
+        assert str(excinfo.value) == "program failed at " \
+            "PageAddress(block=0, frame=0, subpage=0)"
         assert excinfo.value.latency_us > 0
         # The attempt burned the page: a retry needs an erase first.
         from repro.flash.device import ProgramError
@@ -187,7 +191,7 @@ class TestDevicePropagation:
     def test_erase_failure_keeps_contents(self):
         device = make_device(injector=ScriptedInjector(
             erase_script=[True]))
-        device.program_page(PageAddress(0, 0, 0))
+        device.program_page(page_number(device, 0, 0, 0))
         with pytest.raises(EraseFailure) as excinfo:
             device.erase_block(0)
         assert excinfo.value.block == 0
@@ -199,18 +203,18 @@ class TestDevicePropagation:
     def test_dead_block_reads_all_errors_and_rejects_writes(self):
         device = make_device(
             fault_config=FaultConfig(infant_mortality_rate=1.0, seed=3))
-        read = device.read_page(PageAddress(0, 0, 0))
+        read = device.read_page(page_number(device, 0, 0, 0))
         assert read.raw_bit_errors == device.geometry.cells_per_frame
         with pytest.raises(ProgramFailure):
-            device.program_page(PageAddress(0, 1, 0))
+            device.program_page(page_number(device, 0, 1, 0))
         with pytest.raises(EraseFailure):
             device.erase_block(0)
 
     def test_transient_bits_ride_on_reads(self):
         device = make_device(fault_config=FaultConfig(
             read_disturb_rate=1.0, read_disturb_bits=8, seed=2))
-        first = device.read_page(PageAddress(0, 0, 0)).raw_bit_errors
-        second = device.read_page(PageAddress(0, 0, 0)).raw_bit_errors
+        first = device.read_page(page_number(device, 0, 0, 0)).raw_bit_errors
+        second = device.read_page(page_number(device, 0, 0, 0)).raw_bit_errors
         assert first == 8
         assert second == 4
 
@@ -230,7 +234,7 @@ class TestControllerFaults:
 
     def test_single_sense_fails_on_burst(self):
         controller = self._controller(retry=0)
-        result = controller.read(PageAddress(0, 0, 0))
+        result = controller.read(page_number(controller, 0, 0, 0))
         assert not result.recovered
         assert controller.stats.uncorrectable_reads == 1
         assert controller.stats.read_retries == 0
@@ -238,8 +242,8 @@ class TestControllerFaults:
     def test_retry_ladder_rides_out_burst(self):
         controller = self._controller(retry=3)
         baseline = self._controller(retry=0).read(
-            PageAddress(0, 0, 0)).latency_us
-        result = controller.read(PageAddress(0, 0, 0))
+            page_number(controller, 0, 0, 0)).latency_us
+        result = controller.read(page_number(controller, 0, 0, 0))
         assert result.recovered
         assert controller.stats.read_retries == 3
         assert controller.stats.retry_recovered_reads == 1
@@ -251,7 +255,7 @@ class TestControllerFaults:
         device = make_device(injector=ScriptedInjector(
             program_script=[True]))
         controller = ProgrammableFlashController(device)
-        address = PageAddress(0, 0, 0)
+        address = page_number(controller, 0, 0, 0)
         before = controller.block_capacity_pages(0)
         with pytest.raises(ProgramFailure):
             controller.program(address, lba=1)
@@ -259,20 +263,21 @@ class TestControllerFaults:
         assert controller.stats.program_faults == 1
         assert controller.stats.frames_marked_bad == 1
         assert controller.block_capacity_pages(0) < before
-        assert all(a.frame != 0 for a in controller.pages_of_block(0))
+        # In block 0 a page's frame is its number halved.
+        assert all(a >> 1 != 0 for a in controller.pages_of_block(0))
 
     def test_bad_frame_keeps_valid_entries_for_unmap(self):
         device = make_device(injector=ScriptedInjector(
             program_script=[False, True]))
         controller = ProgrammableFlashController(device)
-        controller.program(PageAddress(0, 0, 0), lba=11)
+        controller.program(page_number(controller, 0, 0, 0), lba=11)
         with pytest.raises(ProgramFailure):
-            controller.program(PageAddress(0, 0, 1), lba=12)
+            controller.program(page_number(controller, 0, 0, 1), lba=12)
         # The valid page's back-pointer survives for the cache layer...
-        entry = controller.fpst.get(PageAddress(0, 0, 0))
+        entry = controller.fpst.get(page_number(controller, 0, 0, 0))
         assert entry is not None and entry.lba == 11
         # ...while the invalid (never-programmed) pages are dropped.
-        assert controller.fpst.get(PageAddress(0, 1, 0)) is None \
+        assert controller.fpst.get(page_number(controller, 0, 1, 0)) is None \
             or not controller.is_bad_frame(0, 1)
 
     def test_block_retires_after_repeated_program_failures(self):
@@ -286,7 +291,7 @@ class TestControllerFaults:
         controller.retire_listener = retired.append
         for frame in range(threshold):
             with pytest.raises(ProgramFailure):
-                controller.program(PageAddress(0, frame, 0))
+                controller.program(page_number(controller, 0, frame, 0))
         assert controller.is_retired(0)
         assert retired == [0]
 
@@ -308,11 +313,11 @@ class TestControllerFaults:
         controller = ProgrammableFlashController(device)
         before = controller.pages_of_block(0)
         with pytest.raises(ProgramFailure):
-            controller.program(PageAddress(0, 2, 0), lba=1)
+            controller.program(page_number(controller, 0, 2, 0), lba=1)
         after = controller.pages_of_block(0)
         assert len(after) == len(before) - 2
-        assert all(a.frame != 2 for a in after)
-        assert after == tuple(a for a in before if a.frame != 2)
+        assert all(a >> 1 != 2 for a in after)
+        assert after == tuple(a for a in before if a >> 1 != 2)
         assert controller.block_capacity_pages(0) == len(after)
 
     def test_retirement_drops_memoised_layout(self):
@@ -323,7 +328,7 @@ class TestControllerFaults:
             erase_script=[True]))
         controller = ProgrammableFlashController(device)
         before = controller.pages_of_block(0)
-        controller.request_slc(PageAddress(0, 1, 0))
+        controller.request_slc(page_number(controller, 0, 1, 0))
         with pytest.raises(EraseFailure):
             controller.erase(0)
         assert controller.is_retired(0)

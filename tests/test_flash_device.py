@@ -13,21 +13,25 @@ from repro.flash.device import (
     ProgramError,
     MLC_READ_SENSITIVITY,
 )
-from repro.flash.geometry import FlashGeometry, PageAddress
+from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import CellMode
 from repro.flash.wear import CellLifetimeModel, WearModelConfig
 
 
+def page(device, block, frame, subpage=0):
+    return device.geometry.page_number(block, frame, subpage)
+
+
 class TestNandProtocol:
     def test_program_then_read(self, device):
-        address = PageAddress(0, 0, 0)
+        address = page(device, 0, 0, 0)
         device.program_page(address, b"payload")
         assert device.page_state(address) == PageState.PROGRAMMED
         result = device.read_page(address)
         assert result.raw_bit_errors == 0  # no wear model attached
 
     def test_erase_before_write_enforced(self, device):
-        address = PageAddress(1, 2, 1)
+        address = page(device, 1, 2, 1)
         device.program_page(address)
         with pytest.raises(ProgramError):
             device.program_page(address)
@@ -36,11 +40,11 @@ class TestNandProtocol:
 
     def test_erase_resets_whole_block(self, device):
         for frame in range(device.geometry.frames_per_block):
-            device.program_page(PageAddress(2, frame, 0))
+            device.program_page(page(device, 2, frame, 0))
         device.erase_block(2)
         for frame in range(device.geometry.frames_per_block):
             assert device.page_state(
-                PageAddress(2, frame, 0)) == PageState.ERASED
+                page(device, 2, frame, 0)) == PageState.ERASED
 
     def test_erase_counts_accumulate(self, device):
         assert device.erase_count(3) == 0
@@ -66,28 +70,32 @@ class TestNandProtocol:
                           device.frame_read_sensitivity):
                 with pytest.raises(IndexError):
                     query(block, frame)
-        for address in (PageAddress(0, frames, 0),
-                        PageAddress(device.geometry.num_blocks, 0, 0)):
+        # A page number names a frame key, so the out-of-range frame is
+        # rejected where the number is formed.
+        for block, frame in ((0, frames), (-1, 0), (1, -1)):
+            with pytest.raises(IndexError):
+                page(device, block, frame)
+        for address in (page(device, device.geometry.num_blocks, 0, 0), -1):
             with pytest.raises(IndexError):
                 device.read_page(address)
             with pytest.raises(IndexError):
                 device.program_page(address)
         assert device.stats.reads == device.stats.programs == 0
-        assert device.block_frame_modes(device.geometry.num_blocks) == \
-            [CellMode.MLC] * frames
+        with pytest.raises(IndexError):
+            device.block_frame_modes(device.geometry.num_blocks)
 
     def test_oversized_payload_rejected(self, device):
         with pytest.raises(ValueError):
-            device.program_page(PageAddress(0, 0, 0),
+            device.program_page(page(device, 0, 0, 0),
                                 bytes(device.geometry.page_data_bytes + 1))
 
     def test_data_storage_roundtrip(self, small_geometry):
         device = FlashDevice(geometry=small_geometry, store_data=True)
-        address = PageAddress(0, 1, 1)
+        address = page(device, 0, 1, 1)
         device.program_page(address, b"persist me")
         assert device.read_page(address).data == b"persist me"
         device.erase_block(0)
-        assert device.read_page(PageAddress(0, 1, 0)).data is None
+        assert device.read_page(page(device, 0, 1, 0)).data is None
 
 
 class TestDensityModes:
@@ -101,11 +109,11 @@ class TestDensityModes:
 
     def test_slc_frame_has_single_subpage(self, device):
         device.erase_block(0, new_modes={0: CellMode.SLC})
-        device.program_page(PageAddress(0, 0, 0))
+        device.program_page(page(device, 0, 0, 0))
         with pytest.raises(IndexError):
-            device.read_page(PageAddress(0, 0, 1))
+            device.read_page(page(device, 0, 0, 1))
         with pytest.raises(IndexError):
-            device.program_page(PageAddress(0, 0, 1))
+            device.program_page(page(device, 0, 0, 1))
         assert device.stats.reads == 0 and device.stats.programs == 1
 
     def test_block_capacity_reflects_modes(self, device):
@@ -114,9 +122,9 @@ class TestDensityModes:
         assert device.block_capacity_pages(0) == full_mlc - 2
 
     def test_latencies_by_mode(self, device):
-        mlc_read = device.read_page(PageAddress(0, 0, 0)).latency_us
+        mlc_read = device.read_page(page(device, 0, 0, 0)).latency_us
         device.erase_block(0, new_modes={0: CellMode.SLC})
-        slc_read = device.read_page(PageAddress(0, 0, 0)).latency_us
+        slc_read = device.read_page(page(device, 0, 0, 0)).latency_us
         assert mlc_read == 50.0 and slc_read == 25.0
 
     def test_erase_latency_set_by_slowest_mode(self, device):
@@ -188,8 +196,8 @@ class TestWearInjection:
 
 class TestAccounting:
     def test_stats_counts_and_busy_time(self, device):
-        device.program_page(PageAddress(0, 0, 0))
-        device.read_page(PageAddress(0, 0, 0))
+        device.program_page(page(device, 0, 0, 0))
+        device.read_page(page(device, 0, 0, 0))
         device.erase_block(0)
         stats = device.stats
         assert (stats.reads, stats.programs, stats.erases) == (1, 1, 1)
@@ -199,11 +207,11 @@ class TestAccounting:
 
     def test_energy_accumulates(self, device):
         before = device.stats.energy_j
-        device.read_page(PageAddress(0, 0, 0))
+        device.read_page(page(device, 0, 0, 0))
         after = device.stats.energy_j
         assert after - before == pytest.approx(0.027 * 50e-6)
 
     def test_idle_energy(self, device):
-        device.read_page(PageAddress(0, 0, 0))
+        device.read_page(page(device, 0, 0, 0))
         idle = device.stats.idle_energy(1_000_000.0, 6e-6)
         assert idle == pytest.approx(6e-6 * (1_000_000 - 50) * 1e-6)

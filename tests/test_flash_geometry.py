@@ -61,6 +61,22 @@ class TestValidation:
         with pytest.raises(IndexError):
             geometry.validate_address(PageAddress(0, 0, 1), CellMode.SLC)
 
+    @given(block=st.integers(0, 10_000), frame=st.integers(0, 63),
+           subpage=st.integers(0, 1))
+    def test_page_number_round_trips(self, block, frame, subpage):
+        geometry = FlashGeometry()
+        page = geometry.page_number(block, frame, subpage)
+        assert page == (block * 64 + frame) * 2 + subpage
+        assert geometry.page_address(page) == (block, frame, subpage)
+
+    def test_page_number_rejects_what_would_alias(self):
+        geometry = FlashGeometry(frames_per_block=4, num_blocks=2)
+        # Frame 4 of block 0 would be frame 0 of block 1.
+        for block, frame, subpage in ((0, 4, 0), (0, -1, 0), (-1, 0, 0),
+                                      (0, 0, 2)):
+            with pytest.raises(IndexError):
+                geometry.page_number(block, frame, subpage)
+
 
 class TestCapacitySizing:
     @given(capacity=st.integers(min_value=1, max_value=1 << 32))

@@ -13,7 +13,8 @@ branches they leave out:
 
 Each digest covers the :func:`run_trace` report, the final FCHT mapping
 and the FGST averages (the reconfiguration cost model's inputs).  Every
-run ends with :meth:`FlashDiskCache.check_invariants`.
+run ends with :meth:`FlashDiskCache.check_invariants`; the fault-injected
+run also checks it after every request.
 """
 
 from __future__ import annotations
@@ -58,14 +59,30 @@ def _run(system, trace: Trace) -> str:
     cache = system.flash
     cache.check_invariants()
     fgst = cache.controller.fgst
+    # Pages as (block, frame, subpage) triples, the form the digests pin.
+    address = cache.controller.device.geometry.page_address
     document = {
         "report": asdict(report),
-        "fcht": sorted(cache.fcht.items()),
+        "fcht": [(lba, address(page))
+                 for lba, page in sorted(cache.fcht.items())],
         "fgst": [fgst.hits, fgst.misses, fgst.avg_hit_latency_us,
                  fgst.avg_miss_penalty_us],
     }
     text = json.dumps(document, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _check_every_request(system) -> None:
+    """Run :meth:`FlashDiskCache.check_invariants` after every request:
+    the serial loop calls the system's ``read``/``write`` attributes."""
+    def checked(access):
+        def request(page):
+            latency = access(page)
+            system.flash.check_invariants()
+            return latency
+        return request
+    system.read = checked(system.read)
+    system.write = checked(system.write)
 
 
 def test_hot_promotion_golden():
@@ -87,6 +104,7 @@ def test_fault_remap_golden():
     system = build_flash_system(
         dram_bytes=64 << 10, flash_bytes=8 << 20, seed=3,
         fault_config=faults)
+    _check_every_request(system)
     trace = _trace(seed=8, records=12000, hot=400, footprint=4000,
                    read_fraction=0.8)
     digest = _run(system, trace)

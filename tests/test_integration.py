@@ -17,11 +17,13 @@ from repro.core.hierarchy import build_flash_system
 from repro.ecc.bch import BCHDecodeFailure, design_code_for_page
 from repro.ecc.crc import Crc32
 from repro.flash.device import FlashDevice
-from repro.flash.geometry import FlashGeometry, PageAddress
+from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import CellMode
 from repro.flash.wear import CellLifetimeModel, WearModelConfig
 from repro.parallel import sweep
 from repro.workloads.macro import build_workload
+
+from .conftest import page_number
 
 
 class TestFunctionalEccOnDevice:
@@ -38,9 +40,9 @@ class TestFunctionalEccOnDevice:
         payload = bytes(rng.randrange(256) for _ in range(256))
         stored, parity = code.encode(payload)
         crc = Crc32().update(payload).digest()
-        device.program_page(PageAddress(0, 0, 0), stored)
+        device.program_page(page_number(device, 0, 0, 0), stored)
 
-        raw = device.read_page(PageAddress(0, 0, 0)).data
+        raw = device.read_page(page_number(device, 0, 0, 0)).data
         corrupted = bytearray(raw)
         for index in rng.sample(range(256), 3):
             corrupted[index] ^= 1 << rng.randrange(8)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.hierarchy import build_flash_system
 from repro.flash.device import FlashDevice
-from repro.flash.geometry import FlashGeometry, PageAddress
+from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import CellMode
 from repro.parallel import derive_seed
 from repro.reliability import (
@@ -38,6 +38,8 @@ from repro.sim.lifetime import (
     standard_regimes,
 )
 from repro.workloads.macro import build_workload
+
+from .conftest import page_number
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +299,8 @@ class TestErrorPhysics:
             geometry=FlashGeometry(frames_per_block=4, num_blocks=4),
             initial_mode=CellMode.SLC, seed=3, reliability=model)
         fresh = model.expected_rber(1, 0, 0.0, CellMode.SLC, 0.0)
-        device.program_page(PageAddress(0, 3, 0))  # block 0's last frame
+        # Block 0's last frame:
+        device.program_page(page_number(device, 0, 3, 0))
         assert model.expected_rber(1, 0, 0.0, CellMode.SLC, 0.0) == fresh
         # The in-block neighbour did absorb the program.
         assert model.expected_rber(0, 2, 0.0, CellMode.SLC, 0.0) > fresh
@@ -325,7 +328,7 @@ class TestDeviceIntegration:
     def test_clock_advances_with_operation_latency(self):
         device, _ = self._device(base_rber=1e-6)
         assert device.clock_us == 0.0
-        address = PageAddress(0, 0, 0)
+        address = page_number(device, 0, 0, 0)
         device.erase_block(0)
         device.program_page(address)
         device.read_page(address)
@@ -339,7 +342,7 @@ class TestDeviceIntegration:
     def test_reads_see_model_errors_and_history_hooks_fire(self):
         device, model = self._device(base_rber=5e-4,
                                      read_disturb_rber_per_read=1e-6)
-        address = PageAddress(0, 0, 0)
+        address = page_number(device, 0, 0, 0)
         device.erase_block(0)
         device.program_page(address)
         errors = [device.read_page(address).raw_bit_errors
@@ -355,7 +358,7 @@ class TestDeviceIntegration:
 
     def test_program_resets_retention_age(self):
         device, model = self._device(base_rber=1e-6)
-        address = PageAddress(0, 0, 0)
+        address = page_number(device, 0, 0, 0)
         device.erase_block(0)
         device.advance_clock(5e9)
         device.program_page(address)
@@ -464,7 +467,7 @@ class TestRefreshBlock:
             initial_mode=CellMode.SLC, seed=3, reliability=model)
         from repro.core.controller import ProgrammableFlashController
         controller = ProgrammableFlashController(device)
-        addresses = [PageAddress(0, frame, 0) for frame in range(4)]
+        addresses = [page_number(device, 0, frame, 0) for frame in range(4)]
         for i, address in enumerate(addresses):
             controller.program(address, lba=100 + i)
             controller.fpst.entry(address).access_count = 7 * (i + 1)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.flash.device import FlashDevice
-from repro.flash.geometry import FlashGeometry, PageAddress
+from repro.flash.geometry import FlashGeometry
+
 
 
 def make_device(rate: float) -> FlashDevice:
@@ -14,11 +15,15 @@ def make_device(rate: float) -> FlashDevice:
                        soft_error_rate_per_bit=rate, seed=11)
 
 
+#: Page (0, 0, 0) of any geometry.
+FIRST = 0
+
+
 class TestSoftErrors:
     def test_zero_rate_is_clean(self):
         device = make_device(0.0)
         for _ in range(20):
-            assert device.read_page(PageAddress(0, 0, 0)).raw_bit_errors == 0
+            assert device.read_page(FIRST).raw_bit_errors == 0
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -29,7 +34,7 @@ class TestSoftErrors:
     def test_mean_matches_rate(self):
         rate = 2e-4
         device = make_device(rate)
-        samples = [device.read_page(PageAddress(0, 0, 0)).raw_bit_errors
+        samples = [device.read_page(FIRST).raw_bit_errors
                    for _ in range(400)]
         expected = rate * device.geometry.cells_per_frame
         mean = sum(samples) / len(samples)
@@ -38,10 +43,10 @@ class TestSoftErrors:
     def test_errors_are_transient_not_persistent(self):
         """Unlike wear-out, soft errors do not grow over time."""
         device = make_device(1e-4)
-        early = sum(device.read_page(PageAddress(0, 0, 0)).raw_bit_errors
+        early = sum(device.read_page(FIRST).raw_bit_errors
                     for _ in range(100))
         device.age_block(0, 1_000_000)  # no wear model: aging is inert
-        late = sum(device.read_page(PageAddress(0, 0, 0)).raw_bit_errors
+        late = sum(device.read_page(FIRST).raw_bit_errors
                    for _ in range(100))
         assert late == pytest.approx(early, abs=max(30, early))
 
@@ -52,6 +57,6 @@ class TestSoftErrors:
         device = make_device(5e-5)  # mean ~0.8 errors per read
         controller = ProgrammableFlashController(
             device, config=ControllerConfig(initial_ecc_strength=6))
-        recovered = [controller.read(PageAddress(0, 0, 0)).recovered
+        recovered = [controller.read(FIRST).recovered
                      for _ in range(100)]
         assert sum(recovered) >= 99

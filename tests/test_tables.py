@@ -18,16 +18,17 @@ from repro.core.tables import (
 )
 from repro.core.controller import ProgrammableFlashController
 from repro.flash.device import FlashDevice
-from repro.flash.geometry import FlashGeometry, PageAddress
+from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import CellMode
 
 
 class TestFPST:
     def test_entry_created_with_default_strength(self):
-        table = FlashPageStatusTable(default_ecc_strength=3)
-        entry = table.entry(PageAddress(0, 0, 0))
+        table = FlashPageStatusTable(8, default_ecc_strength=3)
+        entry = table.entry(0)
         assert entry.ecc_strength == 3
         assert not entry.valid
+        assert entry.lba is None and entry.mode is CellMode.MLC
 
     def test_saturating_counter(self):
         # The controller's read bumps the counter; it stops at the
@@ -36,27 +37,29 @@ class TestFPST:
                                                     num_blocks=2),
                              initial_mode=CellMode.MLC)
         controller = ProgrammableFlashController(device)
-        address = PageAddress(0, 0, 0)
+        address = device.geometry.page_number(0, 0, 0)
         controller.program(address, lba=7)
-        entry = controller.fpst.entries[address]
+        entry = controller.fpst.entry(address)
         hot = [controller.read(address).hot_promotion
                for _ in range(ACCESS_COUNTER_MAX + 5)]
         assert hot == [False] * (ACCESS_COUNTER_MAX - 1) + [True] * 6
         assert entry.access_count == ACCESS_COUNTER_MAX
 
     def test_saturate_shortcut(self):
-        entry = FPSTEntry()
+        entry = FlashPageStatusTable(8).entry(5)
+        assert isinstance(entry, FPSTEntry)
         entry.saturate()
         assert entry.access_count == ACCESS_COUNTER_MAX
 
     def test_drop_and_iterate(self):
-        table = FlashPageStatusTable()
-        a, b = PageAddress(0, 0, 0), PageAddress(0, 1, 0)
+        table = FlashPageStatusTable(8)
+        a, b = 0, 2
         table.entry(a)
         table.entry(b)
         table.drop(a)
-        assert len(table) == 1
-        assert [address for address, _ in table] == [b]
+        assert table.get(a) is None
+        assert table.get(b).page == b
+        assert bytes(table.present) == bytes([0, 0, 1, 0, 0, 0, 0, 0])
 
 
 class TestFBST:
@@ -149,7 +152,7 @@ class TestFGST:
 class TestFCHT:
     def test_basic_mapping(self):
         fcht = FlashCacheHashTable()
-        address = PageAddress(1, 2, 0)
+        address = 12
         fcht.insert(42, address)
         assert 42 in fcht
         assert fcht.lookup(42) == address
@@ -160,8 +163,8 @@ class TestFCHT:
         small = FlashCacheHashTable(buckets=4)
         large = FlashCacheHashTable(buckets=4096)
         for lba in range(1000):
-            small.insert(lba, PageAddress(0, 0, 0))
-            large.insert(lba, PageAddress(0, 0, 0))
+            small.insert(lba, 0)
+            large.insert(lba, 0)
         assert small.lookup_cost_us() > large.lookup_cost_us()
 
     def test_rejects_zero_buckets(self):
