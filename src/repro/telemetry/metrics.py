@@ -6,21 +6,17 @@ is set by *tail* storage latency, which an average cannot show.  A
 sub-microsecond DRAM hits to multi-millisecond disk seeks.  Observing a
 sample only appends to a pending buffer — cheap enough for every request
 of a multi-million-access trace — and the buffer is folded into the
-buckets in bulk (vectorised when numpy is importable, a tight pure-Python
-loop otherwise) the moment any statistic is read, so callers never see a
-stale value.  Percentiles come out at report time by interpolating within
-the owning bucket.
+buckets in bulk, in pure Python, the moment any statistic is read, so
+callers never see a stale value.  A fold of 32 or more samples sums them
+in numpy's pairwise order (:func:`_pairwise_sum`): totals are
+bit-identical to ``numpy.sum`` of each batch, without numpy.  Percentiles
+come out at report time by interpolating within the owning bucket.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
-
-try:  # Optional acceleration only; every path below has a fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _np = None
 
 __all__ = [
     "Counter",
@@ -44,6 +40,38 @@ DEFAULT_LATENCY_BUCKETS_US: Tuple[float, ...] = (
 #: module constant, so :meth:`LatencyHistogram.observe` reads it
 #: without a class-attribute lookup per sample.
 _DRAIN_THRESHOLD = 65536
+
+
+def _pairwise_sum(values: List[float], start: int, stop: int) -> float:
+    """Sum ``values[start:stop]`` in numpy's ``pairwise_sum`` order.
+
+    Under 8 items a plain loop from 0.0; up to 128, eight strided
+    accumulators (``r[j]`` sums items ``j, j+8, ...``) combined as a
+    balanced tree, then the remainder; above that, two halves split at
+    a multiple of 8.  Totals come out bit-identical to ``numpy.sum`` of
+    the same batch.  Plain ``+=``, never ``sum()``: ``sum`` of floats is
+    compensated from Python 3.12 on.
+    """
+    size = stop - start
+    if size > 128:
+        half = size // 2
+        half -= half % 8
+        return (_pairwise_sum(values, start, start + half)
+                + _pairwise_sum(values, start + half, stop))
+    total = 0.0
+    whole = start
+    if size >= 8:
+        whole = stop - size % 8
+        it = iter(values[start:whole])
+        rows = zip(it, it, it, it, it, it, it, it)
+        r0, r1, r2, r3, r4, r5, r6, r7 = next(rows)
+        for x0, x1, x2, x3, x4, x5, x6, x7 in rows:
+            r0 += x0; r1 += x1; r2 += x2; r3 += x3  # noqa: E702
+            r4 += x4; r5 += x5; r6 += x6; r7 += x7  # noqa: E702
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for value in values[whole:stop]:
+        total += value
+    return total
 
 
 class Counter:
@@ -126,40 +154,24 @@ class LatencyHistogram:
         self._pending = []
         self._push = self._pending.append
         self._count += len(pending)
-        edges = self.edges
-        size = len(edges)
-        counts = self._counts
-        if _np is not None and len(pending) >= 32:
-            samples = _np.asarray(pending)
-            self._total += float(samples.sum())
-            low = float(samples.min())
-            high = float(samples.max())
-            per_bucket = _np.bincount(
-                _np.searchsorted(edges, samples, side="left"),
-                minlength=size + 1)
-            for index in range(size):
-                bucket = int(per_bucket[index])
-                if bucket:
-                    counts[index] += bucket
-            self._overflow += int(per_bucket[size])
-        else:
-            find = bisect.bisect_left
-            low = high = pending[0]
+        ordered = sorted(pending)
+        low, high = ordered[0], ordered[-1]
+        if len(pending) < 32:
+            # One running total: the order pinned outputs hold below 32.
             total = 0.0
-            overflow = 0
             for value in pending:
                 total += value
-                if value < low:
-                    low = value
-                elif value > high:
-                    high = value
-                index = find(edges, value)
-                if index >= size:
-                    overflow += 1
-                else:
-                    counts[index] += 1
-            self._total += total
-            self._overflow += overflow
+        else:
+            total = _pairwise_sum(pending, 0, len(pending))
+            low, high = float(low), float(high)
+        self._total += total
+        counts = self._counts
+        below = 0
+        for index, edge in enumerate(self.edges):
+            upto = bisect_right(ordered, edge, below)
+            counts[index] += upto - below
+            below = upto
+        self._overflow += len(ordered) - below
         if low < self._min:
             self._min = low
         if high > self._max:
@@ -194,10 +206,12 @@ class LatencyHistogram:
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other``'s samples into this histogram, bucket-wise.
 
-        Merging per-worker histograms is exact — bucket counts, totals,
-        and min/max add losslessly, so percentiles of the merged
-        histogram equal those of a single histogram that observed every
-        sample — provided both sides share one bucket ladder.
+        Bucket counts, overflow, count, min and max merge exactly, so
+        percentiles of the merged histogram equal those of a single
+        histogram that observed every sample — provided both sides
+        share one bucket ladder.  The merged total is ``self.total +
+        other.total``: float addition depends on grouping, so it can
+        differ in the last bits from one histogram's total.
         """
         if other.edges != self.edges:
             raise ValueError(

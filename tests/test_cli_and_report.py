@@ -66,8 +66,7 @@ class TestReport:
 
     def test_report_golden(self):
         """The rendered report at a tiny scale, wall-clock footnotes
-        replaced by a fixed token.  The digest holds with and without
-        numpy: no section sums a histogram."""
+        replaced by a fixed token."""
         report = generate_report(ReportScale(
             scale_divisor=512, trace_records=3000,
             aging_blocks=4, aging_frames=2))

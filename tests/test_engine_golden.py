@@ -26,25 +26,15 @@ from repro.core.hierarchy import build_flash_system
 from repro.faults import FaultConfig
 from repro.reliability import ReliabilityConfig, ScrubConfig
 from repro.sim.concurrent import run_trace_concurrent
-from repro.telemetry import LatencyHistogram, metrics
+from repro.telemetry import LatencyHistogram
 from repro.workloads.macro import build_workload
 
-# The report carries whole histograms, whose running totals are summed
-# by numpy when it is installed and by a plain loop otherwise; the two
-# sums differ in the last bits, so each backend has its own digest.
-CONCURRENT_DIGEST = {
-    True: "85ff3c3cd7c808bbf8e7b3e5875a76a3b88f92746565140084ad4ee4c7afc4f1",
-    False: "31b15a2de7e93ae232b33e3106e6440adb32d427493c435f3902f9cf405346f6",
-}
+CONCURRENT_DIGEST = (
+    "85ff3c3cd7c808bbf8e7b3e5875a76a3b88f92746565140084ad4ee4c7afc4f1")
 CLUSTER_DIGEST = (
     "23af3d59ebf7dc9285b1d1640abdddace58256d35f29cee5884201bf16e128c6")
-# The serial report holds no histogram, so both backends agree today;
-# the pin stays per backend so a histogram added later cannot slip by.
-FAULT_DIGEST = {
-    True: "221d6654bee9a44b3280c884d3aa0214d3657a54d3cff380f99a39d75dcdf585",
-    False: "221d6654bee9a44b3280c884d3aa0214d3657a54d3cff380f99a39d75dcdf585",
-}
-
+FAULT_DIGEST = (
+    "221d6654bee9a44b3280c884d3aa0214d3657a54d3cff380f99a39d75dcdf585")
 
 def _plain(value: Any) -> Any:
     if isinstance(value, LatencyHistogram):
@@ -73,8 +63,7 @@ def test_concurrent_engine_gc_scrub_golden():
     assert queueing.gc_events > 0
     assert queueing.scrub_events > 0
     assert queueing.channel_stalls > 0
-    with_numpy = metrics._np is not None
-    assert _digest(asdict(report)) == CONCURRENT_DIGEST[with_numpy]
+    assert _digest(asdict(report)) == CONCURRENT_DIGEST
 
 
 def test_cluster_kill_cascade_rejoin_golden():
@@ -111,5 +100,4 @@ def test_serial_fault_injection_golden():
     assert controller.erases > 0
     assert report.flash is not None and report.flash.gc_runs > 0
     assert controller.descriptor_updates > 0
-    with_numpy = metrics._np is not None
-    assert _digest(asdict(report)) == FAULT_DIGEST[with_numpy]
+    assert _digest(asdict(report)) == FAULT_DIGEST

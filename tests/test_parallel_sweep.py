@@ -158,12 +158,20 @@ class TestTelemetryMerge:
         for value in (2.0, 80.0, 10**9):
             b.observe(value)
             both.observe(value)
+        # Past 2**54 floats are 4 apart, so each side's subtotal rounds
+        # differently from one running total over every sample.
+        a.observe(1.0)
+        both.observe(1.0)
+        b.observe(2.0**54)
+        both.observe(2.0**54)
+        a_total, b_total = a.total, b.total
         a.merge(b)
         assert a.counts == both.counts
         assert a.overflow == both.overflow
         assert a.count == both.count
-        assert a.total == both.total
         assert a.min == both.min and a.max == both.max
+        assert a.total == a_total + b_total
+        assert a.total != both.total
 
     def test_histogram_merge_rejects_different_edges(self):
         a = LatencyHistogram("lat", edges=(1.0, 2.0))

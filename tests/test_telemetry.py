@@ -6,8 +6,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from bisect import bisect_left
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.controller import ControllerConfig
 from repro.core.hierarchy import build_flash_system
@@ -16,6 +23,7 @@ from repro.sim.concurrent import run_trace_concurrent
 from repro.sim.engine import run_trace
 from repro.sim.server import ServerModel
 from repro.telemetry import (
+    DEFAULT_LATENCY_BUCKETS_US,
     LatencyHistogram,
     MetricsRegistry,
     Telemetry,
@@ -106,6 +114,126 @@ class TestLatencyHistogram:
         hist = LatencyHistogram("h")
         with pytest.raises(ValueError):
             hist.percentile(101.0)
+
+
+#: Batch sizes around every branch of the fold: the plain loop below 32,
+#: numpy's sequential (< 8), eight-accumulator (<= 128) and split
+#: (> 128) blocks, and a whole drain.
+FOLD_SIZES = (0, 1, 7, 8, 31, 32, 127, 128, 129, 8192, 65536)
+
+_fold_values = st.one_of(
+    st.sampled_from(DEFAULT_LATENCY_BUCKETS_US),       # exact edges
+    st.sampled_from((0.0, -0.0)),
+    st.floats(100_000.0, 1e9, exclude_min=True),       # overflow
+    st.floats(-1e-6, 0.0, exclude_max=True),           # tiny negatives
+    st.floats(0.0, 100_000.0))
+
+
+@pytest.fixture(scope="module")
+def numpy():
+    return pytest.importorskip("numpy")
+
+
+def _numpy_fold_state(np, name, batch):
+    """The state one fold of ``batch`` leaves, computed as histograms
+    did while numpy summed them: numpy from 32 samples up, a plain loop
+    below."""
+    edges = list(DEFAULT_LATENCY_BUCKETS_US)
+    counts = [0] * len(edges)
+    overflow, total, low, high = 0, 0.0, float("inf"), 0.0
+    if len(batch) >= 32:
+        samples = np.asarray(batch)
+        total += float(samples.sum())
+        low = min(low, float(samples.min()))
+        high = max(high, float(samples.max()))
+        per_bucket = np.bincount(
+            np.searchsorted(edges, samples, side="left"),
+            minlength=len(edges) + 1)
+        counts = [int(bucket) for bucket in per_bucket[:-1]]
+        overflow = int(per_bucket[-1])
+    elif batch:
+        for value in batch:
+            total += value
+            index = bisect_left(edges, value)
+            if index < len(edges):
+                counts[index] += 1
+            else:
+                overflow += 1
+        low = min(low, min(batch))
+        high = max(high, max(batch))
+    return {"name": name, "edges": edges, "counts": counts,
+            "overflow": overflow, "count": len(batch), "total": total,
+            "min": low, "max": high}
+
+
+def _with_fold_sizes(test):
+    for size in FOLD_SIZES:
+        test = example(size=size, pool=[0.0, 1.0, 123.456, 2e5, -1e-9],
+                       seed=size)(test)
+    return test
+
+
+class TestHistogramFold:
+    """The pure-Python fold reproduces numpy's summation order exactly:
+    the same batch leaves the same state, down to the total's last
+    bit."""
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(size=st.one_of(st.sampled_from(FOLD_SIZES),
+                          st.integers(0, 20_000)),
+           pool=st.lists(_fold_values, min_size=1, max_size=24),
+           seed=st.integers(0, 2**32 - 1))
+    @_with_fold_sizes
+    def test_bit_identical_to_numpy_sum(self, numpy, size, pool, seed):
+        rng = random.Random(seed)
+        # Half the samples repeat the drawn pool, half are spread over
+        # six decades, so sums are order-sensitive.
+        batch = [rng.choice(pool) if rng.random() < 0.5
+                 else rng.lognormvariate(3.0, 3.0) for _ in range(size)]
+        hist = LatencyHistogram("h")
+        for value in batch:
+            hist.observe(value)
+        state = hist.__getstate__()
+        expected = _numpy_fold_state(numpy, "h", batch)
+        assert state == expected
+        assert float.hex(state["total"]) == float.hex(expected["total"])
+
+
+def test_simulation_never_imports_numpy(tmp_path):
+    """The simulator is pure standard library: importing it, running a
+    qd16 engine run and a cluster, and summarising leave numpy
+    unloaded."""
+    code = textwrap.dedent("""
+        import sys
+        import repro
+        from repro.cluster.cluster import ClusterScenario, run_cluster
+        from repro.core.hierarchy import build_flash_system
+        from repro.sim.concurrent import run_trace_concurrent
+        from repro.sim.engine import summarise_system
+        from repro.workloads.macro import build_workload
+
+        records = build_workload("websearch1", num_records=2000, seed=3,
+                                 footprint_pages=1024)
+        system = build_flash_system(dram_bytes=256 << 10,
+                                    flash_bytes=2 << 20)
+        report = run_trace_concurrent(system, records, queue_depth=16,
+                                      channels=4, planes=2)
+        assert report.queueing.queue_delay.count > 0
+        summarise_system(system)
+        result = run_cluster(ClusterScenario(
+            shards=3, replicas=2, rate_rps=4000.0, duration_s=0.1,
+            footprint_pages=1024, seed=3))
+        assert result.completed > 0
+        assert "numpy" not in sys.modules, "numpy was imported"
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in sys.path if p) + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=tmp_path, timeout=120, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestMetricsRegistry:
