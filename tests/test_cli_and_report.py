@@ -43,7 +43,7 @@ class TestCli:
 
 
 REPORT_DIGEST = \
-    "e09e88a86df58fd6f8aca21f9edc629f214fc755dc74bbc4e8383be4c7c0a4f1"
+    "117c37fb54d6702109c05d1e0331971020a869e604cc700a20bc8ef9a25d64ba"
 
 
 class TestReport:

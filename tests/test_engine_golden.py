@@ -30,7 +30,7 @@ from repro.telemetry import LatencyHistogram
 from repro.workloads.macro import build_workload
 
 CONCURRENT_DIGEST = (
-    "85ff3c3cd7c808bbf8e7b3e5875a76a3b88f92746565140084ad4ee4c7afc4f1")
+    "7935088783366d8918e183cbc9752afde82f5cd9a9873d76271d18b764f840af")
 CLUSTER_DIGEST = (
     "23af3d59ebf7dc9285b1d1640abdddace58256d35f29cee5884201bf16e128c6")
 FAULT_DIGEST = (
