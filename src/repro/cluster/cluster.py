@@ -698,8 +698,7 @@ def _combine(scenario: ClusterScenario, requests: int, planned_ops: int,
     for outcome in ordered:
         summary = {key: value for key, value in outcome.items()
                    if key not in ("redirects", "inflight_reads",
-                                  "response", "queue_delay",
-                                  "service_latency", "telemetry")}
+                                  "response", "queue_delay", "telemetry")}
         summary["response_p50_us"] = round(outcome["response"].p50, 3)
         summary["response_p95_us"] = round(outcome["response"].p95, 3)
         summary["response_p99_us"] = round(outcome["response"].p99, 3)

@@ -108,10 +108,8 @@ class _ShardEngine(EventEngine):
         self.rejoin_at_us = rejoin_at_us
         self.response = LatencyHistogram("response_us")
         self.queue_delay = LatencyHistogram("queue_delay_us")
-        self.service_latency = LatencyHistogram("service_latency_us")
         self._observe_response = self.response.observe
         self._observe_queue_delay = self.queue_delay.observe
-        self._observe_service = self.service_latency.observe
         #: Requests waiting for a window slot: each COMPLETE payload
         #: with the request's own op log.
         self.wait: Deque[Tuple[_Payload, List[float]]] = deque()
@@ -237,7 +235,6 @@ class _ShardEngine(EventEngine):
                 self._observe_response(response_us)
                 self._observe_queue_delay(
                     response_us - service_us - self._cpu_us)
-                self._observe_service(service_us)
                 bucket[1] += 1
                 bucket[5] += response_us
                 if response_us > bucket[6]:
@@ -368,7 +365,6 @@ def run_shard(shard_id: int, arrivals: List[Arrival], dram_bytes: int,
         "span_us": span_us,
         "response": engine.response,
         "queue_delay": engine.queue_delay,
-        "service_latency": engine.service_latency,
         "buckets": {index: list(row)
                     for index, row in sorted(engine.buckets.items())},
         "channel_busy_us": list(engine.scheduler.channel_busy_us),

@@ -191,19 +191,6 @@ class FlashBlockStatusTable:
     def wear_out(self, block: int) -> float:
         return self._entries[block].wear_out(self.k1, self.k2)
 
-    def newest_block(self, exclude_retired: bool = True) -> int:
-        """Index of the block with minimum wear-out (the "newest" block)."""
-        best_index, best_wear = -1, float("inf")
-        for index, entry in enumerate(self._entries):
-            if exclude_retired and entry.retired:
-                continue
-            wear = entry.wear_out(self.k1, self.k2)
-            if wear < best_wear:
-                best_index, best_wear = index, wear
-        if best_index < 0:
-            raise RuntimeError("all blocks are retired")
-        return best_index
-
     def live_blocks(self) -> Iterator[int]:
         for index, entry in enumerate(self._entries):
             if not entry.retired:

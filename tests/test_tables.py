@@ -74,21 +74,10 @@ class TestFBST:
         with pytest.raises(ValueError):
             FlashBlockStatusTable(4, k1=5.0, k2=1.0)
 
-    def test_newest_block_ignores_retired(self):
-        table = FlashBlockStatusTable(3)
-        table.entry(0).erase_count = 1
-        table.entry(1).erase_count = 0
-        table.entry(2).erase_count = 5
-        assert table.newest_block() == 1
-        table.entry(1).retired = True
-        assert table.newest_block() == 0
-
-    def test_all_retired_raises(self):
+    def test_all_retired_counts(self):
         table = FlashBlockStatusTable(2)
         table.entry(0).retired = True
         table.entry(1).retired = True
-        with pytest.raises(RuntimeError):
-            table.newest_block()
         assert table.retired_count == 2
         assert list(table.live_blocks()) == []
 
